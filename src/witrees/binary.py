@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+from .errors import InternalError
+
 Path = tuple[int, ...]  # 0 = left step, 1 = right step
 
 
@@ -305,8 +307,10 @@ def bstats(b: WBTree, ann: BAnnotation | None = None) -> BStatVector:
             else:
                 sv.eact += 1
     dyn_even, dyn_odd = dynamic_sets(ann)
-    assert len(dyn_even) == 2 * sv.eact, "dynamic even pairs must be disjoint"
-    assert len(dyn_odd) == 2 * sv.oact, "dynamic odd pairs must be disjoint"
+    if len(dyn_even) != 2 * sv.eact:
+        raise InternalError("dynamic even pairs must be disjoint")
+    if len(dyn_odd) != 2 * sv.oact:
+        raise InternalError("dynamic odd pairs must be disjoint")
     sv.dme = len(dyn_even)
     sv.dmo = len(dyn_odd)
     for path in ann.nodes:

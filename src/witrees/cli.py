@@ -3,19 +3,24 @@ tables, and the reproducible verification runs.
 
 Every subcommand prints deterministically (fixed orderings everywhere), so
 identical invocations are byte-identical.  Exit codes: 0 on success / all
-checks passing, 1 when a verification check fails, 2 on usage errors.
+checks passing, 1 when a verification check fails, 2 on usage errors, 3 on
+an internal error (a broken invariant: a bug, not bad input), and 141 when
+the reader of stdout goes away, as in `witrees enumerate --set 7 | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import asdict
 
 from .binary import bstats, format_btree, modified_preorder, orbit, parse_btree, subtree_at
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import enumerate_trees
-from .gamma import gamma_expand, reduced_schett
+from .errors import InternalError
+from .gamma import gamma_expand_poly, reduced_schett
 from .grammar import four_var_poly, schett_poly
 from .jacobi import jacobi_taylor
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
@@ -120,7 +125,7 @@ def cmd_schett(args: argparse.Namespace) -> int:
 def cmd_gamma(args: argparse.Namespace) -> int:
     m = _multiset_from(args)
     reduced = reduced_schett(m, size_bound=args.max_size)
-    table = gamma_expand(m, size_bound=args.max_size)
+    table = gamma_expand_poly(reduced, m.size)
     entries = [
         {"i": i, "j": j, "value": v} for (i, j), v in sorted(table.items())
     ]
@@ -142,11 +147,14 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     names = args.suite if args.suite and "all" not in args.suite else None
     results = run_suites(names, max_size=args.max_size, max_nodes=args.max_nodes)
-    lines = [r.line() for r in results]
-    n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _emit("\n".join(lines), args.out)
-    return 1 if n_fail else 0
+    n_pass = sum(1 for r in results if r.passed)
+    if args.format == "json":
+        payload = {"checks": [asdict(r) for r in results], "passed": n_pass, "total": len(results)}
+        _emit(json.dumps(payload, indent=2), args.out)
+    else:
+        lines = [r.line() for r in results] + [f"{n_pass}/{len(results)} checks passed"]
+        _emit("\n".join(lines), args.out)
+    return 0 if n_pass == len(results) else 1
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -276,16 +284,22 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             targets.append(uniform_multiset(p))
             if p > 1:
                 targets.append(set_multiset(p))
-    lines = []
-    failed = 0
-    for m in targets:
-        for i, coeffs, report in scan_real_rootedness(m):
-            status = "vacuous" if report.vacuous else ("real-rooted" if report.all_real else "NOT REAL-ROOTED")
-            if not report.vacuous and not report.all_real:
-                failed += 1
-            lines.append(f"{m} slice {i}: {coeffs} -> {status}")
-    lines.append(f"{'FAIL' if failed else 'PASS'}: {failed} non-real-rooted slices")
-    _emit("\n".join(lines), args.out)
+    slices = [
+        (m, i, coeffs, "vacuous" if rep.vacuous else ("real-rooted" if rep.all_real else "NOT REAL-ROOTED"))
+        for m in targets
+        for i, coeffs, rep in scan_real_rootedness(m)
+    ]
+    failed = sum(1 for *_, status in slices if status == "NOT REAL-ROOTED")
+    if args.format == "json":
+        rows = [
+            {"multiset": list(m.multiplicities), "i": i, "coefficients": coeffs, "status": status}
+            for m, i, coeffs, status in slices
+        ]
+        _emit(json.dumps({"slices": rows, "failed": failed}, indent=2), args.out)
+    else:
+        lines = [f"{m} slice {i}: {coeffs} -> {status}" for m, i, coeffs, status in slices]
+        lines.append(f"{'FAIL' if failed else 'PASS'}: {failed} non-real-rooted slices")
+        _emit("\n".join(lines), args.out)
     return 1 if failed else 0
 
 
@@ -379,10 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: drop what is buffered, exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

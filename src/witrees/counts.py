@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from math import comb, factorial
 
+from .errors import InternalError
+
 
 def _comb(n: int, k: int) -> int:
     """Binomial with C(n, 0) = 1 for every integer n, 0 for k < 0 or n < k."""
@@ -81,7 +83,8 @@ def plane_tree_count(i: int, j: int, k: int, l: int) -> int:
         * factorial(a) * factorial(b)
     )
     q, r = divmod(num, den)
-    assert r == 0, f"closed form must divide exactly at {(i, j, k, l)}"
+    if r:
+        raise InternalError(f"closed form must divide exactly at {(i, j, k, l)}")
     return q
 
 
@@ -92,7 +95,8 @@ def jaco2_count(i: int, j: int) -> int:
         return 0
     num = _comb(2 * j + i, i) * _comb(2 * i + j - 1, j)
     q, r = divmod(num, 2 * j + 1)
-    assert r == 0, f"division by 2j+1 must be exact at {(i, j)}"
+    if r:
+        raise InternalError(f"division by 2j+1 must be exact at {(i, j)}")
     return q
 
 
@@ -104,7 +108,8 @@ def fish_count(i: int, j: int) -> int:
         return 0
     num = (2 * i + 2 * j + 1) * _comb(2 * i + j, j) * _comb(2 * j + i, i)
     q, r = divmod(num, (2 * i + 1) * (2 * j + 1))
-    assert r == 0, f"division must be exact at {(i, j)}"
+    if r:
+        raise InternalError(f"division must be exact at {(i, j)}")
     return q
 
 
@@ -115,10 +120,12 @@ def ternary_identity(n: int) -> tuple[int, int]:
         raise ValueError("the identity is stated for n >= 1")
     lhs_num = comb(3 * n, n)
     lhs, r = divmod(lhs_num, 2 * n + 1)
-    assert r == 0
+    if r:
+        raise InternalError(f"C(3n, n) must be divisible by 2n+1 at n={n}")
     rhs = 0
     for j in range(n):
         term, r = divmod(_comb(n + j, 2 * j) * _comb(2 * n - j - 1, j), 2 * j + 1)
-        assert r == 0
+        if r:
+            raise InternalError(f"ternary summand must divide exactly at n={n}, j={j}")
         rhs += term
     return lhs, rhs

@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
+from .errors import InternalError
 from .multiset import Multiset, count_trees
 from .trees import WTree, format_tree
 
@@ -101,10 +102,11 @@ def iter_trees(m: Multiset, size_bound: int | None = None) -> Iterator[WTree]:
 def enumerate_trees(m: Multiset, size_bound: int | None = None) -> list[WTree]:
     """All trees on m, sorted lexicographically by canonical text form."""
     out = sorted(iter_trees(m, size_bound), key=format_tree)
-    assert len(out) == count_trees(m), (
-        f"enumeration of {m} produced {len(out)} trees, "
-        f"product formula says {count_trees(m)}"
-    )
+    if len(out) != count_trees(m):
+        raise InternalError(
+            f"enumeration of {m} produced {len(out)} trees, "
+            f"product formula says {count_trees(m)}"
+        )
     return out
 
 

@@ -12,22 +12,30 @@ floor(p/2) - i - 2j active nodes.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .enumeration import iter_trees
+from .errors import InternalError
 from .grammar import XYZ
 from .mpoly import MPoly, poly_sum
 from .multiset import Multiset
-from .trees import ee_oe_odd
+from .trees import WTree, parity_counts
 
 GammaTable = dict[tuple[int, int], int]
 
 
-def multiset_schett(m: Multiset, size_bound: int | None = None) -> MPoly:
-    """S_M(x,y,z) by exhaustive enumeration."""
+def schett_of(trees: Iterable[WTree]) -> MPoly:
+    """The sum of x^ee y^oe z^odd over the given trees."""
     terms: dict[tuple[int, int, int], int] = {}
-    for t in iter_trees(m, size_bound):
-        e = ee_oe_odd(t)
+    for t in trees:
+        e = parity_counts(t)[:3]
         terms[e] = terms.get(e, 0) + 1
     return MPoly(XYZ, terms)
+
+
+def multiset_schett(m: Multiset, size_bound: int | None = None) -> MPoly:
+    """S_M(x,y,z) by exhaustive enumeration."""
+    return schett_of(iter_trees(m, size_bound))
 
 
 def reduce_poly(poly: MPoly) -> MPoly:
@@ -41,15 +49,10 @@ def reduce_poly(poly: MPoly) -> MPoly:
 
 def reduced_schett(m: Multiset, size_bound: int | None = None) -> MPoly:
     """The reduced multiset Schett polynomial over x, y, z."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for t in iter_trees(m, size_bound):
-        ee, oe, odd = ee_oe_odd(t)
-        key = (ee // 2, oe // 2, odd // 2)
-        terms[key] = terms.get(key, 0) + 1
-    return MPoly(XYZ, terms)
+    return reduce_poly(multiset_schett(m, size_bound))
 
 
-class GammaResidualError(ArithmeticError):
+class GammaResidualError(InternalError):
     """The gamma change of basis left a nonzero residual: an implementation
     bug, since exact peeling of a homogeneous symmetric slice cannot fail."""
 

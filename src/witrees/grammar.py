@@ -15,6 +15,7 @@ three counts.
 
 from __future__ import annotations
 
+from .errors import InternalError
 from .mpoly import MPoly, poly_sum
 
 GrammarRules = dict[str, MPoly]
@@ -104,7 +105,8 @@ def four_var_coeffs(n: int, poly: MPoly | None = None) -> dict[tuple[int, int], 
         poly = four_var_poly(n)
     out: dict[tuple[int, int], int] = {}
     for (ew, ex, ey, _ez), c in poly.terms.items():
-        assert ew == 1, "every term of D^n(w) carries exactly one w"
+        if ew != 1:
+            raise InternalError("every term of D^n(w) carries exactly one w")
         key = (ex, ey // 2)
         out[key] = out.get(key, 0) + c
     return out

@@ -186,22 +186,6 @@ class MPoly:
                 del terms[key]
         return MPoly(self.vars, terms)
 
-    def substitute(self, assignments: Mapping[str, "MPoly"]) -> "MPoly":
-        """Replace variables by polynomials over the same context."""
-        out = MPoly.zero(self.vars)
-        for e, c in self.terms.items():
-            term = MPoly.const(self.vars, c)
-            for i, power in enumerate(e):
-                if not power:
-                    continue
-                name = self.vars[i]
-                base = assignments.get(name)
-                if base is None:
-                    base = MPoly.var(self.vars, name)
-                term = term * base**power
-            out = out + term
-        return out
-
     def evaluate(self, values: Mapping[str, int]) -> int:
         """Exact integer evaluation; every variable must be assigned."""
         total = 0

@@ -8,13 +8,15 @@ drive the product formula
 
 which specialises to n! on M = [n] and to the Catalan numbers on M = {1^n}.
 All arithmetic is exact (big integers); the division above is provably exact
-and asserted to be so.
+and checked to be so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+
+from .errors import InternalError
 
 
 @dataclass(frozen=True)
@@ -108,5 +110,6 @@ def count_trees(m: Multiset) -> int:
     for n_i, p_i in zip(m.prefix, m.multiplicities):
         prod *= comb(n_i + p_i, p_i)
     q, r = divmod(prod, 1 + m.size)
-    assert r == 0, f"product formula division must be exact, got remainder {r}"
+    if r:
+        raise InternalError(f"product formula division must be exact, got remainder {r}")
     return q

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from math import comb
 
+from .errors import InternalError
+
 
 def euler_numbers(n: int) -> list[int]:
     """E_0..E_n, the coefficients of n!-normalized sec(x) + tan(x).
@@ -18,7 +20,8 @@ def euler_numbers(n: int) -> list[int]:
         k = len(es) - 1
         total = sum(comb(k, i) * es[i] * es[k - i] for i in range(k + 1))
         q, r = divmod(total, 2)
-        assert r == 0, "Euler-number convolution must be even"
+        if r:
+            raise InternalError("Euler-number convolution must be even")
         es.append(q)
     return es[: n + 1]
 

@@ -16,6 +16,7 @@ Both relations are verified here with exact residuals.
 
 from __future__ import annotations
 
+from .errors import InternalError
 from .mpoly import MPoly, poly_sum
 
 SERIES_VARS = ("w", "x", "y", "z")
@@ -170,7 +171,7 @@ def plane_gf(order: int, _return_pair: bool = False):
 
     Fixpoint iteration of the functional-equation pair; iteration k pins the
     coefficient of t^k, so order+1 rounds converge and one extra round is
-    run to assert stability.
+    run to check stability.
     """
     y = TruncSeries.var("y", order)
     x = TruncSeries.var("x", order)
@@ -183,12 +184,10 @@ def plane_gf(order: int, _return_pair: bool = False):
         if n_next == n_cur and s_next == n_star:
             break
         n_cur, n_star = n_next, s_next
-    assert n_cur == (y + (n_star * w).shift(1)) * geometric(n_star.shift(1) ** 2), (
-        "fixpoint did not stabilise within order+2 rounds"
-    )
-    assert n_star == n_cur.rename_vars(_SWAP_STAR), (
-        "partner series must be the variable-swapped series"
-    )
+    if n_cur != (y + (n_star * w).shift(1)) * geometric(n_star.shift(1) ** 2):
+        raise InternalError("fixpoint did not stabilise within order+2 rounds")
+    if n_star != n_cur.rename_vars(_SWAP_STAR):
+        raise InternalError("partner series must be the variable-swapped series")
     return (n_cur, n_star) if _return_pair else n_cur
 
 

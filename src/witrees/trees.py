@@ -18,9 +18,7 @@ degree is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
-
-from .multiset import Multiset
+from typing import NamedTuple
 
 
 class WTree(NamedTuple):
@@ -110,30 +108,6 @@ def validate_tree(t: WTree) -> None:
             stack.append(child)
 
 
-def iter_nodes(t: WTree) -> Iterator[tuple[WTree, int]]:
-    """Yield (node, level) pairs in preorder."""
-    stack = [(t, 0)]
-    while stack:
-        node, lvl = stack.pop()
-        yield node, lvl
-        for c in reversed(node.children):
-            stack.append((c, lvl + 1))
-
-
-def tree_multiset(t: WTree) -> Multiset:
-    """The multiset of non-root labels (which must be contiguous 1..n)."""
-    counts: dict[int, int] = {}
-    for node, _ in iter_nodes(t):
-        if node is not t:
-            counts[node.label] = counts.get(node.label, 0) + 1
-    if not counts:
-        return Multiset(())
-    n = max(counts)
-    if set(counts) != set(range(1, n + 1)):
-        raise InvalidTreeError(f"labels are not contiguous 1..{n}: {sorted(counts)}")
-    return Multiset(tuple(counts[i] for i in range(1, n + 1)))
-
-
 @dataclass
 class StatVector:
     """Every parity/degree/level statistic of one tree, from a single pass.
@@ -169,75 +143,57 @@ class StatVector:
 
 
 def stats(t: WTree) -> StatVector:
-    """Compute the full statistic vector of a tree."""
-    sv = StatVector()
-    # stack holds (node, level, 1-based child index, first right sibling or None)
-    stack: list[tuple[WTree, int, int, WTree | None]] = [(t, 0, 0, None)]
+    """The full statistic vector of a tree.  Every field has its own
+    counter, so the identities between the fields are facts to check."""
+    leaf = el = odd = oe = ee = oo = eo = odd_star = oe_star = ee_star = oddf = 0
+    act = eact = oact = 0
+    deg: dict[int, int] = {}
+    od: dict[int, int] = {}
+    stack: list[tuple[WTree, int]] = [(t, 0)]  # level 0 is the root's alone
+    pop, push = stack.pop, stack.append
     while stack:
-        node, lvl, idx, rsib = stack.pop()
-        d = len(node.children)
-        is_root = idx == 0
-        odd_lvl = lvl & 1
-        if d == 0:
-            sv.leaf += 1
-        if not odd_lvl:
-            sv.el += 1
-        sv.deg[d] = sv.deg.get(d, 0) + 1
-        if odd_lvl:
-            sv.od[d] = sv.od.get(d, 0) + 1
-        if d & 1:
-            sv.odd += 1
-            if odd_lvl:
-                sv.oo += 1
+        node, lvl = pop()
+        ch = node[1]
+        d = len(ch)
+        if not d:
+            leaf += 1
+        deg[d] = deg.get(d, 0) + 1
+        if lvl & 1:
+            od[d] = od.get(d, 0) + 1
+            if d & 1:
+                odd += 1
+                oo += 1
+                odd_star += 1
             else:
-                sv.eo += 1
-            if not is_root:
-                sv.odd_star += 1
+                oe += 1
+                oe_star += 1
         else:
-            if odd_lvl:
-                sv.oe += 1
-                sv.oe_star += 1
+            el += 1
+            if d & 1:
+                odd += 1
+                eo += 1
+                if lvl:
+                    odd_star += 1
             else:
-                sv.ee += 1
-                if not is_root:
-                    sv.ee_star += 1
-        full = d if is_root else d + 1
-        if full & 1:
-            sv.oddf += 1
-        # active: odd level, odd child index, right-sibling parity condition
-        if odd_lvl and (idx & 1):
-            if rsib is not None:
-                active = (d & 1) == (len(rsib.children) & 1)
-            else:
-                active = bool(d & 1)
-            if active:
-                sv.act += 1
-                if d & 1:
-                    sv.oact += 1
-                else:
-                    sv.eact += 1
-        ch = node.children
-        for i, c in enumerate(ch):
-            stack.append((c, lvl + 1, i + 1, ch[i + 1] if i + 1 < len(ch) else None))
-    return sv
-
-
-def ee_oe_odd(t: WTree) -> tuple[int, int, int]:
-    """(ee, oe, odd) only; the hot path for the polynomial identities."""
-    ee = oe = odd = 0
-    stack = [(t, 0)]
-    while stack:
-        node, lvl = stack.pop()
-        d = len(node[1])
-        if d & 1:
-            odd += 1
-        elif lvl & 1:
-            oe += 1
-        else:
-            ee += 1
-        for c in node[1]:
-            stack.append((c, lvl + 1))
-    return ee, oe, odd
+                ee += 1
+                if lvl:
+                    ee_star += 1
+            # the children sit on an odd level: which odd-indexed ones are active
+            for i in range(0, d, 2):
+                cd = len(ch[i][1]) & 1
+                if (cd == len(ch[i + 1][1]) & 1) if i + 1 < d else cd:
+                    act += 1
+                    if cd:
+                        oact += 1
+                    else:
+                        eact += 1
+        # full-degree: the adjacency count, degree plus one except at the root
+        if (d + (lvl > 0)) & 1:
+            oddf += 1
+        lvl += 1
+        for c in ch:
+            push((c, lvl))
+    return StatVector(leaf, el, odd, oe, ee, oo, eo, odd_star, oe_star, ee_star, oddf, deg, od, act, eact, oact)
 
 
 def parity_counts(t: WTree) -> tuple[int, int, int, int, int, int]:
@@ -267,29 +223,3 @@ def parity_counts(t: WTree) -> tuple[int, int, int, int, int, int]:
         for c in node[1]:
             stack.append((c, lvl + 1))
     return ee, oe, odd, oo, leaf, len(t.children)
-
-
-def active_counts(t: WTree) -> tuple[int, int, int]:
-    """(act, eact, oact) only."""
-    act = eact = oact = 0
-    stack: list[tuple[WTree, int]] = [(t, 0)]
-    while stack:
-        node, lvl = stack.pop()
-        ch = node[1]
-        if not lvl & 1:  # children of an even-level node sit on an odd level
-            for i in range(0, len(ch), 2):  # odd 1-based index = even 0-based
-                u = ch[i]
-                d = len(u[1])
-                if i + 1 < len(ch):
-                    ok = (d & 1) == (len(ch[i + 1][1]) & 1)
-                else:
-                    ok = bool(d & 1)
-                if ok:
-                    act += 1
-                    if d & 1:
-                        oact += 1
-                    else:
-                        eact += 1
-        for c in ch:
-            stack.append((c, lvl + 1))
-    return act, eact, oact

@@ -1,18 +1,19 @@
 """The theorem-by-theorem verification battery.
 
 Every check exhaustively tests one identity, bijection contract, expansion
-or closed form over all multisets up to a size bound (or all series orders
-up to a truncation bound), returning a named pass/fail result with a
-minimal counterexample on failure.  The command-line `verify` subcommand
-and the acceptance test suite both run these.
+or closed form and returns a named pass/fail result with a minimal
+counterexample on failure.  The checks over all multisets with p <= a bound
+are per-multiset bodies `(m, trees) -> failure detail | None`: `_run_sized`
+enumerates each multiset once and feeds its tree list to every selected
+body whose bound covers it and which has not failed yet, so each check
+reports its own first failure in multiset order, alone or fused.  The
+checks over sets, {1^n} or series orders enumerate their own families.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable, Iterable
@@ -26,7 +27,9 @@ from .gamma import (
     gamma_from_table,
     is_palindromic,
     is_unimodal,
+    reduce_poly,
     reduced_schett,
+    schett_of,
     slice_poly_coeffs,
 )
 from .grammar import (
@@ -44,14 +47,7 @@ from .realroots import real_rooted
 from .sequences import euler_numbers
 from .series import check_algebraic_eq, format_series, lagrange_series, plane_gf, series_to_poly5, SERIES5_VARS
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
-from .trees import (
-    WTree,
-    active_counts,
-    format_tree,
-    parity_counts,
-    parse_tree,
-    stats,
-)
+from .trees import WTree, format_tree, parity_counts, parse_tree, stats
 
 
 @dataclass
@@ -72,224 +68,259 @@ def _ok(name: str, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+@dataclass(frozen=True)
+class SizedCheck:
+    """A check over every multiset with p <= a bound.  `summary` is the PASS
+    detail, formatted with the bound and the number of trees covered;
+    `setup`, if given, runs once before any multiset and can fail too."""
+
+    name: str
+    body: Callable[[Multiset, list[WTree]], "str | None"]
+    summary: str
+    setup: Callable[[], "str | None"] | None = None
+
+
+def sized_check(name: str, summary: str, setup: Callable[[], "str | None"] | None = None):
+    """Decorator making a per-multiset body a SizedCheck."""
+    return lambda body: SizedCheck(name, body, summary, setup)
+
+
+def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
+    """Run (check, bound) pairs in one enumeration pass, in job order."""
+    failures = [check.setup() if check.setup else None for check, _ in jobs]
+    covered = [0] * len(jobs)
+    top = max((bound for _, bound in jobs), default=-1)
+    for m in iter_multisets(top):
+        live = [k for k, (_, bound) in enumerate(jobs) if failures[k] is None and m.size <= bound]
+        if not live:
+            continue
+        trees = list(iter_trees(m, size_bound=top))
+        for k in live:
+            failures[k] = jobs[k][0].body(m, trees)
+            covered[k] += len(trees)
+    return [
+        _fail(check.name, detail) if detail is not None
+        else _ok(check.name, check.summary.format(bound=bound, trees=n))
+        for (check, bound), detail, n in zip(jobs, failures, covered)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # counting and basic statistics
 # ---------------------------------------------------------------------------
 
+@sized_check("counting: product formula vs enumeration", "all M with p <= {bound} agree ({trees} trees)")
+def _counting(m: Multiset, trees: list[WTree]) -> str | None:
+    want = count_trees(m)
+    distinct = len(set(trees))
+    if len(trees) != want or distinct != want:
+        return f"{m}: formula {want}, enumerated {len(trees)} ({distinct} distinct)"
+    return None
+
+
 def check_counting(max_size: int = 8) -> CheckResult:
     """Product-formula count equals the enumeration, with no duplicates."""
-    name = "counting: product formula vs enumeration"
-    total = 0
-    for m in iter_multisets(max_size):
-        want = count_trees(m)
-        seen = set()
-        got = 0
-        for t in iter_trees(m, size_bound=max_size):
-            got += 1
-            seen.add(t)
-        if got != want or len(seen) != want:
-            return _fail(name, f"{m}: formula {want}, enumerated {got} ({len(seen)} distinct)")
-        total += got
-    return _ok(name, f"all M with p <= {max_size} agree ({total} trees)")
+    return _run_sized([(_counting, max_size)])[0]
+
+
+@sized_check("statistics: internal identities",
+             "identities + leaf/el equidistribution, p <= {bound} ({trees} trees)")
+def _stat_invariants(m: Multiset, trees: list[WTree]) -> str | None:
+    p = m.size
+    leaf_hist: Counter = Counter()
+    el_hist: Counter = Counter()
+    for t in trees:
+        sv = stats(t)
+        root_deg = len(t.children)
+        checks = [
+            sv.ee + sv.oe + sv.odd == p + 1,
+            (p + 1 - sv.ee) % 2 == 0,
+            sv.odd == sum(c for q, c in sv.deg.items() if q % 2 == 1),
+            sv.oe == sum(c for q, c in sv.od.items() if q % 2 == 0),
+            sv.oe_star == sv.oe,
+            sv.act == sv.eact + sv.oact,
+            sum(q * c for q, c in sv.deg.items()) == p,
+            sv.deg.get(0, 0) == sv.leaf,
+            sv.odd_star == sv.odd - (root_deg % 2),
+            sv.ee_star == sv.ee - (1 - root_deg % 2),
+            sv.oddf == sv.oe + sv.ee_star + (root_deg % 2),
+            sv.oo + sv.eo == sv.odd,
+            sv.el == sv.ee + sv.eo,
+        ]
+        if not all(checks):
+            return f"tree {format_tree(t)} fails identity #{checks.index(False)}"
+        leaf_hist[sv.leaf] += 1
+        el_hist[sv.el] += 1
+    if leaf_hist != el_hist:
+        return f"{m}: leaf and even-level distributions differ"
+    return None
 
 
 def check_stat_invariants(max_size: int = 6) -> CheckResult:
     """Per-tree bookkeeping identities between the statistics."""
-    name = "statistics: internal identities"
-    trees_seen = 0
-    for m in iter_multisets(max_size):
-        p = m.size
-        leaf_hist: Counter = Counter()
-        el_hist: Counter = Counter()
-        for t in iter_trees(m, size_bound=max_size):
-            sv = stats(t)
-            root_deg = len(t.children)
-            checks = [
-                sv.ee + sv.oe + sv.odd == p + 1,
-                (p + 1 - sv.ee) % 2 == 0,
-                sv.odd == sum(c for q, c in sv.deg.items() if q % 2 == 1),
-                sv.oe == sum(c for q, c in sv.od.items() if q % 2 == 0),
-                sv.oe_star == sv.oe,
-                sv.act == sv.eact + sv.oact,
-                sum(q * c for q, c in sv.deg.items()) == p,
-                sv.deg.get(0, 0) == sv.leaf,
-                sv.odd_star == sv.odd - (root_deg % 2),
-                sv.ee_star == sv.ee - (1 - root_deg % 2),
-                sv.oddf == sv.oe + sv.ee_star + (root_deg % 2),
-                sv.oo + sv.eo == sv.odd,
-                sv.el == sv.ee + sv.eo,
-            ]
-            if not all(checks):
-                return _fail(name, f"tree {format_tree(t)} fails identity #{checks.index(False)}")
-            leaf_hist[sv.leaf] += 1
-            el_hist[sv.el] += 1
-            trees_seen += 1
-        if leaf_hist != el_hist:
-            return _fail(name, f"{m}: leaf and even-level distributions differ")
-    return _ok(name, f"identities + leaf/el equidistribution, p <= {max_size} ({trees_seen} trees)")
+    return _run_sized([(_stat_invariants, max_size)])[0]
 
 
 # ---------------------------------------------------------------------------
 # bijections and involutions on plane trees
 # ---------------------------------------------------------------------------
 
-def _deg_od_el(t: WTree) -> tuple[dict[int, int], dict[int, int], int]:
-    deg: dict[int, int] = {}
-    od: dict[int, int] = {}
-    el = 0
-    stack = [(t, 0)]
-    while stack:
-        node, lvl = stack.pop()
-        d = len(node[1])
-        deg[d] = deg.get(d, 0) + 1
-        if lvl & 1:
-            od[d] = od.get(d, 0) + 1
-        else:
-            el += 1
-        for c in node[1]:
-            stack.append((c, lvl + 1))
-    return deg, od, el
+@sized_check("hat bijection: degree/odd-level transport",
+             "bijective with exact transport, p <= {bound} ({trees} trees)")
+def _hat(m: Multiset, trees: list[WTree]) -> str | None:
+    images = set()
+    for t in trees:
+        h = hat(t)
+        images.add(h)
+        deg = stats(t).deg
+        hv = stats(h)
+        od_h = hv.od
+        if deg.get(0, 0) != hv.el:
+            return f"leaf/el fails on {format_tree(t)}"
+        for q, c in deg.items():
+            if q >= 1 and c != od_h.get(q - 1, 0):
+                return f"deg_{q} fails on {format_tree(t)} -> {format_tree(h)}"
+        for q, c in od_h.items():
+            if deg.get(q + 1, 0) != c:
+                return f"od_{q} fails on {format_tree(t)} -> {format_tree(h)}"
+    if images != set(trees):
+        return f"{m}: hat is not a bijection"
+    return None
 
 
 def check_hat(max_size: int = 8) -> CheckResult:
     """hat is a bijection with deg_q -> od_(q-1) and leaf -> even-level."""
-    name = "hat bijection: degree/odd-level transport"
-    total = 0
-    for m in iter_multisets(max_size):
-        originals = set()
-        images = set()
-        for t in iter_trees(m, size_bound=max_size):
-            h = hat(t)
-            originals.add(t)
-            images.add(h)
-            deg, _, _ = _deg_od_el(t)
-            _, od_h, el_h = _deg_od_el(h)
-            if deg.get(0, 0) != el_h:
-                return _fail(name, f"leaf/el fails on {format_tree(t)}")
-            for q, c in deg.items():
-                if q >= 1 and c != od_h.get(q - 1, 0):
-                    return _fail(name, f"deg_{q} fails on {format_tree(t)} -> {format_tree(h)}")
-            for q, c in od_h.items():
-                if deg.get(q + 1, 0) != c:
-                    return _fail(name, f"od_{q} fails on {format_tree(t)} -> {format_tree(h)}")
-            total += 1
-        if originals != images:
-            return _fail(name, f"{m}: hat is not a bijection")
-    return _ok(name, f"bijective with exact transport, p <= {max_size} ({total} trees)")
+    return _run_sized([(_hat, max_size)])[0]
+
+
+_TILDE_BASE = {
+    "0(1(2))": "0(1,2)", "0(1,2)": "0(1(2))",
+    "0(1(1))": "0(1,1)", "0(1,1)": "0(1(1))",
+    "0": "0", "0(1)": "0(1)",
+}
+
+
+def _tilde_base() -> str | None:
+    for src, dst in _TILDE_BASE.items():
+        if format_tree(tilde(parse_tree(src))) != dst:
+            return f"base case {src} -> {dst} violated"
+    return None
+
+
+@sized_check("tilde involution: (odd, oe, ee) -> (oe, odd, ee)",
+             "involution with exact transport, p <= {bound} ({trees} trees)", _tilde_base)
+def _tilde(m: Multiset, trees: list[WTree]) -> str | None:
+    for t in trees:
+        tt = tilde(t)
+        if tilde(tt) != t:
+            return f"not an involution on {format_tree(t)}"
+        ee, oe, odd, _, _, _ = parity_counts(t)
+        ee2, oe2, odd2, _, _, _ = parity_counts(tt)
+        if (odd, oe, ee) != (oe2, odd2, ee2):
+            return f"transport fails on {format_tree(t)} -> {format_tree(tt)}"
+    return None
 
 
 def check_tilde(max_size: int = 8) -> CheckResult:
     """tilde is an involution swapping odd <-> oe and fixing ee."""
-    name = "tilde involution: (odd, oe, ee) -> (oe, odd, ee)"
-    table = {
-        "0(1(2))": "0(1,2)", "0(1,2)": "0(1(2))",
-        "0(1(1))": "0(1,1)", "0(1,1)": "0(1(1))",
-        "0": "0", "0(1)": "0(1)",
-    }
-    for src, dst in table.items():
-        if format_tree(tilde(parse_tree(src))) != dst:
-            return _fail(name, f"base case {src} -> {dst} violated")
-    total = 0
-    for m in iter_multisets(max_size):
-        for t in iter_trees(m, size_bound=max_size):
-            tt = tilde(t)
-            if tilde(tt) != t:
-                return _fail(name, f"not an involution on {format_tree(t)}")
-            ee, oe, odd, _, _, _ = parity_counts(t)
-            ee2, oe2, odd2, _, _, _ = parity_counts(tt)
-            if (odd, oe, ee) != (oe2, odd2, ee2):
-                return _fail(name, f"transport fails on {format_tree(t)} -> {format_tree(tt)}")
-            total += 1
-    return _ok(name, f"involution with exact transport, p <= {max_size} ({total} trees)")
+    return _run_sized([(_tilde, max_size)])[0]
+
+
+@sized_check("symmetry: joint parity distributions",
+             "three refined symmetries + leaf/el equidistribution, p <= {bound}")
+def _symmetry(m: Multiset, trees: list[WTree]) -> str | None:
+    main: Counter = Counter()
+    even_form: Counter = Counter()
+    starred: Counter = Counter()
+    leaf_hist: Counter = Counter()
+    el_hist: Counter = Counter()
+    for t in trees:
+        ee, oe, odd, oo, leaf, root_deg = parity_counts(t)
+        main[(ee, oe, odd)] += 1
+        eo = odd - oo
+        el = ee + eo
+        even_form[(ee + oe, oo + el, ee)] += 1
+        root_odd = root_deg % 2
+        starred[(odd - root_odd, oe, ee - (1 - root_odd))] += 1
+        leaf_hist[leaf] += 1
+        el_hist[el] += 1
+    if main != Counter({(ee, odd, oe): c for (ee, oe, odd), c in main.items()}):
+        return f"{m}: x^ee y^oe z^odd is not symmetric in y, z"
+    if even_form != Counter({(b, a, c): n for (a, b, c), n in even_form.items()}):
+        return f"{m}: even-degree vs oo+el distribution not symmetric"
+    if starred != Counter({(c, b, a): n for (a, b, c), n in starred.items()}):
+        return f"{m}: root-excluded odd*/ee* distribution not symmetric"
+    if leaf_hist != el_hist:
+        return f"{m}: leaf and even-level distributions differ"
+    return None
 
 
 def check_symmetry(max_size: int = 8) -> CheckResult:
     """The three refined symmetries of the parity generating polynomials."""
-    name = "symmetry: joint parity distributions"
-    for m in iter_multisets(max_size):
-        main: Counter = Counter()
-        even_form: Counter = Counter()
-        starred: Counter = Counter()
-        leaf_hist: Counter = Counter()
-        el_hist: Counter = Counter()
-        for t in iter_trees(m, size_bound=max_size):
-            ee, oe, odd, oo, leaf, root_deg = parity_counts(t)
-            main[(ee, oe, odd)] += 1
-            eo = odd - oo
-            el = ee + eo
-            even_form[(ee + oe, oo + el, ee)] += 1
-            root_odd = root_deg % 2
-            starred[(odd - root_odd, oe, ee - (1 - root_odd))] += 1
-            leaf_hist[leaf] += 1
-            el_hist[el] += 1
-        if main != Counter({(ee, odd, oe): c for (ee, oe, odd), c in main.items()}):
-            return _fail(name, f"{m}: x^ee y^oe z^odd is not symmetric in y, z")
-        if even_form != Counter({(b, a, c): n for (a, b, c), n in even_form.items()}):
-            return _fail(name, f"{m}: even-degree vs oo+el distribution not symmetric")
-        if starred != Counter({(c, b, a): n for (a, b, c), n in starred.items()}):
-            return _fail(name, f"{m}: root-excluded odd*/ee* distribution not symmetric")
-        if leaf_hist != el_hist:
-            return _fail(name, f"{m}: leaf and even-level distributions differ")
-    return _ok(name, f"three refined symmetries + leaf/el equidistribution, p <= {max_size}")
+    return _run_sized([(_symmetry, max_size)])[0]
+
+
+@sized_check("psi/theta: root-excluded transports",
+             "psi involution and theta bijection transports, p <= {bound}")
+def _psi_theta(m: Multiset, trees: list[WTree]) -> str | None:
+    theta_imgs = set()
+    for t in trees:
+        pt = psi(t)
+        if psi(pt) != t:
+            return f"psi is not an involution on {format_tree(t)}"
+        a, b = stats(t), stats(pt)
+        if (a.odd_star, a.oe_star, a.ee_star) != (b.ee_star, b.oe_star, b.odd_star):
+            return f"psi transport fails on {format_tree(t)}"
+        th = theta(t)
+        theta_imgs.add(th)
+        c = stats(th)
+        root_deg_img = len(th.children)
+        for d in range(0, m.size // 2 + 1):
+            ed_star = c.deg.get(2 * d, 0) - c.od.get(2 * d, 0) - (
+                1 if root_deg_img == 2 * d else 0
+            )
+            want = ed_star + (1 if root_deg_img == 2 * d + 1 else 0)
+            if a.deg.get(2 * d + 1, 0) != want:
+                return f"theta transport fails on {format_tree(t)} at d={d}"
+    if set(trees) != theta_imgs:
+        return f"{m}: theta is not a bijection"
+    return None
 
 
 def check_psi_theta(max_size: int = 6) -> CheckResult:
     """Contracts of the root-subtree variants of tilde and hat."""
-    name = "psi/theta: root-excluded transports"
-    for m in iter_multisets(max_size):
-        origs = set()
-        theta_imgs = set()
-        for t in iter_trees(m, size_bound=max_size):
-            pt = psi(t)
-            if psi(pt) != t:
-                return _fail(name, f"psi is not an involution on {format_tree(t)}")
-            a, b = stats(t), stats(pt)
-            if (a.odd_star, a.oe_star, a.ee_star) != (b.ee_star, b.oe_star, b.odd_star):
-                return _fail(name, f"psi transport fails on {format_tree(t)}")
-            th = theta(t)
-            origs.add(t)
-            theta_imgs.add(th)
-            c = stats(th)
-            root_deg_img = len(th.children)
-            for d in range(0, m.size // 2 + 1):
-                ed_star = c.deg.get(2 * d, 0) - c.od.get(2 * d, 0) - (
-                    1 if root_deg_img == 2 * d else 0
-                )
-                want = ed_star + (1 if root_deg_img == 2 * d + 1 else 0)
-                if a.deg.get(2 * d + 1, 0) != want:
-                    return _fail(name, f"theta transport fails on {format_tree(t)} at d={d}")
-        if origs != theta_imgs:
-            return _fail(name, f"{m}: theta is not a bijection")
-    return _ok(name, f"psi involution and theta bijection transports, p <= {max_size}")
+    return _run_sized([(_psi_theta, max_size)])[0]
+
+
+@sized_check("full-degree doubling: totals per multiset",
+             "odd full-degree totals double odd degree totals, p <= {bound}")
+def _full_degree(m: Multiset, trees: list[WTree]) -> str | None:
+    full_hist: Counter = Counter()
+    deg_hist: Counter = Counter()
+    total_oddf = 0
+    total_odd = 0
+    for t in trees:
+        sv = stats(t)
+        for q, c in sv.deg.items():
+            deg_hist[q] += c
+            full_hist[q + 1] += c
+        # the full-degree is the degree plus one, except at the root
+        root_deg = len(t.children)
+        full_hist[root_deg + 1] -= 1
+        full_hist[root_deg] += 1
+        total_oddf += sv.oddf
+        total_odd += sv.odd
+    if total_oddf != 2 * total_odd:
+        return f"{m}: oddf total {total_oddf} != 2 * {total_odd}"
+    for d in range(0, m.size // 2 + 1):
+        if full_hist.get(2 * d + 1, 0) != 2 * deg_hist.get(2 * d + 1, 0):
+            return f"{m}: full-degree {2*d+1} count mismatch"
+    return None
 
 
 def check_full_degree(max_size: int = 8) -> CheckResult:
     """Total full-degree-(2d+1) nodes are twice the degree-(2d+1) nodes."""
-    name = "full-degree doubling: totals per multiset"
-    for m in iter_multisets(max_size):
-        full_hist: Counter = Counter()
-        deg_hist: Counter = Counter()
-        total_oddf = 0
-        total_odd = 0
-        for t in iter_trees(m, size_bound=max_size):
-            stack = [(t, True)]
-            while stack:
-                node, is_root = stack.pop()
-                d = len(node[1])
-                fd = d if is_root else d + 1
-                full_hist[fd] += 1
-                deg_hist[d] += 1
-                if fd % 2 == 1:
-                    total_oddf += 1
-                if d % 2 == 1:
-                    total_odd += 1
-                stack.extend((c, False) for c in node[1])
-        if total_oddf != 2 * total_odd:
-            return _fail(name, f"{m}: oddf total {total_oddf} != 2 * {total_odd}")
-        for d in range(0, m.size // 2 + 1):
-            if full_hist.get(2 * d + 1, 0) != 2 * deg_hist.get(2 * d + 1, 0):
-                return _fail(name, f"{m}: full-degree {2*d+1} count mismatch")
-    return _ok(name, f"odd full-degree totals double odd degree totals, p <= {max_size}")
+    return _run_sized([(_full_degree, max_size)])[0]
 
 
 def check_euler(max_n: int = 8) -> CheckResult:
@@ -319,33 +350,37 @@ def check_euler(max_n: int = 8) -> CheckResult:
 # binary trees and the group action
 # ---------------------------------------------------------------------------
 
+@sized_check("binary correspondence: statistic transport and bookkeeping",
+             "transport + dynamic identities, p <= {bound}")
+def _binary(m: Multiset, trees: list[WTree]) -> str | None:
+    for t in trees:
+        b = rho(t)
+        if rho_inv(b) != t:
+            return f"round trip fails on {format_tree(t)}"
+        sv = stats(t)
+        bv = bstats(b)
+        if (sv.deg, sv.od, sv.el, sv.odd, sv.oe, sv.ee) != (
+            bv.rdeg, bv.rol, bv.ell, bv.ord, bv.oler, bv.eler
+        ):
+            return f"statistic transport fails on {format_tree(t)}"
+        if (sv.act, sv.eact, sv.oact) != (bv.act, bv.eact, bv.oact):
+            return f"active-node counts disagree on {format_tree(t)}"
+        if not (
+            bv.dme == 2 * bv.eact
+            and bv.dmo == 2 * bv.oact
+            and bv.dme + bv.ndoler == bv.oler
+            and bv.dmo + bv.ndord == bv.ord
+            and bv.ndoler == bv.ndord
+            and m.size + 1 == bv.oler + bv.ord + bv.eler
+        ):
+            return f"dynamic bookkeeping fails on {format_btree(b)}"
+    return None
+
+
 def check_binary(max_size: int = 6) -> CheckResult:
     """rho round-trips, transports all six statistics, and the binary
     active/dynamic bookkeeping holds."""
-    name = "binary correspondence: statistic transport and bookkeeping"
-    for m in iter_multisets(max_size):
-        for t in iter_trees(m, size_bound=max_size):
-            b = rho(t)
-            if rho_inv(b) != t:
-                return _fail(name, f"round trip fails on {format_tree(t)}")
-            sv = stats(t)
-            bv = bstats(b)
-            if (sv.deg, sv.od, sv.el, sv.odd, sv.oe, sv.ee) != (
-                bv.rdeg, bv.rol, bv.ell, bv.ord, bv.oler, bv.eler
-            ):
-                return _fail(name, f"statistic transport fails on {format_tree(t)}")
-            if (sv.act, sv.eact, sv.oact) != (bv.act, bv.eact, bv.oact):
-                return _fail(name, f"active-node counts disagree on {format_tree(t)}")
-            if not (
-                bv.dme == 2 * bv.eact
-                and bv.dmo == 2 * bv.oact
-                and bv.dme + bv.ndoler == bv.oler
-                and bv.dmo + bv.ndord == bv.ord
-                and bv.ndoler == bv.ndord
-                and m.size + 1 == bv.oler + bv.ord + bv.eler
-            ):
-                return _fail(name, f"dynamic bookkeeping fails on {format_btree(b)}")
-    return _ok(name, f"transport + dynamic identities, p <= {max_size}")
+    return _run_sized([(_binary, max_size)])[0]
 
 
 def _index_set(paths: set, path_index: dict) -> frozenset:
@@ -389,91 +424,95 @@ def _dynamic_transport_ok(cur_info: _MemberInfo, new_info: _MemberInfo, i: int) 
     return (i in e1 and iy in e1) and (i in o2 and iw in o2)
 
 
+@sized_check("group action: branch swaps and orbit structure",
+             "swap laws, orbits and gamma cross-check, p <= {bound}")
+def _action(m: Multiset, trees: list[WTree]) -> str | None:
+    p = m.size
+    seen: set = set()
+    rep_table: dict[tuple[int, int], int] = {}
+    for t0 in trees:
+        b0 = rho(t0)
+        if b0 in seen:
+            continue
+        # close the orbit, annotating each member once
+        members = {b0: _MemberInfo(b0)}
+        frontier = [b0]
+        while frontier:
+            cur = frontier.pop()
+            info = members[cur]
+            for i in range(1, p + 1):
+                nb = swap_branches(cur, i, info.ann)
+                if nb not in members:
+                    members[nb] = _MemberInfo(nb)
+                    frontier.append(nb)
+        seen.update(members)
+
+        orbit_hist: Counter = Counter()
+        reps = []
+        for cur, info in members.items():
+            bv = info.bv
+            if bv.ndoler != bv.ndord or bv.dme + bv.ndoler != bv.oler or bv.dmo + bv.ndord != bv.ord:
+                return f"dynamic bookkeeping fails on {format_btree(cur)}"
+            orbit_hist[(bv.eler, bv.oler, bv.ord)] += 1
+            if bv.eact == 0:
+                reps.append((cur, bv))
+            active_idx = [i for i in range(1, p + 1) if info.actives[i]]
+            swaps = {}
+            for i in range(1, p + 1):
+                nb = swap_branches(cur, i, info.ann)
+                if not info.actives[i]:
+                    if nb != cur:
+                        return f"swap at inactive node {i} moved {format_btree(cur)}"
+                    continue
+                swaps[i] = nb
+                new_info = members[nb]
+                if swap_branches(nb, i, new_info.ann) != cur:
+                    return f"swap {i} not an involution on {format_btree(cur)}"
+                if new_info.labels != info.labels:
+                    return f"preorder changed by swap {i} on {format_btree(cur)}"
+                if new_info.actives != info.actives:
+                    return f"active set changed by swap {i} on {format_btree(cur)}"
+                if new_info.bv.eler != bv.eler:
+                    return f"eler changed by swap {i} on {format_btree(cur)}"
+                d1 = info.ann.rdeg[info.ann.order[i]] & 1
+                d2 = new_info.ann.rdeg[new_info.ann.order[i]] & 1
+                if d1 == d2:
+                    return f"swap {i} kept right-degree parity on {format_btree(cur)}"
+                if not _dynamic_transport_ok(info, new_info, i):
+                    return f"dynamic transport fails at {i} on {format_btree(cur)}"
+            # identity swaps commute trivially and the active set is
+            # invariant, so checking both-active pairs covers commutation
+            for ai in range(len(active_idx)):
+                for aj in range(ai + 1, len(active_idx)):
+                    i, j = active_idx[ai], active_idx[aj]
+                    via_i = swap_branches(swaps[i], j, members[swaps[i]].ann)
+                    via_j = swap_branches(swaps[j], i, members[swaps[j]].ann)
+                    if via_i != via_j:
+                        return f"swaps {i},{j} do not commute on {format_btree(cur)}"
+
+        if len(reps) != 1:
+            return f"{m}: orbit with {len(reps)} zero-eact representatives"
+        rep, rv = reps[0]
+        if len(members) != 2 ** rv.act:
+            return f"orbit of {format_btree(rep)} has size {len(members)}"
+        if p + 1 != 2 * (rv.ndord + rv.act) + rv.eler:
+            return f"size bookkeeping fails on {format_btree(rep)}"
+        want_hist: Counter = Counter()
+        for k in range(rv.act + 1):
+            want_hist[(rv.eler, rv.ndord + 2 * k, rv.ndord + 2 * (rv.act - k))] += comb(rv.act, k)
+        if orbit_hist != want_hist:
+            return f"orbit sum identity fails on {format_btree(rep)}"
+        key = (rv.eler // 2, rv.ndord // 2)
+        rep_table[key] = rep_table.get(key, 0) + 1
+    if rep_table != gamma_expand_poly(reduce_poly(schett_of(trees)), p):
+        return f"{m}: gamma table differs from orbit representatives"
+    return None
+
+
 def check_action(max_size: int = 8) -> CheckResult:
     """Branch-swap involutions: commutation, preorder invariance, the
     orbit structure, the orbit sum identity, and the gamma cross-check."""
-    name = "group action: branch swaps and orbit structure"
-    for m in iter_multisets(max_size):
-        p = m.size
-        seen: set = set()
-        rep_table: dict[tuple[int, int], int] = {}
-        for t0 in iter_trees(m, size_bound=max_size):
-            b0 = rho(t0)
-            if b0 in seen:
-                continue
-            # close the orbit, annotating each member once
-            members = {b0: _MemberInfo(b0)}
-            frontier = [b0]
-            while frontier:
-                cur = frontier.pop()
-                info = members[cur]
-                for i in range(1, p + 1):
-                    nb = swap_branches(cur, i, info.ann)
-                    if nb not in members:
-                        members[nb] = _MemberInfo(nb)
-                        frontier.append(nb)
-            seen.update(members)
-
-            orbit_hist: Counter = Counter()
-            reps = []
-            for cur, info in members.items():
-                bv = info.bv
-                if bv.ndoler != bv.ndord or bv.dme + bv.ndoler != bv.oler or bv.dmo + bv.ndord != bv.ord:
-                    return _fail(name, f"dynamic bookkeeping fails on {format_btree(cur)}")
-                orbit_hist[(bv.eler, bv.oler, bv.ord)] += 1
-                if bv.eact == 0:
-                    reps.append((cur, bv))
-                active_idx = [i for i in range(1, p + 1) if info.actives[i]]
-                swaps = {}
-                for i in range(1, p + 1):
-                    nb = swap_branches(cur, i, info.ann)
-                    if not info.actives[i]:
-                        if nb != cur:
-                            return _fail(name, f"swap at inactive node {i} moved {format_btree(cur)}")
-                        continue
-                    swaps[i] = nb
-                    new_info = members[nb]
-                    if swap_branches(nb, i, new_info.ann) != cur:
-                        return _fail(name, f"swap {i} not an involution on {format_btree(cur)}")
-                    if new_info.labels != info.labels:
-                        return _fail(name, f"preorder changed by swap {i} on {format_btree(cur)}")
-                    if new_info.actives != info.actives:
-                        return _fail(name, f"active set changed by swap {i} on {format_btree(cur)}")
-                    if new_info.bv.eler != bv.eler:
-                        return _fail(name, f"eler changed by swap {i} on {format_btree(cur)}")
-                    d1 = info.ann.rdeg[info.ann.order[i]] & 1
-                    d2 = new_info.ann.rdeg[new_info.ann.order[i]] & 1
-                    if d1 == d2:
-                        return _fail(name, f"swap {i} kept right-degree parity on {format_btree(cur)}")
-                    if not _dynamic_transport_ok(info, new_info, i):
-                        return _fail(name, f"dynamic transport fails at {i} on {format_btree(cur)}")
-                # identity swaps commute trivially and the active set is
-                # invariant, so checking both-active pairs covers commutation
-                for ai in range(len(active_idx)):
-                    for aj in range(ai + 1, len(active_idx)):
-                        i, j = active_idx[ai], active_idx[aj]
-                        via_i = swap_branches(swaps[i], j, members[swaps[i]].ann)
-                        via_j = swap_branches(swaps[j], i, members[swaps[j]].ann)
-                        if via_i != via_j:
-                            return _fail(name, f"swaps {i},{j} do not commute on {format_btree(cur)}")
-
-            if len(reps) != 1:
-                return _fail(name, f"{m}: orbit with {len(reps)} zero-eact representatives")
-            rep, rv = reps[0]
-            if len(members) != 2 ** rv.act:
-                return _fail(name, f"orbit of {format_btree(rep)} has size {len(members)}")
-            if p + 1 != 2 * (rv.ndord + rv.act) + rv.eler:
-                return _fail(name, f"size bookkeeping fails on {format_btree(rep)}")
-            want_hist: Counter = Counter()
-            for k in range(rv.act + 1):
-                want_hist[(rv.eler, rv.ndord + 2 * k, rv.ndord + 2 * (rv.act - k))] += comb(rv.act, k)
-            if orbit_hist != want_hist:
-                return _fail(name, f"orbit sum identity fails on {format_btree(rep)}")
-            key = (rv.eler // 2, rv.ndord // 2)
-            rep_table[key] = rep_table.get(key, 0) + 1
-        if rep_table != gamma_expand(m, size_bound=max_size):
-            return _fail(name, f"{m}: gamma table differs from orbit representatives")
-    return _ok(name, f"swap laws, orbits and gamma cross-check, p <= {max_size}")
+    return _run_sized([(_action, max_size)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -557,41 +596,45 @@ def check_st_relations(max_m: int = 4, int_tn_max: int = 7) -> CheckResult:
     return _ok(name, f"relations for m <= {max_m}, interpretation for n <= {int_tn_max}")
 
 
+def _gamma_example() -> str | None:
+    example = gamma_expand(parse_multiset("1:2,2:2"))
+    if example != {(1, 0): 3, (0, 0): 1, (0, 1): 8}:
+        return f"{{1^2,2^2}} table is {example}"
+    return None
+
+
+@sized_check("gamma expansion: nonnegativity and active-node counts",
+             "exact nonnegative tables matching active-node counts, p <= {bound}", _gamma_example)
+def _gamma(m: Multiset, trees: list[WTree]) -> str | None:
+    reduced = reduce_poly(schett_of(trees))
+    oracle: dict[tuple[int, int], int] = {}
+    for t in trees:
+        sv = stats(t)
+        if sv.eact == 0:
+            i = sv.ee // 2
+            d = m.size // 2 - i
+            if (d - sv.act) % 2:
+                return f"active count parity broken on {format_tree(t)}"
+            j = (d - sv.act) // 2
+            oracle[(i, j)] = oracle.get((i, j), 0) + 1
+    table = gamma_expand_poly(reduced, m.size)
+    if any(v < 0 for v in table.values()):
+        return f"{m}: negative gamma coefficient"
+    if table != oracle:
+        return f"{m}: gamma table != active-node counts"
+    if gamma_from_table(table, m.size) != reduced:
+        return f"{m}: expansion does not rebuild the polynomial"
+    for i in range(reduced.degree("x") + 1):
+        coeffs = slice_poly_coeffs(reduced, i)
+        if not (is_palindromic(coeffs) and is_unimodal(coeffs)):
+            return f"{m}: slice i={i} not palindromic unimodal"
+    return None
+
+
 def check_gamma(max_size: int = 8) -> CheckResult:
     """Gamma expansion: exact, nonnegative, equal to the active-node counts,
     with palindromic unimodal slices."""
-    name = "gamma expansion: nonnegativity and active-node counts"
-    example = gamma_expand(parse_multiset("1:2,2:2"))
-    if example != {(1, 0): 3, (0, 0): 1, (0, 1): 8}:
-        return _fail(name, f"{{1^2,2^2}} table is {example}")
-    for m in iter_multisets(max_size):
-        red_terms: dict[tuple[int, int, int], int] = {}
-        oracle: dict[tuple[int, int], int] = {}
-        for t in iter_trees(m, size_bound=max_size):
-            ee, oe, odd, _, _, _ = parity_counts(t)
-            key = (ee // 2, oe // 2, odd // 2)
-            red_terms[key] = red_terms.get(key, 0) + 1
-            act, eact, _ = active_counts(t)
-            if eact == 0:
-                i = ee // 2
-                d = m.size // 2 - i
-                if (d - act) % 2:
-                    return _fail(name, f"active count parity broken on {format_tree(t)}")
-                j = (d - act) // 2
-                oracle[(i, j)] = oracle.get((i, j), 0) + 1
-        reduced = MPoly(XYZ, red_terms)
-        table = gamma_expand_poly(reduced, m.size)
-        if any(v < 0 for v in table.values()):
-            return _fail(name, f"{m}: negative gamma coefficient")
-        if table != oracle:
-            return _fail(name, f"{m}: gamma table != active-node counts")
-        if gamma_from_table(table, m.size) != reduced:
-            return _fail(name, f"{m}: expansion does not rebuild the polynomial")
-        for i in range(reduced.degree("x") + 1):
-            coeffs = slice_poly_coeffs(reduced, i)
-            if not (is_palindromic(coeffs) and is_unimodal(coeffs)):
-                return _fail(name, f"{m}: slice i={i} not palindromic unimodal")
-    return _ok(name, f"exact nonnegative tables matching active-node counts, p <= {max_size}")
+    return _run_sized([(_gamma, max_size)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -786,44 +829,36 @@ def check_conjecture(max_nodes: int = 10) -> CheckResult:
 # suite runner
 # ---------------------------------------------------------------------------
 
-def _sized(fn: Callable[[int], CheckResult], size: int) -> Callable[[], CheckResult]:
-    return lambda: fn(size)
+# a suite job is either a sized check with its bound, run in the shared
+# enumeration pass, or a check that needs no arguments
+SuiteJob = tuple[SizedCheck, int] | Callable[[], CheckResult]
 
 
-def suite_checks(max_size: int = 8, max_nodes: int = 10) -> dict[str, list[Callable[[], CheckResult]]]:
+def suite_checks(max_size: int = 8, max_nodes: int = 10) -> dict[str, list[SuiteJob]]:
     small = min(max_size, 6)
     return {
-        "counting": [_sized(check_counting, max_size)],
-        "stats": [_sized(check_stat_invariants, small)],
-        "hat": [_sized(check_hat, max_size)],
-        "tilde": [_sized(check_tilde, max_size)],
-        "symmetry": [_sized(check_symmetry, max_size)],
-        "psi-theta": [_sized(check_psi_theta, small)],
-        "full-degree": [_sized(check_full_degree, max_size)],
-        "euler": [_sized(check_euler, min(max_size, 8))],
-        "binary": [_sized(check_binary, small)],
-        "action": [_sized(check_action, max_size)],
+        "counting": [(_counting, max_size)],
+        "stats": [(_stat_invariants, small)],
+        "hat": [(_hat, max_size)],
+        "tilde": [(_tilde, max_size)],
+        "symmetry": [(_symmetry, max_size)],
+        "psi-theta": [(_psi_theta, small)],
+        "full-degree": [(_full_degree, max_size)],
+        "euler": [lambda: check_euler(min(max_size, 8))],
+        "binary": [(_binary, small)],
+        "action": [(_action, max_size)],
         "schett": [check_schett, check_st_relations],
-        "gamma": [_sized(check_gamma, max_size)],
-        "series": [_sized(check_series, min(max_size, 8))],
+        "gamma": [(_gamma, max_size)],
+        "series": [lambda: check_series(min(max_size, 8))],
         "closed-forms": [lambda: check_closed_forms(max_edges=9)],
         "jacobi": [check_jacobi],
         "conjecture": [lambda: check_conjecture(max_nodes)],
     }
 
 
-def run_suites(
-    names: Iterable[str] | None = None,
-    max_size: int = 8,
-    max_nodes: int = 10,
-    threads: int | None = None,
-) -> list[CheckResult]:
-    """Run the named suites (all by default) and return ordered results.
-
-    Thread count comes from WITREES_THREADS when not given; checks are pure
-    and independent, so fanning them out is safe, and the report order is
-    fixed regardless.
-    """
+def run_suites(names: Iterable[str] | None = None, max_size: int = 8, max_nodes: int = 10) -> list[CheckResult]:
+    """Run the named suites (all by default) and return results in suite
+    order; the sized checks of all of them share one enumeration pass."""
     table = suite_checks(max_size=max_size, max_nodes=max_nodes)
     if names is None:
         selected = list(table)
@@ -832,10 +867,6 @@ def run_suites(
         for n in selected:
             if n not in table:
                 raise KeyError(f"unknown suite {n!r}; choose from {', '.join(table)}")
-    jobs = [fn for n in selected for fn in table[n]]
-    if threads is None:
-        threads = int(os.environ.get("WITREES_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), jobs))
-    return [fn() for fn in jobs]
+    jobs = [job for n in selected for job in table[n]]
+    sized = iter(_run_sized([job for job in jobs if isinstance(job, tuple)]))
+    return [next(sized) if isinstance(job, tuple) else job() for job in jobs]

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
+import witrees.cli
 from witrees.cli import main
+from witrees.gamma import GammaResidualError
 
 RUN = [sys.executable, "-m", "witrees.cli"]
 
@@ -129,3 +131,54 @@ def test_usage_error_exit_code():
     bad = run_cli("transform", "--map", "tilde", "--tree", "0(2,1)")
     assert bad.returncode == 2
     assert "error" in bad.stderr
+
+
+def test_verify_json():
+    res = run_cli("verify", "--suite", "counting", "--suite", "euler", "--max-size", "3", "--format", "json")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["passed"] == payload["total"] == 2
+    text = run_cli("verify", "--suite", "counting", "--suite", "euler", "--max-size", "3")
+    lines = text.stdout.splitlines()
+    assert [f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}" for c in payload["checks"]] == lines[:-1]
+    assert lines[-1] == "2/2 checks passed"
+
+
+def test_conjecture_json():
+    res = run_cli("conjecture", "--max-nodes", "5", "--format", "json")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["failed"] == 0
+    text = run_cli("conjecture", "--max-nodes", "5").stdout.splitlines()
+    assert len(payload["slices"]) == len(text) - 1
+    first = payload["slices"][0]
+    assert set(first) == {"multiset", "i", "coefficients", "status"}
+    assert text[0].endswith(f"{first['coefficients']} -> {first['status']}")
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(reduced, p):
+        raise GammaResidualError("injected residual")
+
+    monkeypatch.setattr(witrees.cli, "gamma_expand_poly", broken)
+    assert main(["gamma", "--multiset", "1:2,2:2"]) == 3
+    assert "internal error: injected residual" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    # 40,320 lines: far more than a pipe buffer holds, so the writer is
+    # still writing when the reader closes its end
+    proc = subprocess.Popen(RUN + ["enumerate", "--set", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err
+
+
+def test_optimized_interpreter_same_verify_output():
+    plain = run_cli("verify", "--max-size", "4")
+    optimized = subprocess.run([sys.executable, "-O", "-m", "witrees.cli", "verify", "--max-size", "4"],
+                               capture_output=True, text=True)
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout

@@ -16,7 +16,7 @@ from witrees.gamma import (
 from witrees.grammar import XYZ
 from witrees.mpoly import MPoly
 from witrees.multiset import Multiset, parse_multiset
-from witrees.trees import active_counts, ee_oe_odd
+from witrees.trees import stats
 
 
 def test_reduced_example():
@@ -41,12 +41,11 @@ def test_gamma_counts_active_nodes():
     for m in iter_multisets(6):
         oracle = {}
         for t in iter_trees(m):
-            act, eact, _ = active_counts(t)
-            if eact:
+            sv = stats(t)
+            if sv.eact:
                 continue
-            ee, _, _ = ee_oe_odd(t)
-            i = ee // 2
-            j = (m.size // 2 - i - act) // 2
+            i = sv.ee // 2
+            j = (m.size // 2 - i - sv.act) // 2
             oracle[(i, j)] = oracle.get((i, j), 0) + 1
         assert oracle == gamma_expand(m), str(m)
 

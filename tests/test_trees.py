@@ -5,13 +5,10 @@ from witrees.trees import (
     InvalidTreeError,
     TreeSyntaxError,
     WTree,
-    active_counts,
-    ee_oe_odd,
     format_tree,
     parity_counts,
     parse_tree,
     stats,
-    tree_multiset,
 )
 
 
@@ -82,13 +79,6 @@ def test_stat_identities_small():
             ee, oe, odd, oo, leaf, rd = parity_counts(t)
             assert (ee, oe, odd) == (sv.ee, sv.oe, sv.odd)
             assert oo == sv.oo and leaf == sv.leaf and rd == root_deg
-            assert ee_oe_odd(t) == (sv.ee, sv.oe, sv.odd)
-            assert active_counts(t) == (sv.act, sv.eact, sv.oact)
-
-
-def test_tree_multiset():
-    assert tree_multiset(parse_tree("0(1(2),1)")).multiplicities == (2, 1)
-    assert tree_multiset(parse_tree("0")).multiplicities == ()
 
 
 def test_stats_as_dict_is_json_ready():

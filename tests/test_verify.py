@@ -1,5 +1,6 @@
 import pytest
 
+from witrees.transforms import hat
 from witrees.verify import (
     check_action,
     check_binary,
@@ -67,12 +68,43 @@ def test_run_suites_selection_and_order():
     assert "counting" in results[0].name and "Euler" in results[1].name
 
 
-def test_run_suites_threaded_matches_serial():
-    serial = run_suites(["counting", "stats", "euler"], max_size=4, threads=1)
-    threaded = run_suites(["counting", "stats", "euler"], max_size=4, threads=3)
-    assert [(r.name, r.passed, r.detail) for r in serial] == [
-        (r.name, r.passed, r.detail) for r in threaded
-    ]
+SIZED_SUITES = {
+    "counting": check_counting,
+    "stats": check_stat_invariants,
+    "hat": check_hat,
+    "tilde": check_tilde,
+    "symmetry": check_symmetry,
+    "psi-theta": check_psi_theta,
+    "full-degree": check_full_degree,
+    "binary": check_binary,
+    "action": check_action,
+    "gamma": check_gamma,
+}
+
+
+def _triples(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+def test_run_suites_fused_matches_single_checks():
+    fused = run_suites(list(SIZED_SUITES), max_size=5)
+    alone = [fn(5) for fn in SIZED_SUITES.values()]
+    assert _triples(fused) == _triples(alone)
+
+
+def test_fused_failure_is_isolated(monkeypatch):
+    import witrees.verify
+
+    def wrong_hat(t):
+        h = hat(t)
+        return t if len(t.children) == 2 else h
+
+    monkeypatch.setattr(witrees.verify, "hat", wrong_hat)
+    alone = check_hat(4)
+    counting, hat_result, tilde_result = run_suites(["counting", "hat", "tilde"], max_size=4)
+    assert not alone.passed
+    assert hat_result.line() == alone.line()
+    assert counting.passed and tilde_result.passed
 
 
 def test_unknown_suite_rejected():
