@@ -20,6 +20,14 @@ Terminology (all label-independent):
   odd by u's right-degree parity); an active node with only a left child
   forms a dynamic odd pair with its ancestor.
 
+The *modified preorder* is a depth-first walk that, at a node with two
+children, picks which child to visit first from the node's active flag and
+right-degree, or from its parent's active flag and its own side (see
+`annotate`).  A node's position in this walk names it: `BAnnotation` holds
+one list per per-node quantity, indexed by position, and `dynamic_sets`
+returns sets of positions.  Paths from the root (0 = left step, 1 = right
+step) appear only in `modified_preorder`'s output.
+
 The branch swap at the i-th node of the modified preorder exchanges the
 left and right branches at that node and at both of its children; doing
 nothing when the node is inactive.  These swaps commute, are involutions,
@@ -122,108 +130,93 @@ def validate_btree(b: WBTree) -> None:
 
 
 class BAnnotation(NamedTuple):
-    """Per-node data for one tree, keyed by the path from the root."""
+    """Per-node data for one tree, as lists indexed by modified-preorder
+    position: 0 is the root, and -1 stands for an absent node."""
 
-    nodes: dict[Path, WBTree]
-    left_level: dict[Path, int]
-    trailing_rights: dict[Path, int]
-    parent: dict[Path, Optional[Path]]
-    rdeg: dict[Path, int]
-    active: dict[Path, bool]
-    order: list[Path]  # modified preorder
-
-
-def subtree_at(b: WBTree, path: Path) -> WBTree:
-    for step in path:
-        b = b.left if step == 0 else b.right  # type: ignore[assignment]
-        if b is None:
-            raise KeyError(f"no node at path {path}")
-    return b
+    nodes: list[WBTree]
+    parent: list[int]
+    left: list[int]  # position of the left child
+    right: list[int]  # position of the right child
+    left_level: list[int]
+    trailing_rights: list[int]  # right steps since the last left edge
+    ancestor: list[int]
+    rdeg: list[int]
+    active: list[bool]
 
 
-def ancestor_path(path: Path, trailing_rights: int) -> Path:
-    """Drop the trailing right steps and the left step that precedes them."""
-    return path[: len(path) - trailing_rights - 1]
+def _right_degree(node: WBTree) -> int:
+    """Length of the chain: the left child, then right children only."""
+    d = 0
+    cur = node.left
+    while cur is not None:
+        d += 1
+        cur = cur.right
+    return d
 
 
 def annotate(b: WBTree) -> BAnnotation:
-    """One pass computing levels, right-degrees, active flags and the order."""
-    nodes: dict[Path, WBTree] = {}
-    ll: dict[Path, int] = {}
-    tr: dict[Path, int] = {}
-    parent: dict[Path, Optional[Path]] = {}
-    stack: list[tuple[WBTree, Path, int, int, Optional[Path]]] = [(b, (), 0, 0, None)]
+    """One depth-first pass that visits the nodes in modified preorder.
+
+    A node's right-degree, active flag and child order are known when it is
+    reached: at a two-way branch an active node sends its walk right first
+    when its right-degree is even and left first when it is odd; an
+    inactive node whose parent is active goes first to the child on the
+    side it hangs on itself; any other node goes left first.
+    """
+    nodes: list[WBTree] = []
+    parent: list[int] = []
+    left: list[int] = []
+    right: list[int] = []
+    ll: list[int] = []
+    tr: list[int] = []
+    ancestor: list[int] = []
+    rdeg: list[int] = []
+    active: list[bool] = []
+    # (node, parent, hangs right, left-level, trailing rights, ancestor)
+    stack: list[tuple[WBTree, int, bool, int, int, int]] = [(b, -1, False, 0, 0, -1)]
     while stack:
-        node, path, lev, rights, par = stack.pop()
-        nodes[path] = node
-        ll[path] = lev
-        tr[path] = rights
-        parent[path] = par
-        if node.left is not None:
-            stack.append((node.left, path + (0,), lev + 1, 0, path))
-        if node.right is not None:
-            stack.append((node.right, path + (1,), lev, rights + 1, path))
-
-    # right-degree = length of the chain left-child, then right children
-    rdeg: dict[Path, int] = {}
-    for path, node in nodes.items():
-        d = 0
-        cur = node.left
-        while cur is not None:
-            d += 1
-            cur = cur.right
-        rdeg[path] = d
-
-    active: dict[Path, bool] = {}
-    for path, node in nodes.items():
+        node, par, is_right, lev, rights, anc = stack.pop()
+        k = len(nodes)
+        if par >= 0:
+            if is_right:
+                right[par] = k
+            else:
+                left[par] = k
+        nodes.append(node)
+        parent.append(par)
+        left.append(-1)
+        right.append(-1)
+        ll.append(lev)
+        tr.append(rights)
+        ancestor.append(anc)
+        x, y = node.left, node.right
+        d = _right_degree(node)
+        rdeg.append(d)
         ok = False
-        if ll[path] & 1 and tr[path] % 2 == 0:  # path to ancestor has tr+1 edges
-            if node.right is not None:
-                ok = (rdeg[path] & 1) == (rdeg[path + (1,)] & 1)
-            else:
-                ok = bool(rdeg[path] & 1)
-        active[path] = ok
-
-    # modified preorder: repeatedly descend from the latest visited node
-    # that still has unvisited children; at a two-way branch the choice is
-    # driven by the active status of the node, or of its parent
-    order: list[Path] = [()]
-    walk: list[Path] = [()]
-    remaining: dict[Path, list[Path]] = {}
-    for path, node in nodes.items():
-        ch = []
-        if node.left is not None:
-            ch.append(path + (0,))
-        if node.right is not None:
-            ch.append(path + (1,))
-        remaining[path] = ch
-    while walk:
-        k = walk[-1]
-        rem = remaining[k]
-        if not rem:
-            walk.pop()
-            continue
-        if len(rem) == 1:
-            nxt = rem.pop()
-        else:
-            x, y = k + (0,), k + (1,)
-            if active[k]:
-                nxt = y if rdeg[k] % 2 == 0 else x
-            else:
-                par = parent[k]
-                if par is not None and active[par]:
-                    nxt = y if k[-1] == 1 else x
-                else:
-                    nxt = x
-            rem.remove(nxt)
-        order.append(nxt)
-        walk.append(nxt)
-    return BAnnotation(nodes, ll, tr, parent, rdeg, active, order)
+        if lev & 1 and not rights & 1:  # path to the ancestor has rights+1 edges
+            ok = not (d ^ _right_degree(y)) & 1 if y is not None else bool(d & 1)
+        active.append(ok)
+        # push the child visited first last
+        if y is not None:
+            stack.append((y, k, True, lev, rights + 1, anc))
+        if x is not None:
+            stack.append((x, k, False, lev + 1, 0, k))
+            if y is not None:
+                right_first = not d & 1 if ok else par >= 0 and active[par] and is_right
+                if right_first:
+                    stack[-1], stack[-2] = stack[-2], stack[-1]
+    return BAnnotation(nodes, parent, left, right, ll, tr, ancestor, rdeg, active)
 
 
-def modified_preorder(b: WBTree) -> list[Path]:
+def modified_preorder(b: WBTree, ann: BAnnotation | None = None) -> list[Path]:
     """Paths of all nodes in modified preorder, starting at the root."""
-    return annotate(b).order
+    if ann is None:
+        ann = annotate(b)
+    paths: list[Path] = [()]
+    for k in range(1, len(ann.nodes)):
+        par = ann.parent[k]
+        paths.append(paths[par] + ((0,) if ann.left[par] == k else (1,)))
+    return paths
 
 
 @dataclass
@@ -258,69 +251,71 @@ class BStatVector:
         return d
 
 
-def dynamic_sets(ann: BAnnotation) -> tuple[set[Path], set[Path]]:
-    """(dynamic even, dynamic odd) node paths.
+def dynamic_sets(ann: BAnnotation) -> tuple[set[int], set[int]]:
+    """(dynamic even, dynamic odd) node positions.
 
     An active node pairs with its right child; an active node without a
     right child (necessarily of odd right-degree) pairs with its ancestor.
     """
-    dyn_even: set[Path] = set()
-    dyn_odd: set[Path] = set()
-    for path, node in ann.nodes.items():
-        if not ann.active[path]:
+    dyn_even: set[int] = set()
+    dyn_odd: set[int] = set()
+    right, rdeg = ann.right, ann.rdeg
+    for k, act in enumerate(ann.active):
+        if not act:
             continue
-        if ann.rdeg[path] & 1:
-            dyn_odd.add(path)
-            if node.right is not None:
-                dyn_odd.add(path + (1,))
-            else:
-                dyn_odd.add(ancestor_path(path, ann.trailing_rights[path]))
+        if rdeg[k] & 1:
+            dyn_odd.add(k)
+            dyn_odd.add(right[k] if right[k] >= 0 else ann.ancestor[k])
         else:
-            dyn_even.add(path)
-            dyn_even.add(path + (1,))
+            dyn_even.add(k)
+            dyn_even.add(right[k])
     return dyn_even, dyn_odd
 
 
-def bstats(b: WBTree, ann: BAnnotation | None = None) -> BStatVector:
-    """Compute the full binary statistic vector in one pass."""
+def bstats(
+    b: WBTree, ann: BAnnotation | None = None, dyn: tuple[set[int], set[int]] | None = None
+) -> BStatVector:
+    """Compute the full binary statistic vector in one pass; `dyn` is
+    dynamic_sets(ann) when the caller already has it."""
     if ann is None:
         ann = annotate(b)
-    sv = BStatVector()
-    for path in ann.nodes:
-        d = ann.rdeg[path]
-        odd_ll = ann.left_level[path] & 1
-        sv.rdeg[d] = sv.rdeg.get(d, 0) + 1
-        if odd_ll:
-            sv.rol[d] = sv.rol.get(d, 0) + 1
+    rdeg: dict[int, int] = {}
+    rol: dict[int, int] = {}
+    ell = ord_ = oler = eler = act = eact = oact = 0
+    for d, lev, is_act in zip(ann.rdeg, ann.left_level, ann.active):
+        rdeg[d] = rdeg.get(d, 0) + 1
+        if lev & 1:
+            rol[d] = rol.get(d, 0) + 1
         else:
-            sv.ell += 1
+            ell += 1
         if d & 1:
-            sv.ord += 1
-        elif odd_ll:
-            sv.oler += 1
+            ord_ += 1
+        elif lev & 1:
+            oler += 1
         else:
-            sv.eler += 1
-        if ann.active[path]:
-            sv.act += 1
+            eler += 1
+        if is_act:
+            act += 1
             if d & 1:
-                sv.oact += 1
+                oact += 1
             else:
-                sv.eact += 1
-    dyn_even, dyn_odd = dynamic_sets(ann)
-    if len(dyn_even) != 2 * sv.eact:
+                eact += 1
+    dyn_even, dyn_odd = dynamic_sets(ann) if dyn is None else dyn
+    if len(dyn_even) != 2 * eact:
         raise InternalError("dynamic even pairs must be disjoint")
-    if len(dyn_odd) != 2 * sv.oact:
+    if len(dyn_odd) != 2 * oact:
         raise InternalError("dynamic odd pairs must be disjoint")
-    sv.dme = len(dyn_even)
-    sv.dmo = len(dyn_odd)
-    for path in ann.nodes:
-        d = ann.rdeg[path]
+    ndoler = ndord = 0
+    for k, (d, lev) in enumerate(zip(ann.rdeg, ann.left_level)):
         if d & 1:
-            if path not in dyn_odd:
-                sv.ndord += 1
-        elif ann.left_level[path] & 1 and path not in dyn_even:
-            sv.ndoler += 1
-    return sv
+            if k not in dyn_odd:
+                ndord += 1
+        elif lev & 1 and k not in dyn_even:
+            ndoler += 1
+    return BStatVector(
+        rdeg=rdeg, rol=rol, ell=ell, ord=ord_, oler=oler, eler=eler, act=act, eact=eact, oact=oact,
+        dme=len(dyn_even), dmo=len(dyn_odd), ndoler=ndoler, ndord=ndord,
+    )
 
 
 def _swap_three(u: WBTree) -> WBTree:
@@ -332,14 +327,6 @@ def _swap_three(u: WBTree) -> WBTree:
     return WBTree(u.label, flip(u.right), flip(u.left))
 
 
-def _replace_at(b: WBTree, path: Path, new: WBTree) -> WBTree:
-    if not path:
-        return new
-    if path[0] == 0:
-        return WBTree(b.label, _replace_at(b.left, path[1:], new), b.right)
-    return WBTree(b.label, b.left, _replace_at(b.right, path[1:], new))
-
-
 def swap_branches(b: WBTree, i: int, ann: BAnnotation | None = None) -> WBTree:
     """The involution at the i-th node of the modified preorder, i in [p].
 
@@ -347,28 +334,34 @@ def swap_branches(b: WBTree, i: int, ann: BAnnotation | None = None) -> WBTree:
     branches at the node and at both of its children, which flips the node
     between active even and active odd while preserving the modified
     preorder, the even-left-level right-degree profile, and the orbit-level
-    statistics.
+    statistics.  The spine above the node is rebuilt along `ann.parent`.
     """
     if ann is None:
         ann = annotate(b)
-    if not 1 <= i < len(ann.order):
-        raise IndexError(f"node index {i} out of range 1..{len(ann.order) - 1}")
-    path = ann.order[i]
-    if not ann.active[path]:
+    if not 1 <= i < len(ann.nodes):
+        raise IndexError(f"node index {i} out of range 1..{len(ann.nodes) - 1}")
+    if not ann.active[i]:
         return b
-    return _replace_at(b, path, _swap_three(ann.nodes[path]))
+    nodes, parent, left = ann.nodes, ann.parent, ann.left
+    new = _swap_three(nodes[i])
+    k = i
+    while k:
+        par = parent[k]
+        node = nodes[par]
+        new = WBTree(node.label, new, node.right) if left[par] == k else WBTree(node.label, node.left, new)
+        k = par
+    return new
 
 
 def orbit(b: WBTree) -> set[WBTree]:
     """Closure of b under all branch swaps; size is 2**act of the orbit's
     unique representative without active even nodes."""
-    p = len(annotate(b).order) - 1
     seen = {b}
     frontier = [b]
     while frontier:
         cur = frontier.pop()
         ann = annotate(cur)
-        for i in range(1, p + 1):
+        for i in range(1, len(ann.nodes)):
             nxt = swap_branches(cur, i, ann)
             if nxt not in seen:
                 seen.add(nxt)

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .binary import bstats, format_btree, modified_preorder, orbit, parse_btree, subtree_at
+from .binary import annotate, bstats, format_btree, modified_preorder, orbit, parse_btree
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import enumerate_trees
 from .errors import InternalError
@@ -263,10 +263,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def cmd_preorder(args: argparse.Namespace) -> int:
     b = parse_btree(args.tree)
-    order = modified_preorder(b)
+    ann = annotate(b)
     rows = [
-        {"index": i, "label": subtree_at(b, path).label, "path": "".join("LR"[s] for s in path)}
-        for i, path in enumerate(order)
+        {"index": i, "label": ann.nodes[i].label, "path": "".join("LR"[s] for s in path)}
+        for i, path in enumerate(modified_preorder(b, ann))
     ]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.out)

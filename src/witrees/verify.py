@@ -383,43 +383,34 @@ def check_binary(max_size: int = 6) -> CheckResult:
     return _run_sized([(_binary, max_size)])[0]
 
 
-def _index_set(paths: set, path_index: dict) -> frozenset:
-    return frozenset(path_index[p] for p in paths)
-
-
 class _MemberInfo:
-    """Cached per-tree data for one orbit member."""
+    """Cached per-tree data for one orbit member.  `swaps[i-1]` is the
+    closure's swap_branches result at position i, stored as that member's
+    own key object in the orbit."""
 
-    __slots__ = ("ann", "bv", "labels", "actives", "idx_of", "dyn_even", "dyn_odd")
+    __slots__ = ("tree", "ann", "bv", "labels", "dyn_even", "dyn_odd", "swaps")
 
     def __init__(self, b):
+        self.tree = b
         self.ann = annotate(b)
-        self.bv = bstats(b, self.ann)
-        self.labels = [self.ann.nodes[q].label for q in self.ann.order]
-        self.actives = [self.ann.active[q] for q in self.ann.order]
-        self.idx_of = {q: k for k, q in enumerate(self.ann.order)}
-        de, do = dynamic_sets(self.ann)
-        self.dyn_even = _index_set(de, self.idx_of)
-        self.dyn_odd = _index_set(do, self.idx_of)
+        self.dyn_even, self.dyn_odd = dyn = dynamic_sets(self.ann)
+        self.bv = bstats(b, self.ann, dyn)
+        self.labels = [node.label for node in self.ann.nodes]
+        self.swaps: list = []
 
 
 def _dynamic_transport_ok(cur_info: _MemberInfo, new_info: _MemberInfo, i: int) -> bool:
     """Dynamic pairs move as (u,y) <-> (u,x) or through the ancestor,
-    with node identity tracked by the invariant preorder index."""
+    with node identity tracked by the invariant preorder position."""
     ann = cur_info.ann
-    pu = ann.order[i]
-    node = ann.nodes[pu]
     e1, o1 = cur_info.dyn_even, cur_info.dyn_odd
     e2, o2 = new_info.dyn_even, new_info.dyn_odd
-    ix = cur_info.idx_of.get(pu + (0,))
-    iy = cur_info.idx_of.get(pu + (1,))
-    anc = pu[: len(pu) - ann.trailing_rights[pu] - 1]
-    iw = cur_info.idx_of[anc]
-    if node.left is not None and node.right is not None:
+    ix, iy, iw = ann.left[i], ann.right[i], ann.ancestor[i]
+    if ix >= 0 and iy >= 0:
         return ((i in e1 and iy in e1) == (i in o2 and ix in o2)) and (
             (i in o1 and iy in o1) == (i in e2 and ix in e2)
         )
-    if node.left is not None:
+    if ix >= 0:
         return (i in o1 and iw in o1) and (i in e2 and ix in e2)
     return (i in e1 and iy in e1) and (i in o2 and iw in o2)
 
@@ -434,7 +425,7 @@ def _action(m: Multiset, trees: list[WTree]) -> str | None:
         b0 = rho(t0)
         if b0 in seen:
             continue
-        # close the orbit, annotating each member once
+        # close the orbit, annotating and swapping each member once
         members = {b0: _MemberInfo(b0)}
         frontier = [b0]
         while frontier:
@@ -442,9 +433,14 @@ def _action(m: Multiset, trees: list[WTree]) -> str | None:
             info = members[cur]
             for i in range(1, p + 1):
                 nb = swap_branches(cur, i, info.ann)
-                if nb not in members:
-                    members[nb] = _MemberInfo(nb)
-                    frontier.append(nb)
+                if nb is not cur:
+                    known = members.get(nb)
+                    if known is None:
+                        members[nb] = _MemberInfo(nb)
+                        frontier.append(nb)
+                    else:
+                        nb = known.tree
+                info.swaps.append(nb)
         seen.update(members)
 
         orbit_hist: Counter = Counter()
@@ -456,38 +452,32 @@ def _action(m: Multiset, trees: list[WTree]) -> str | None:
             orbit_hist[(bv.eler, bv.oler, bv.ord)] += 1
             if bv.eact == 0:
                 reps.append((cur, bv))
-            active_idx = [i for i in range(1, p + 1) if info.actives[i]]
-            swaps = {}
+            active, swaps = info.ann.active, info.swaps
             for i in range(1, p + 1):
-                nb = swap_branches(cur, i, info.ann)
-                if not info.actives[i]:
+                nb = swaps[i - 1]
+                if not active[i]:
                     if nb != cur:
                         return f"swap at inactive node {i} moved {format_btree(cur)}"
                     continue
-                swaps[i] = nb
                 new_info = members[nb]
-                if swap_branches(nb, i, new_info.ann) != cur:
+                if new_info.swaps[i - 1] != cur:
                     return f"swap {i} not an involution on {format_btree(cur)}"
                 if new_info.labels != info.labels:
                     return f"preorder changed by swap {i} on {format_btree(cur)}"
-                if new_info.actives != info.actives:
+                if new_info.ann.active != active:
                     return f"active set changed by swap {i} on {format_btree(cur)}"
                 if new_info.bv.eler != bv.eler:
                     return f"eler changed by swap {i} on {format_btree(cur)}"
-                d1 = info.ann.rdeg[info.ann.order[i]] & 1
-                d2 = new_info.ann.rdeg[new_info.ann.order[i]] & 1
-                if d1 == d2:
+                if info.ann.rdeg[i] & 1 == new_info.ann.rdeg[i] & 1:
                     return f"swap {i} kept right-degree parity on {format_btree(cur)}"
                 if not _dynamic_transport_ok(info, new_info, i):
                     return f"dynamic transport fails at {i} on {format_btree(cur)}"
             # identity swaps commute trivially and the active set is
             # invariant, so checking both-active pairs covers commutation
-            for ai in range(len(active_idx)):
-                for aj in range(ai + 1, len(active_idx)):
-                    i, j = active_idx[ai], active_idx[aj]
-                    via_i = swap_branches(swaps[i], j, members[swaps[i]].ann)
-                    via_j = swap_branches(swaps[j], i, members[swaps[j]].ann)
-                    if via_i != via_j:
+            active_idx = [i for i in range(1, p + 1) if active[i]]
+            for ai, i in enumerate(active_idx):
+                for j in active_idx[ai + 1:]:
+                    if members[swaps[i - 1]].swaps[j - 1] != members[swaps[j - 1]].swaps[i - 1]:
                         return f"swaps {i},{j} do not commute on {format_btree(cur)}"
 
         if len(reps) != 1:

@@ -2,12 +2,15 @@
 
 These deliberately use a different strategy from the library: all plane
 tree shapes are generated first, then every distinct arrangement of the
-label multiset is tried and filtered by the validity rules.  Slow but
-obviously correct; sized for small multisets.
+label multiset is tried and filtered by the validity rules.  The binary
+annotation oracle keys every node by its path from the root and follows the
+definitions in `witrees.binary`'s docstring one by one.  Slow but obviously
+correct; sized for small inputs.
 """
 
 from itertools import permutations
 
+from witrees.binary import WBTree
 from witrees.trees import WTree, format_tree
 
 
@@ -73,3 +76,96 @@ def oracle_tree_texts(multiplicities: tuple[int, ...]) -> set[str]:
             if _valid(t):
                 texts.add(format_tree(t))
     return texts
+
+
+def subtree_at(b: WBTree, path: tuple[int, ...]) -> WBTree:
+    """The node at a path from the root (0 = left step, 1 = right step)."""
+    for step in path:
+        b = b.left if step == 0 else b.right
+        if b is None:
+            raise KeyError(f"no node at path {path}")
+    return b
+
+
+def oracle_annotation(b: WBTree) -> dict:
+    """Path-keyed binary annotation: left-level, trailing rights, ancestor,
+    right-degree, active flag, the modified preorder and the dynamic pairs."""
+    nodes = {}
+    stack = [()]
+    while stack:
+        path = stack.pop()
+        node = subtree_at(b, path)
+        nodes[path] = node
+        if node.left is not None:
+            stack.append(path + (0,))
+        if node.right is not None:
+            stack.append(path + (1,))
+
+    def trailing_rights(path):
+        count = 0
+        while count < len(path) and path[-1 - count] == 1:
+            count += 1
+        return count
+
+    def ancestor(path):
+        # follow the last left edge upward: drop the trailing right steps
+        # and the left step before them
+        q = path[: len(path) - trailing_rights(path)]
+        return q[:-1] if q else None
+
+    def right_degree(path):
+        # right grandsons: one left edge, then right edges only
+        count, q = 0, path + (0,)
+        while q in nodes:
+            count += 1
+            q += (1,)
+        return count
+
+    rdeg = {path: right_degree(path) for path in nodes}
+    active = {}
+    for path in nodes:
+        anc = ancestor(path)
+        odd_level = path.count(0) % 2 == 1
+        odd_edges = anc is not None and (len(path) - len(anc)) % 2 == 1
+        y = path + (1,)
+        if y in nodes:
+            same_parity = rdeg[y] % 2 == rdeg[path] % 2
+        else:
+            same_parity = rdeg[path] % 2 == 1
+        active[path] = odd_level and odd_edges and same_parity
+
+    # modified preorder: repeatedly descend from the latest visited node
+    # that still has unvisited children; at a two-way branch the active
+    # node, or else its active parent, decides which child comes first
+    order = [()]
+    while len(order) < len(nodes):
+        k = next(q for q in reversed(order) if any(c in nodes and c not in order for c in (q + (0,), q + (1,))))
+        x, y = k + (0,), k + (1,)
+        todo = [c for c in (x, y) if c in nodes and c not in order]
+        if len(todo) == 1:
+            nxt = todo[0]
+        elif active[k]:
+            nxt = y if rdeg[k] % 2 == 0 else x
+        elif k and active[k[:-1]]:
+            nxt = y if k[-1] == 1 else x
+        else:
+            nxt = x
+        order.append(nxt)
+
+    dyn_even, dyn_odd = set(), set()
+    for path in nodes:
+        if not active[path]:
+            continue
+        y = path + (1,)
+        partner = y if y in nodes else ancestor(path)
+        (dyn_odd if rdeg[path] % 2 else dyn_even).update((path, partner))
+    return {
+        "order": order,
+        "left_level": {path: path.count(0) for path in nodes},
+        "trailing_rights": {path: trailing_rights(path) for path in nodes},
+        "ancestor": {path: ancestor(path) for path in nodes},
+        "rdeg": rdeg,
+        "active": active,
+        "dyn_even": dyn_even,
+        "dyn_odd": dyn_odd,
+    }

@@ -1,21 +1,24 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import oracle_annotation, subtree_at
 from witrees.binary import (
     BTreeSyntaxError,
     InvalidBTreeError,
     WBTree,
     annotate,
     bstats,
+    dynamic_sets,
     format_btree,
     modified_preorder,
     orbit,
     parse_btree,
-    subtree_at,
     swap_branches,
 )
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.transforms import rho
-from witrees.trees import parse_tree, stats
+from witrees.trees import WTree, parse_tree, stats, validate_tree
 
 
 def test_parse_format_round_trip():
@@ -88,7 +91,7 @@ def test_swap_identity_on_inactive():
     b = rho(parse_tree("0(1(2))"))
     ann = annotate(b)
     for i in range(1, 3):
-        if not ann.active[ann.order[i]]:
+        if not ann.active[i]:
             assert swap_branches(b, i) == b
 
 
@@ -127,3 +130,88 @@ def test_inactive_tree_orbit_is_singleton():
 
 def test_wbtree_str():
     assert str(WBTree(0, WBTree(1), None)) == "0[1[_|_]|_]"
+
+
+def test_annotation_matches_path_keyed_oracle():
+    for m in iter_multisets(6):
+        for t in iter_trees(m):
+            b = rho(t)
+            ann = annotate(b)
+            want = oracle_annotation(b)
+            paths = modified_preorder(b, ann)
+            assert paths == want["order"], format_btree(b)
+            assert [subtree_at(b, q) for q in paths] == ann.nodes
+            assert ann.left_level == [want["left_level"][q] for q in paths]
+            assert ann.trailing_rights == [want["trailing_rights"][q] for q in paths]
+            assert ann.rdeg == [want["rdeg"][q] for q in paths]
+            assert ann.active == [want["active"][q] for q in paths]
+            assert [paths[a] if a >= 0 else None for a in ann.ancestor] == [want["ancestor"][q] for q in paths]
+            for k in range(1, len(paths)):
+                par = ann.parent[k]
+                assert paths[k][:-1] == paths[par]
+                assert k == (ann.left[par] if paths[k][-1] == 0 else ann.right[par])
+            dyn_even, dyn_odd = dynamic_sets(ann)
+            assert {paths[k] for k in dyn_even} == want["dyn_even"]
+            assert {paths[k] for k in dyn_odd} == want["dyn_odd"]
+
+
+@st.composite
+def weakly_increasing_trees(draw, min_p=9, max_p=30):
+    """A random plane tree on a random multiset: the sorted labels are
+    attached one at a time as the last child of a random earlier node, so
+    parents and left siblings never carry larger labels."""
+    p = draw(st.integers(min_p, max_p))
+    drawn = sorted(draw(st.lists(st.integers(1, p), min_size=p, max_size=p)))
+    rank = {v: r for r, v in enumerate(sorted(set(drawn)), start=1)}
+    labels = [0] + [rank[v] for v in drawn]
+    children: list[list[int]] = [[]]
+    for k in range(1, p + 1):
+        children[draw(st.integers(0, k - 1))].append(k)
+        children.append([])
+
+    def build(k: int) -> WTree:
+        return WTree(labels[k], tuple(build(c) for c in children[k]))
+
+    t = build(0)
+    validate_tree(t)
+    return t
+
+
+def _bookkeeping_holds(b: WBTree, p: int) -> bool:
+    v = bstats(b)
+    return (
+        v.dme == 2 * v.eact
+        and v.dmo == 2 * v.oact
+        and v.dme + v.ndoler == v.oler
+        and v.dmo + v.ndord == v.ord
+        and v.ndoler == v.ndord
+        and p + 1 == v.oler + v.ord + v.eler
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(weakly_increasing_trees())
+def test_swap_laws_past_exhaustive_bound(t):
+    b = rho(t)
+    ann = annotate(b)
+    p = len(ann.nodes) - 1
+    labels = [node.label for node in ann.nodes]
+    assert _bookkeeping_holds(b, p)
+    swapped = {}
+    for i in range(1, p + 1):
+        nb = swap_branches(b, i, ann)
+        if not ann.active[i]:
+            assert nb == b
+            continue
+        nann = annotate(nb)
+        assert swap_branches(nb, i, nann) == b
+        assert [node.label for node in nann.nodes] == labels
+        assert nann.active == ann.active
+        assert (nann.rdeg[i] - ann.rdeg[i]) % 2 == 1
+        assert _bookkeeping_holds(nb, p)
+        swapped[i] = (nb, nann)
+    active = list(swapped)
+    for a, i in enumerate(active):
+        for j in active[a + 1:]:
+            (bi, ai), (bj, aj) = swapped[i], swapped[j]
+            assert swap_branches(bi, j, ai) == swap_branches(bj, i, aj)

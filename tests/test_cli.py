@@ -1,12 +1,23 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import witrees.cli
 from witrees.cli import main
 from witrees.gamma import GammaResidualError
 
 RUN = [sys.executable, "-m", "witrees.cli"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_TREES = [
+    "0[1[2[3[4[5[6[_|_]|_]|_]|_]|_]|_]|_]",
+    "0[1[2[3[4[_|5[_|_]]|5[_|_]]|_]|_]|_]",
+    "0[1[1[1[1[_|1[_|_]]|1[_|_]]|_]|_]|_]",
+]
 
 
 def run_cli(*args):
@@ -182,3 +193,13 @@ def test_optimized_interpreter_same_verify_output():
                                capture_output=True, text=True)
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("command", ["orbit", "preorder"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("k", range(1, len(GOLDEN_TREES) + 1))
+def test_binary_commands_golden_output(command, fmt, k):
+    res = run_cli(command, "--tree", GOLDEN_TREES[k - 1], "--format", fmt)
+    assert res.returncode == 0
+    suffix = "json" if fmt == "json" else "txt"
+    assert res.stdout == (GOLDEN / f"{command}_{k}.{suffix}").read_text()

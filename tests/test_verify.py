@@ -1,5 +1,6 @@
 import pytest
 
+from witrees.binary import WBTree, annotate
 from witrees.transforms import hat
 from witrees.verify import (
     check_action,
@@ -118,3 +119,35 @@ def test_suite_table_covers_everything():
         "full-degree", "euler", "binary", "action", "schett", "gamma",
         "series", "closed-forms", "jacobi", "conjecture",
     }
+
+
+ACTION = "FAIL  group action: branch swaps and orbit structure: "
+
+
+def test_action_catches_swap_that_is_not_an_involution(monkeypatch):
+    import witrees.binary
+
+    monkeypatch.setattr(witrees.binary, "_swap_three", lambda u: WBTree(u.label, u.right, u.left))
+    assert check_action(5).line() == ACTION + "swap 1 not an involution on 0[1[2[3[_|_]|_]|_]|_]"
+
+
+def test_action_catches_swaps_that_do_not_commute(monkeypatch):
+    """The swap at the first active node also swaps at the second one
+    whenever the third has odd right-degree: every swap stays its own
+    inverse, but the first and the third no longer commute."""
+    import witrees.verify
+
+    real = witrees.verify.swap_branches
+
+    def tangled(b, i, ann=None):
+        ann = ann or annotate(b)
+        out = real(b, i, ann)
+        act = [k for k in range(1, len(ann.nodes)) if ann.active[k]]
+        if len(act) >= 3 and i == act[0] and ann.rdeg[act[2]] & 1:
+            out = real(out, act[1])
+        return out
+
+    monkeypatch.setattr(witrees.verify, "swap_branches", tangled)
+    assert check_action(6).line() == (
+        ACTION + "swaps 1,5 do not commute on 0[1[2[3[4[5[6[_|_]|_]|_]|_]|_]|_]|_]"
+    )
