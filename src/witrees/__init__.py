@@ -14,7 +14,7 @@ from .binary import (
     swap_branches,
 )
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
-from .enumeration import SizeBoundError, enumerate_binary, enumerate_trees, iter_multisets, iter_trees
+from .enumeration import SizeBoundError, enumerate_trees, iter_multisets, iter_trees
 from .gamma import GammaTable, gamma_expand, multiset_schett, reduced_schett
 from .grammar import (
     GrammarRules,
@@ -53,7 +53,6 @@ __all__ = [
     "catalan",
     "check_algebraic_eq",
     "count_trees",
-    "enumerate_binary",
     "enumerate_trees",
     "euler_numbers",
     "fish_count",

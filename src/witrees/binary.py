@@ -353,17 +353,30 @@ def swap_branches(b: WBTree, i: int, ann: BAnnotation | None = None) -> WBTree:
     return new
 
 
-def orbit(b: WBTree) -> set[WBTree]:
-    """Closure of b under all branch swaps; size is 2**act of the orbit's
+class OrbitMember(NamedTuple):
+    """One orbit member's annotation and its swap results: `swaps[i-1]` is
+    swap_branches at position i, stored as that member's own key object."""
+
+    ann: BAnnotation
+    swaps: list[WBTree]
+
+
+def orbit(b: WBTree) -> dict[WBTree, OrbitMember]:
+    """Closure of b under all branch swaps, in discovery order, annotating
+    and swapping each member once; its size is 2**act of the orbit's
     unique representative without active even nodes."""
-    seen = {b}
-    frontier = [b]
+    members = {b: OrbitMember(annotate(b), [])}
+    frontier = [(b, members[b])]
     while frontier:
-        cur = frontier.pop()
-        ann = annotate(cur)
+        cur, (ann, swaps) = frontier.pop()
         for i in range(1, len(ann.nodes)):
             nxt = swap_branches(cur, i, ann)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+            if nxt is not cur:
+                known = members.get(nxt)
+                if known is None:
+                    members[nxt] = known = OrbitMember(annotate(nxt), [])
+                    frontier.append((nxt, known))
+                else:
+                    nxt = known.ann.nodes[0]  # the root node is the tree itself
+            swaps.append(nxt)
+    return members

@@ -3,9 +3,11 @@ tables, and the reproducible verification runs.
 
 Every subcommand prints deterministically (fixed orderings everywhere), so
 identical invocations are byte-identical.  Exit codes: 0 on success / all
-checks passing, 1 when a verification check fails, 2 on usage errors, 3 on
-an internal error (a broken invariant: a bug, not bad input), and 141 when
-the reader of stdout goes away, as in `witrees enumerate --set 7 | head -1`.
+checks passing, 1 when a verification check fails, 2 on usage errors (bad
+input, a --batch or --out file that cannot be opened, tree text nested past
+the recursion limit), 3 on an internal error (a broken invariant: a bug,
+not bad input), and 141 when the reader of stdout goes away, as in
+`witrees enumerate --set 7 | head -1`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .multiset import Multiset, count_trees, parse_multiset, set_multiset, unifo
 from .series import check_algebraic_eq, format_series, plane_gf
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
 from .trees import format_tree, parse_tree, stats
-from .verify import run_suites, scan_real_rootedness, suite_checks
+from .verify import conjecture_families, run_suites, scan_real_rootedness, suite_checks
 
 
 def _add_multiset_args(p: argparse.ArgumentParser) -> None:
@@ -234,11 +236,11 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    b = parse_btree(args.tree)
-    orb = sorted(orbit(b), key=format_btree)
+    members = orbit(parse_btree(args.tree))
+    orb = sorted(members, key=format_btree)
     rows = []
     for member in orb:
-        v = bstats(member)
+        v = bstats(member, members[member].ann)
         rows.append(
             {
                 "tree": format_btree(member),
@@ -276,14 +278,7 @@ def cmd_preorder(args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    targets: list[Multiset] = []
-    if args.multiset:
-        targets.append(parse_multiset(args.multiset))
-    else:
-        for p in range(args.max_nodes):
-            targets.append(uniform_multiset(p))
-            if p > 1:
-                targets.append(set_multiset(p))
+    targets = [parse_multiset(args.multiset)] if args.multiset else conjecture_families(args.max_nodes)
     slices = [
         (m, i, coeffs, "vacuous" if rep.vacuous else ("real-rooted" if rep.all_real else "NOT REAL-ROOTED"))
         for m in targets
@@ -399,13 +394,17 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # before OSError, of which it is a subclass
         # the reader went away: drop what is buffered, exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
+        # bad input, or a --batch / --out file that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

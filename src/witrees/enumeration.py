@@ -110,15 +110,8 @@ def enumerate_trees(m: Multiset, size_bound: int | None = None) -> list[WTree]:
     return out
 
 
-def enumerate_binary(m: Multiset, size_bound: int | None = None) -> list:
-    """The binary images of enumerate_trees(m), in the same order."""
-    from .transforms import rho
-
-    return [rho(t) for t in enumerate_trees(m, size_bound)]
-
-
-def iter_multisets(max_size: int, min_size: int = 0) -> Iterator[Multiset]:
-    """All multisets (compositions) with min_size <= p <= max_size, by size."""
+def iter_multisets(max_size: int) -> Iterator[Multiset]:
+    """All multisets (compositions) with p <= max_size, by size."""
 
     def comps(p: int) -> Iterator[tuple[int, ...]]:
         if p == 0:
@@ -128,6 +121,6 @@ def iter_multisets(max_size: int, min_size: int = 0) -> Iterator[Multiset]:
             for rest in comps(p - first):
                 yield (first,) + rest
 
-    for p in range(min_size, max_size + 1):
+    for p in range(max_size + 1):
         for c in comps(p):
             yield Multiset(c)

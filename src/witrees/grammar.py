@@ -86,25 +86,21 @@ def four_var_poly(n: int) -> MPoly:
     return grammar_derive(four_var_rules(), MPoly.var(WXYZ, "w"), n)
 
 
-def schett_coeffs(n: int, poly: MPoly | None = None) -> dict[tuple[int, int], int]:
+def schett_coeffs(n: int) -> dict[tuple[int, int], int]:
     """The table s_{n,i,j}: coefficient of the monomial with x-exponent
     2i+1 (n even) resp. 2i (n odd) and y-exponent 2j resp. 2j+1 in S_n.
     Equivalently, i and j are the floor-halved x- and y-exponents."""
-    if poly is None:
-        poly = schett_poly(n)
     out: dict[tuple[int, int], int] = {}
-    for (ex, ey, _ez), c in poly.terms.items():
+    for (ex, ey, _ez), c in schett_poly(n).terms.items():
         key = (ex // 2, ey // 2)
         out[key] = out.get(key, 0) + c
     return out
 
 
-def four_var_coeffs(n: int, poly: MPoly | None = None) -> dict[tuple[int, int], int]:
+def four_var_coeffs(n: int) -> dict[tuple[int, int], int]:
     """The table t_{n,i,j}: coefficient of w * x^i * y^(2j or 2j+1) in D^n(w)."""
-    if poly is None:
-        poly = four_var_poly(n)
     out: dict[tuple[int, int], int] = {}
-    for (ew, ex, ey, _ez), c in poly.terms.items():
+    for (ew, ex, ey, _ez), c in four_var_poly(n).terms.items():
         if ew != 1:
             raise InternalError("every term of D^n(w) carries exactly one w")
         key = (ex, ey // 2)

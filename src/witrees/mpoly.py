@@ -39,10 +39,10 @@ class MPoly:
         return cls(variables, {(0,) * len(variables): value} if value else {})
 
     @classmethod
-    def var(cls, variables: tuple[str, ...], name: str, power: int = 1) -> "MPoly":
+    def var(cls, variables: tuple[str, ...], name: str) -> "MPoly":
         i = variables.index(name)
         exps = [0] * len(variables)
-        exps[i] = power
+        exps[i] = 1
         return cls(variables, {tuple(exps): 1})
 
     @classmethod

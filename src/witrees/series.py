@@ -42,9 +42,8 @@ class TruncSeries:
         return cls([], order)
 
     @classmethod
-    def from_poly(cls, poly: MPoly, order: int, t_power: int = 0) -> "TruncSeries":
-        coeffs = [MPoly.zero(SERIES_VARS)] * t_power + [poly]
-        return cls(coeffs, order)
+    def from_poly(cls, poly: MPoly, order: int) -> "TruncSeries":
+        return cls([poly], order)
 
     @classmethod
     def var(cls, name: str, order: int) -> "TruncSeries":
@@ -144,14 +143,14 @@ def geometric(u: TruncSeries) -> TruncSeries:
     return total
 
 
-def format_series(s: TruncSeries, style: str = "desclex") -> str:
+def format_series(s: TruncSeries) -> str:
     """Display like `y+wxt+(wyz+x^2y)t^2+...`; multi-term coefficients are
     parenthesised, zero coefficients skipped."""
     parts = []
     for n, c in enumerate(s.coeffs):
         if not c.terms:
             continue
-        body = c.canonical_str(style)
+        body = c.canonical_str("desclex")
         if n == 0:
             parts.append(body)
             continue
@@ -166,8 +165,8 @@ def format_series(s: TruncSeries, style: str = "desclex") -> str:
 _SWAP_STAR = {"x": "y", "y": "x", "z": "w", "w": "z"}
 
 
-def plane_gf(order: int, _return_pair: bool = False):
-    """The plane-tree generating function N (and partner N*) mod t^(order+1).
+def plane_gf(order: int) -> TruncSeries:
+    """The plane-tree generating function N mod t^(order+1).
 
     Fixpoint iteration of the functional-equation pair; iteration k pins the
     coefficient of t^k, so order+1 rounds converge and one extra round is
@@ -188,7 +187,7 @@ def plane_gf(order: int, _return_pair: bool = False):
         raise InternalError("fixpoint did not stabilise within order+2 rounds")
     if n_star != n_cur.rename_vars(_SWAP_STAR):
         raise InternalError("partner series must be the variable-swapped series")
-    return (n_cur, n_star) if _return_pair else n_cur
+    return n_cur
 
 
 def quintic_residual(n: TruncSeries) -> TruncSeries:

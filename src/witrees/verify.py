@@ -3,11 +3,16 @@
 Every check exhaustively tests one identity, bijection contract, expansion
 or closed form and returns a named pass/fail result with a minimal
 counterexample on failure.  The checks over all multisets with p <= a bound
-are per-multiset bodies `(m, trees) -> failure detail | None`: `_run_sized`
-enumerates each multiset once and feeds its tree list to every selected
-body whose bound covers it and which has not failed yet, so each check
-reports its own first failure in multiset order, alone or fused.  The
-checks over sets, {1^n} or series orders enumerate their own families.
+are per-multiset bodies `(m, trees, walk) -> failure detail | None`:
+`_run_sized` enumerates each multiset once and feeds its tree list to every
+selected body whose bound covers it and which has not failed yet, so each
+check reports its own first failure in multiset order, alone or fused.
+`walk` is that multiset's memo of `stats`, the bodies' only source of
+plane-tree statistics: each tree, and each image under hat, tilde, psi and
+theta (a tree on the same multiset), is walked once per multiset.  The
+group-action body takes each orbit from `binary.orbit`, which annotates
+and swaps every member once.  The checks over sets, {1^n} or series orders
+enumerate their own families.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial
 from typing import Callable, Iterable
 
-from .binary import annotate, bstats, dynamic_sets, format_btree, swap_branches
+from .binary import OrbitMember, WBTree, bstats, dynamic_sets, format_btree, orbit
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import iter_multisets, iter_trees
 from .gamma import (
@@ -47,7 +53,7 @@ from .realroots import real_rooted
 from .sequences import euler_numbers
 from .series import check_algebraic_eq, format_series, lagrange_series, plane_gf, series_to_poly5, SERIES5_VARS
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
-from .trees import WTree, format_tree, parity_counts, parse_tree, stats
+from .trees import StatVector, WTree, format_tree, parity_counts, parse_tree, stats
 
 
 @dataclass
@@ -68,6 +74,10 @@ def _ok(name: str, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+# a multiset's memo of `stats`, the sized bodies' only statistics walker
+Walk = Callable[[WTree], StatVector]
+
+
 @dataclass(frozen=True)
 class SizedCheck:
     """A check over every multiset with p <= a bound.  `summary` is the PASS
@@ -75,7 +85,7 @@ class SizedCheck:
     `setup`, if given, runs once before any multiset and can fail too."""
 
     name: str
-    body: Callable[[Multiset, list[WTree]], "str | None"]
+    body: Callable[[Multiset, list[WTree], Walk], "str | None"]
     summary: str
     setup: Callable[[], "str | None"] | None = None
 
@@ -95,8 +105,9 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
         if not live:
             continue
         trees = list(iter_trees(m, size_bound=top))
+        walk = cache(stats)
         for k in live:
-            failures[k] = jobs[k][0].body(m, trees)
+            failures[k] = jobs[k][0].body(m, trees, walk)
             covered[k] += len(trees)
     return [
         _fail(check.name, detail) if detail is not None
@@ -110,7 +121,7 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 @sized_check("counting: product formula vs enumeration", "all M with p <= {bound} agree ({trees} trees)")
-def _counting(m: Multiset, trees: list[WTree]) -> str | None:
+def _counting(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     want = count_trees(m)
     distinct = len(set(trees))
     if len(trees) != want or distinct != want:
@@ -125,12 +136,12 @@ def check_counting(max_size: int = 8) -> CheckResult:
 
 @sized_check("statistics: internal identities",
              "identities + leaf/el equidistribution, p <= {bound} ({trees} trees)")
-def _stat_invariants(m: Multiset, trees: list[WTree]) -> str | None:
+def _stat_invariants(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     p = m.size
     leaf_hist: Counter = Counter()
     el_hist: Counter = Counter()
     for t in trees:
-        sv = stats(t)
+        sv = walk(t)
         root_deg = len(t.children)
         checks = [
             sv.ee + sv.oe + sv.odd == p + 1,
@@ -167,13 +178,13 @@ def check_stat_invariants(max_size: int = 6) -> CheckResult:
 
 @sized_check("hat bijection: degree/odd-level transport",
              "bijective with exact transport, p <= {bound} ({trees} trees)")
-def _hat(m: Multiset, trees: list[WTree]) -> str | None:
+def _hat(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     images = set()
     for t in trees:
         h = hat(t)
         images.add(h)
-        deg = stats(t).deg
-        hv = stats(h)
+        deg = walk(t).deg
+        hv = walk(h)
         od_h = hv.od
         if deg.get(0, 0) != hv.el:
             return f"leaf/el fails on {format_tree(t)}"
@@ -209,14 +220,13 @@ def _tilde_base() -> str | None:
 
 @sized_check("tilde involution: (odd, oe, ee) -> (oe, odd, ee)",
              "involution with exact transport, p <= {bound} ({trees} trees)", _tilde_base)
-def _tilde(m: Multiset, trees: list[WTree]) -> str | None:
+def _tilde(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     for t in trees:
         tt = tilde(t)
         if tilde(tt) != t:
             return f"not an involution on {format_tree(t)}"
-        ee, oe, odd, _, _, _ = parity_counts(t)
-        ee2, oe2, odd2, _, _, _ = parity_counts(tt)
-        if (odd, oe, ee) != (oe2, odd2, ee2):
+        a, b = walk(t), walk(tt)
+        if (a.odd, a.oe, a.ee) != (b.oe, b.odd, b.ee):
             return f"transport fails on {format_tree(t)} -> {format_tree(tt)}"
     return None
 
@@ -228,22 +238,19 @@ def check_tilde(max_size: int = 8) -> CheckResult:
 
 @sized_check("symmetry: joint parity distributions",
              "three refined symmetries + leaf/el equidistribution, p <= {bound}")
-def _symmetry(m: Multiset, trees: list[WTree]) -> str | None:
+def _symmetry(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     main: Counter = Counter()
     even_form: Counter = Counter()
     starred: Counter = Counter()
     leaf_hist: Counter = Counter()
     el_hist: Counter = Counter()
     for t in trees:
-        ee, oe, odd, oo, leaf, root_deg = parity_counts(t)
-        main[(ee, oe, odd)] += 1
-        eo = odd - oo
-        el = ee + eo
-        even_form[(ee + oe, oo + el, ee)] += 1
-        root_odd = root_deg % 2
-        starred[(odd - root_odd, oe, ee - (1 - root_odd))] += 1
-        leaf_hist[leaf] += 1
-        el_hist[el] += 1
+        sv = walk(t)
+        main[(sv.ee, sv.oe, sv.odd)] += 1
+        even_form[(sv.ee + sv.oe, sv.oo + sv.el, sv.ee)] += 1
+        starred[(sv.odd_star, sv.oe, sv.ee_star)] += 1
+        leaf_hist[sv.leaf] += 1
+        el_hist[sv.el] += 1
     if main != Counter({(ee, odd, oe): c for (ee, oe, odd), c in main.items()}):
         return f"{m}: x^ee y^oe z^odd is not symmetric in y, z"
     if even_form != Counter({(b, a, c): n for (a, b, c), n in even_form.items()}):
@@ -262,18 +269,18 @@ def check_symmetry(max_size: int = 8) -> CheckResult:
 
 @sized_check("psi/theta: root-excluded transports",
              "psi involution and theta bijection transports, p <= {bound}")
-def _psi_theta(m: Multiset, trees: list[WTree]) -> str | None:
+def _psi_theta(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     theta_imgs = set()
     for t in trees:
         pt = psi(t)
         if psi(pt) != t:
             return f"psi is not an involution on {format_tree(t)}"
-        a, b = stats(t), stats(pt)
+        a, b = walk(t), walk(pt)
         if (a.odd_star, a.oe_star, a.ee_star) != (b.ee_star, b.oe_star, b.odd_star):
             return f"psi transport fails on {format_tree(t)}"
         th = theta(t)
         theta_imgs.add(th)
-        c = stats(th)
+        c = walk(th)
         root_deg_img = len(th.children)
         for d in range(0, m.size // 2 + 1):
             ed_star = c.deg.get(2 * d, 0) - c.od.get(2 * d, 0) - (
@@ -294,13 +301,13 @@ def check_psi_theta(max_size: int = 6) -> CheckResult:
 
 @sized_check("full-degree doubling: totals per multiset",
              "odd full-degree totals double odd degree totals, p <= {bound}")
-def _full_degree(m: Multiset, trees: list[WTree]) -> str | None:
+def _full_degree(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     full_hist: Counter = Counter()
     deg_hist: Counter = Counter()
     total_oddf = 0
     total_odd = 0
     for t in trees:
-        sv = stats(t)
+        sv = walk(t)
         for q, c in sv.deg.items():
             deg_hist[q] += c
             full_hist[q + 1] += c
@@ -352,12 +359,12 @@ def check_euler(max_n: int = 8) -> CheckResult:
 
 @sized_check("binary correspondence: statistic transport and bookkeeping",
              "transport + dynamic identities, p <= {bound}")
-def _binary(m: Multiset, trees: list[WTree]) -> str | None:
+def _binary(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     for t in trees:
         b = rho(t)
         if rho_inv(b) != t:
             return f"round trip fails on {format_tree(t)}"
-        sv = stats(t)
+        sv = walk(t)
         bv = bstats(b)
         if (sv.deg, sv.od, sv.el, sv.odd, sv.oe, sv.ee) != (
             bv.rdeg, bv.rol, bv.ell, bv.ord, bv.oler, bv.eler
@@ -384,19 +391,16 @@ def check_binary(max_size: int = 6) -> CheckResult:
 
 
 class _MemberInfo:
-    """Cached per-tree data for one orbit member.  `swaps[i-1]` is the
-    closure's swap_branches result at position i, stored as that member's
-    own key object in the orbit."""
+    """Cached per-tree data for one orbit member, built from its `orbit`
+    entry: the annotation, and the swap results at positions 1..p."""
 
-    __slots__ = ("tree", "ann", "bv", "labels", "dyn_even", "dyn_odd", "swaps")
+    __slots__ = ("ann", "bv", "labels", "dyn_even", "dyn_odd", "swaps")
 
-    def __init__(self, b):
-        self.tree = b
-        self.ann = annotate(b)
+    def __init__(self, b: WBTree, member: OrbitMember):
+        self.ann, self.swaps = member
         self.dyn_even, self.dyn_odd = dyn = dynamic_sets(self.ann)
         self.bv = bstats(b, self.ann, dyn)
         self.labels = [node.label for node in self.ann.nodes]
-        self.swaps: list = []
 
 
 def _dynamic_transport_ok(cur_info: _MemberInfo, new_info: _MemberInfo, i: int) -> bool:
@@ -417,7 +421,7 @@ def _dynamic_transport_ok(cur_info: _MemberInfo, new_info: _MemberInfo, i: int) 
 
 @sized_check("group action: branch swaps and orbit structure",
              "swap laws, orbits and gamma cross-check, p <= {bound}")
-def _action(m: Multiset, trees: list[WTree]) -> str | None:
+def _action(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     p = m.size
     seen: set = set()
     rep_table: dict[tuple[int, int], int] = {}
@@ -425,22 +429,7 @@ def _action(m: Multiset, trees: list[WTree]) -> str | None:
         b0 = rho(t0)
         if b0 in seen:
             continue
-        # close the orbit, annotating and swapping each member once
-        members = {b0: _MemberInfo(b0)}
-        frontier = [b0]
-        while frontier:
-            cur = frontier.pop()
-            info = members[cur]
-            for i in range(1, p + 1):
-                nb = swap_branches(cur, i, info.ann)
-                if nb is not cur:
-                    known = members.get(nb)
-                    if known is None:
-                        members[nb] = _MemberInfo(nb)
-                        frontier.append(nb)
-                    else:
-                        nb = known.tree
-                info.swaps.append(nb)
+        members = {b: _MemberInfo(b, member) for b, member in orbit(b0).items()}
         seen.update(members)
 
         orbit_hist: Counter = Counter()
@@ -595,11 +584,11 @@ def _gamma_example() -> str | None:
 
 @sized_check("gamma expansion: nonnegativity and active-node counts",
              "exact nonnegative tables matching active-node counts, p <= {bound}", _gamma_example)
-def _gamma(m: Multiset, trees: list[WTree]) -> str | None:
+def _gamma(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
     reduced = reduce_poly(schett_of(trees))
     oracle: dict[tuple[int, int], int] = {}
     for t in trees:
-        sv = stats(t)
+        sv = walk(t)
         if sv.eact == 0:
             i = sv.ee // 2
             d = m.size // 2 - i
@@ -771,7 +760,7 @@ def check_jacobi(order: int = 9, boundary_max: int = 4) -> CheckResult:
 # real-rootedness scan
 # ---------------------------------------------------------------------------
 
-def scan_real_rootedness(m: Multiset, use_grammar: bool | None = None):
+def scan_real_rootedness(m: Multiset):
     """Yield (i, coefficient list, RootReport) for every x-slice of the
     reduced Schett polynomial of m.
 
@@ -779,9 +768,7 @@ def scan_real_rootedness(m: Multiset, use_grammar: bool | None = None):
     enumeration route, which the dual-path check certifies); everything
     else enumerates.
     """
-    if use_grammar is None:
-        use_grammar = m.multiplicities == (1,) * m.n
-    if use_grammar:
+    if m.multiplicities == (1,) * m.n:
         table = schett_coeffs(m.n)
         degree = max((i for i, _ in table), default=0)
         for i in range(degree + 1):
@@ -795,23 +782,32 @@ def scan_real_rootedness(m: Multiset, use_grammar: bool | None = None):
             yield i, coeffs, real_rooted(coeffs)
 
 
+def conjecture_families(max_nodes: int) -> list[Multiset]:
+    """The multisets of the real-rootedness scan, by size: {1^p} (plane
+    trees) for p < max_nodes, each followed by [p] (increasing trees) when
+    2 <= p, below which the two families coincide."""
+    out = []
+    for p in range(max_nodes):
+        out.append(uniform_multiset(p))
+        if p >= 2:
+            out.append(set_multiset(p))
+    return out
+
+
 def check_conjecture(max_nodes: int = 10) -> CheckResult:
     """Real-rootedness of every reduced-polynomial slice for plane and
     increasing trees with at most max_nodes nodes."""
     name = "real-rootedness: plane and increasing tree slices"
     slices = 0
     vacuous = 0
-    for p in range(max_nodes):
-        for m in (uniform_multiset(p), set_multiset(p)):
-            for i, coeffs, report in scan_real_rootedness(m):
-                if report.vacuous:
-                    vacuous += 1
-                    continue
-                if not report.all_real:
-                    return _fail(name, f"{m}, slice i={i}: {report}")
-                slices += 1
-            if m.size <= 1:
-                break  # the two families coincide there
+    for m in conjecture_families(max_nodes):
+        for i, coeffs, report in scan_real_rootedness(m):
+            if report.vacuous:
+                vacuous += 1
+                continue
+            if not report.all_real:
+                return _fail(name, f"{m}, slice i={i}: {report}")
+            slices += 1
     return _ok(name, f"{slices} slices certified by exact root counts (nodes <= {max_nodes}; {vacuous} vacuous)")
 
 

@@ -125,7 +125,7 @@ def test_orbit_sizes_are_powers_of_two():
 def test_inactive_tree_orbit_is_singleton():
     b = rho(parse_tree("0(1(2))"))
     if bstats(b).act == 0:
-        assert orbit(b) == {b}
+        assert set(orbit(b)) == {b}
 
 
 def test_wbtree_str():

@@ -176,6 +176,48 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "internal error: injected residual" in capsys.readouterr().err
 
 
+def _assert_usage_error(res):
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_unreadable_batch_file_is_a_usage_error(tmp_path):
+    _assert_usage_error(run_cli("transform", "--map", "hat", "--batch", str(tmp_path / "missing.txt")))
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path):
+    _assert_usage_error(run_cli("schett", "--n", "2", "--out", str(tmp_path / "no-such-dir" / "out.txt")))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--map", "hat", "--tree", "0" + "(1" * 1500 + ")" * 1500],
+        ["preorder", "--tree", "0[" + "1[" * 1500 + "_|_]" * 1500 + "|_]"],
+    ],
+    ids=["transform", "preorder"],
+)
+def test_too_deep_tree_is_a_usage_error(argv):
+    _assert_usage_error(run_cli(*argv))
+
+
+def test_orbit_annotates_each_member_once(monkeypatch, capsys):
+    import witrees.binary
+
+    real = witrees.binary.annotate
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(witrees.binary, "annotate", counted)
+    assert main(["orbit", "--tree", GOLDEN_TREES[0]]) == 0
+    assert capsys.readouterr().out.startswith("orbit size 8\n")
+    assert len(calls) == 8
+
+
 def test_closed_stdout_exits_quietly():
     # 40,320 lines: far more than a pipe buffer holds, so the writer is
     # still writing when the reader closes its end

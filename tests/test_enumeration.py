@@ -3,7 +3,6 @@ import pytest
 from _oracles import oracle_tree_texts
 from witrees.enumeration import (
     SizeBoundError,
-    enumerate_binary,
     enumerate_trees,
     iter_multisets,
     iter_trees,
@@ -39,13 +38,6 @@ def test_no_duplicates():
     for m in iter_multisets(6):
         trees = list(iter_trees(m))
         assert len(set(trees)) == len(trees)
-
-
-def test_binary_enumeration():
-    assert len(enumerate_binary(parse_multiset("1:2,2:2"))) == 18
-    empty = enumerate_binary(Multiset(()))
-    assert len(empty) == 1 and empty[0].label == 0 and empty[0].left is None
-    assert len(enumerate_binary(set_multiset(3))) == 6
 
 
 def test_size_bound():

@@ -59,7 +59,7 @@ def test_symmetry_requires_w_eq_z():
 
 def test_series_arithmetic():
     y = TruncSeries.var("y", 4)
-    t_term = TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), 4, t_power=1)
+    t_term = TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), 4).shift(1)
     g = geometric(t_term)  # 1/(1-t)
     assert all(c == MPoly.const(SERIES_VARS, 1) for c in g.coeffs)
     assert (g * (TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), 4) - t_term)).coeffs[0] == 1

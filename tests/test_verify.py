@@ -1,7 +1,10 @@
 import pytest
 
 from witrees.binary import WBTree, annotate
+from witrees.enumeration import iter_multisets
+from witrees.multiset import count_trees
 from witrees.transforms import hat
+from witrees.trees import stats
 from witrees.verify import (
     check_action,
     check_binary,
@@ -93,6 +96,22 @@ def test_run_suites_fused_matches_single_checks():
     assert _triples(fused) == _triples(alone)
 
 
+def test_fused_pass_walks_each_tree_once(monkeypatch):
+    """The images of hat, tilde, psi and theta lie on the same multiset, so
+    the per-multiset memo walks each of the 1,444 trees with p <= 5 once."""
+    import witrees.verify
+
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return stats(t)
+
+    monkeypatch.setattr(witrees.verify, "stats", counted)
+    assert all(r.passed for r in run_suites(list(SIZED_SUITES), max_size=5))
+    assert len(calls) == sum(count_trees(m) for m in iter_multisets(5)) == 1444
+
+
 def test_fused_failure_is_isolated(monkeypatch):
     import witrees.verify
 
@@ -135,9 +154,9 @@ def test_action_catches_swaps_that_do_not_commute(monkeypatch):
     """The swap at the first active node also swaps at the second one
     whenever the third has odd right-degree: every swap stays its own
     inverse, but the first and the third no longer commute."""
-    import witrees.verify
+    import witrees.binary
 
-    real = witrees.verify.swap_branches
+    real = witrees.binary.swap_branches
 
     def tangled(b, i, ann=None):
         ann = ann or annotate(b)
@@ -147,7 +166,7 @@ def test_action_catches_swaps_that_do_not_commute(monkeypatch):
             out = real(out, act[1])
         return out
 
-    monkeypatch.setattr(witrees.verify, "swap_branches", tangled)
+    monkeypatch.setattr(witrees.binary, "swap_branches", tangled)
     assert check_action(6).line() == (
         ACTION + "swaps 1,5 do not commute on 0[1[2[3[4[5[6[_|_]|_]|_]|_]|_]|_]|_]"
     )
