@@ -39,6 +39,14 @@ def _add_multiset_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--uniform", type=int, metavar="N", help="the multiset {1^N}")
 
 
+def _bound(text: str) -> int:
+    """A size or node bound: a nonnegative integer (a negative one would
+    make a check pass vacuously)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _multiset_from(args: argparse.Namespace) -> Multiset:
     if args.multiset is not None:
         return parse_multiset(args.multiset)
@@ -342,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", action="append", choices=sorted(suite_checks()) + ["all"],
                    help="suite name (repeatable; default all)")
-    p.add_argument("--max-size", type=int, default=8, help="largest multiset size p")
-    p.add_argument("--max-nodes", type=int, default=10, help="node bound for the real-rootedness scan")
+    p.add_argument("--max-size", type=_bound, default=8, help="largest multiset size p")
+    p.add_argument("--max-nodes", type=_bound, default=10, help="node bound for the real-rootedness scan")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_preorder)
 
     p = sub.add_parser("conjecture", help="real-rootedness scan of reduced-polynomial slices")
-    p.add_argument("--max-nodes", type=int, default=10)
+    p.add_argument("--max-nodes", type=_bound, default=10)
     p.add_argument("--multiset", help="scan a single multiset instead of the two families")
     common(p)
     p.set_defaults(fn=cmd_conjecture)

@@ -108,20 +108,14 @@ def gamma_from_table(table: GammaTable, p: int) -> MPoly:
     return poly_sum(XYZ, parts)
 
 
-def slice_poly_coeffs(reduced: MPoly, i: int) -> list[int]:
-    """Coefficient list (ascending) of the univariate slice at x^i with the
-    third variable set to 1: sum over trees with floor(ee/2)=i of
-    t^floor(oe/2)."""
-    slice_i = reduced.coeff_of("x", i)
-    coeffs: dict[int, int] = {}
-    for (_ex, ey, _ez), c in slice_i.terms.items():
-        coeffs[ey] = coeffs.get(ey, 0) + c
-    if not coeffs:
-        return []
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return out
+def slice_poly_coeffs(reduced: MPoly) -> list[list[int]]:
+    """Coefficient lists (ascending) of the univariate x-slices i = 0, ...,
+    deg_x with the third variable set to 1, in one pass over the terms:
+    slice i sums t^floor(oe/2) over the trees with floor(ee/2) = i."""
+    rows: list[dict[int, int]] = [{} for _ in range(reduced.degree("x") + 1)]
+    for (ex, ey, _ez), c in reduced.terms.items():
+        rows[ex][ey] = rows[ex].get(ey, 0) + c
+    return [[row.get(j, 0) for j in range(max(row) + 1)] if row else [] for row in rows]
 
 
 def is_palindromic(coeffs: list[int]) -> bool:

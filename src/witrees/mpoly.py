@@ -152,14 +152,6 @@ class MPoly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def coeff_of(self, name: str, power: int) -> "MPoly":
-        """Coefficient of name**power, as a polynomial with that slot zeroed."""
-        i = self.vars.index(name)
-        terms = {
-            e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == power
-        }
-        return MPoly(self.vars, terms)
-
     def slices(self, name: str) -> dict[int, "MPoly"]:
         """Split by the power of one variable; values have that slot zeroed."""
         i = self.vars.index(name)

@@ -3,16 +3,19 @@
 Every check exhaustively tests one identity, bijection contract, expansion
 or closed form and returns a named pass/fail result with a minimal
 counterexample on failure.  The checks over all multisets with p <= a bound
-are per-multiset bodies `(m, trees, walk) -> failure detail | None`:
-`_run_sized` enumerates each multiset once and feeds its tree list to every
-selected body whose bound covers it and which has not failed yet, so each
-check reports its own first failure in multiset order, alone or fused.
-`walk` is that multiset's memo of `stats`, the bodies' only source of
-plane-tree statistics: each tree, and each image under hat, tilde, psi and
-theta (a tree on the same multiset), is walked once per multiset.  The
-group-action body takes each orbit from `binary.orbit`, which annotates
-and swaps every member once.  The checks over sets, {1^n} or series orders
-enumerate their own families.
+are per-multiset bodies `(facts) -> failure detail | None`, reached only
+through `run_suites`: `_run_sized` enumerates each multiset once and feeds
+its `Facts` to every selected body whose bound covers it and which has not
+failed yet, so each check reports its own first failure in multiset order,
+alone or fused.  `Facts` builds each shared fact at most once: the memo of
+`stats` (the bodies' only source of plane-tree statistics; the images under
+hat, tilde, psi and theta lie on the same multiset) and the reduced Schett
+polynomial with its gamma table.  The group-action body takes each orbit
+from `binary.orbit`, which annotates and swaps every member once.  The
+checks over sets, {1^n} or series orders enumerate their own families.
+
+The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
+checks in one pass, about five minutes of pure-Python time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb, factorial
 from typing import Callable, Iterable
 
@@ -28,6 +31,7 @@ from .binary import OrbitMember, WBTree, bstats, dynamic_sets, format_btree, orb
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import iter_multisets, iter_trees
 from .gamma import (
+    GammaTable,
     gamma_expand,
     gamma_expand_poly,
     gamma_from_table,
@@ -53,7 +57,7 @@ from .realroots import real_rooted
 from .sequences import euler_numbers
 from .series import check_algebraic_eq, format_series, lagrange_series, plane_gf, series_to_poly5, SERIES5_VARS
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
-from .trees import StatVector, WTree, format_tree, parity_counts, parse_tree, stats
+from .trees import WTree, format_tree, parity_counts, parse_tree, stats
 
 
 @dataclass
@@ -74,8 +78,23 @@ def _ok(name: str, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-# a multiset's memo of `stats`, the sized bodies' only statistics walker
-Walk = Callable[[WTree], StatVector]
+class Facts:
+    """One multiset's trees and the facts its sized bodies share, each
+    built at most once: `walk`, the memo of `stats`, and the reduced Schett
+    polynomial with its gamma table."""
+
+    def __init__(self, m: Multiset, trees: list[WTree]):
+        self.m = m
+        self.trees = trees
+        self.walk = cache(stats)
+
+    @cached_property
+    def reduced(self) -> MPoly:
+        return reduce_poly(schett_of(self.trees))
+
+    @cached_property
+    def gamma(self) -> GammaTable:
+        return gamma_expand_poly(self.reduced, self.m.size)
 
 
 @dataclass(frozen=True)
@@ -85,7 +104,7 @@ class SizedCheck:
     `setup`, if given, runs once before any multiset and can fail too."""
 
     name: str
-    body: Callable[[Multiset, list[WTree], Walk], "str | None"]
+    body: Callable[[Facts], "str | None"]
     summary: str
     setup: Callable[[], "str | None"] | None = None
 
@@ -104,11 +123,10 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
         live = [k for k, (_, bound) in enumerate(jobs) if failures[k] is None and m.size <= bound]
         if not live:
             continue
-        trees = list(iter_trees(m, size_bound=top))
-        walk = cache(stats)
+        facts = Facts(m, list(iter_trees(m, size_bound=top)))
         for k in live:
-            failures[k] = jobs[k][0].body(m, trees, walk)
-            covered[k] += len(trees)
+            failures[k] = jobs[k][0].body(facts)
+            covered[k] += len(facts.trees)
     return [
         _fail(check.name, detail) if detail is not None
         else _ok(check.name, check.summary.format(bound=bound, trees=n))
@@ -121,27 +139,24 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 @sized_check("counting: product formula vs enumeration", "all M with p <= {bound} agree ({trees} trees)")
-def _counting(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
-    want = count_trees(m)
-    distinct = len(set(trees))
-    if len(trees) != want or distinct != want:
-        return f"{m}: formula {want}, enumerated {len(trees)} ({distinct} distinct)"
-    return None
-
-
-def check_counting(max_size: int = 8) -> CheckResult:
+def _counting(f: Facts) -> str | None:
     """Product-formula count equals the enumeration, with no duplicates."""
-    return _run_sized([(_counting, max_size)])[0]
+    want = count_trees(f.m)
+    distinct = len(set(f.trees))
+    if len(f.trees) != want or distinct != want:
+        return f"{f.m}: formula {want}, enumerated {len(f.trees)} ({distinct} distinct)"
+    return None
 
 
 @sized_check("statistics: internal identities",
              "identities + leaf/el equidistribution, p <= {bound} ({trees} trees)")
-def _stat_invariants(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
-    p = m.size
+def _stat_invariants(f: Facts) -> str | None:
+    """Per-tree bookkeeping identities between the statistics."""
+    p = f.m.size
     leaf_hist: Counter = Counter()
     el_hist: Counter = Counter()
-    for t in trees:
-        sv = walk(t)
+    for t in f.trees:
+        sv = f.walk(t)
         root_deg = len(t.children)
         checks = [
             sv.ee + sv.oe + sv.odd == p + 1,
@@ -163,13 +178,8 @@ def _stat_invariants(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
         leaf_hist[sv.leaf] += 1
         el_hist[sv.el] += 1
     if leaf_hist != el_hist:
-        return f"{m}: leaf and even-level distributions differ"
+        return f"{f.m}: leaf and even-level distributions differ"
     return None
-
-
-def check_stat_invariants(max_size: int = 6) -> CheckResult:
-    """Per-tree bookkeeping identities between the statistics."""
-    return _run_sized([(_stat_invariants, max_size)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +188,14 @@ def check_stat_invariants(max_size: int = 6) -> CheckResult:
 
 @sized_check("hat bijection: degree/odd-level transport",
              "bijective with exact transport, p <= {bound} ({trees} trees)")
-def _hat(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
+def _hat(f: Facts) -> str | None:
+    """hat is a bijection with deg_q -> od_(q-1) and leaf -> even-level."""
     images = set()
-    for t in trees:
+    for t in f.trees:
         h = hat(t)
         images.add(h)
-        deg = walk(t).deg
-        hv = walk(h)
+        deg = f.walk(t).deg
+        hv = f.walk(h)
         od_h = hv.od
         if deg.get(0, 0) != hv.el:
             return f"leaf/el fails on {format_tree(t)}"
@@ -194,14 +205,9 @@ def _hat(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
         for q, c in od_h.items():
             if deg.get(q + 1, 0) != c:
                 return f"od_{q} fails on {format_tree(t)} -> {format_tree(h)}"
-    if images != set(trees):
-        return f"{m}: hat is not a bijection"
+    if images != set(f.trees):
+        return f"{f.m}: hat is not a bijection"
     return None
-
-
-def check_hat(max_size: int = 8) -> CheckResult:
-    """hat is a bijection with deg_q -> od_(q-1) and leaf -> even-level."""
-    return _run_sized([(_hat, max_size)])[0]
 
 
 _TILDE_BASE = {
@@ -220,94 +226,83 @@ def _tilde_base() -> str | None:
 
 @sized_check("tilde involution: (odd, oe, ee) -> (oe, odd, ee)",
              "involution with exact transport, p <= {bound} ({trees} trees)", _tilde_base)
-def _tilde(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
-    for t in trees:
+def _tilde(f: Facts) -> str | None:
+    """tilde is an involution swapping odd <-> oe and fixing ee."""
+    for t in f.trees:
         tt = tilde(t)
         if tilde(tt) != t:
             return f"not an involution on {format_tree(t)}"
-        a, b = walk(t), walk(tt)
+        a, b = f.walk(t), f.walk(tt)
         if (a.odd, a.oe, a.ee) != (b.oe, b.odd, b.ee):
             return f"transport fails on {format_tree(t)} -> {format_tree(tt)}"
     return None
 
 
-def check_tilde(max_size: int = 8) -> CheckResult:
-    """tilde is an involution swapping odd <-> oe and fixing ee."""
-    return _run_sized([(_tilde, max_size)])[0]
-
-
 @sized_check("symmetry: joint parity distributions",
              "three refined symmetries + leaf/el equidistribution, p <= {bound}")
-def _symmetry(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
+def _symmetry(f: Facts) -> str | None:
+    """The three refined symmetries of the parity generating polynomials."""
     main: Counter = Counter()
     even_form: Counter = Counter()
     starred: Counter = Counter()
     leaf_hist: Counter = Counter()
     el_hist: Counter = Counter()
-    for t in trees:
-        sv = walk(t)
+    for t in f.trees:
+        sv = f.walk(t)
         main[(sv.ee, sv.oe, sv.odd)] += 1
         even_form[(sv.ee + sv.oe, sv.oo + sv.el, sv.ee)] += 1
         starred[(sv.odd_star, sv.oe, sv.ee_star)] += 1
         leaf_hist[sv.leaf] += 1
         el_hist[sv.el] += 1
     if main != Counter({(ee, odd, oe): c for (ee, oe, odd), c in main.items()}):
-        return f"{m}: x^ee y^oe z^odd is not symmetric in y, z"
+        return f"{f.m}: x^ee y^oe z^odd is not symmetric in y, z"
     if even_form != Counter({(b, a, c): n for (a, b, c), n in even_form.items()}):
-        return f"{m}: even-degree vs oo+el distribution not symmetric"
+        return f"{f.m}: even-degree vs oo+el distribution not symmetric"
     if starred != Counter({(c, b, a): n for (a, b, c), n in starred.items()}):
-        return f"{m}: root-excluded odd*/ee* distribution not symmetric"
+        return f"{f.m}: root-excluded odd*/ee* distribution not symmetric"
     if leaf_hist != el_hist:
-        return f"{m}: leaf and even-level distributions differ"
+        return f"{f.m}: leaf and even-level distributions differ"
     return None
-
-
-def check_symmetry(max_size: int = 8) -> CheckResult:
-    """The three refined symmetries of the parity generating polynomials."""
-    return _run_sized([(_symmetry, max_size)])[0]
 
 
 @sized_check("psi/theta: root-excluded transports",
              "psi involution and theta bijection transports, p <= {bound}")
-def _psi_theta(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
+def _psi_theta(f: Facts) -> str | None:
+    """Contracts of the root-subtree variants of tilde and hat."""
     theta_imgs = set()
-    for t in trees:
+    for t in f.trees:
         pt = psi(t)
         if psi(pt) != t:
             return f"psi is not an involution on {format_tree(t)}"
-        a, b = walk(t), walk(pt)
+        a, b = f.walk(t), f.walk(pt)
         if (a.odd_star, a.oe_star, a.ee_star) != (b.ee_star, b.oe_star, b.odd_star):
             return f"psi transport fails on {format_tree(t)}"
         th = theta(t)
         theta_imgs.add(th)
-        c = walk(th)
+        c = f.walk(th)
         root_deg_img = len(th.children)
-        for d in range(0, m.size // 2 + 1):
+        for d in range(0, f.m.size // 2 + 1):
             ed_star = c.deg.get(2 * d, 0) - c.od.get(2 * d, 0) - (
                 1 if root_deg_img == 2 * d else 0
             )
             want = ed_star + (1 if root_deg_img == 2 * d + 1 else 0)
             if a.deg.get(2 * d + 1, 0) != want:
                 return f"theta transport fails on {format_tree(t)} at d={d}"
-    if set(trees) != theta_imgs:
-        return f"{m}: theta is not a bijection"
+    if set(f.trees) != theta_imgs:
+        return f"{f.m}: theta is not a bijection"
     return None
-
-
-def check_psi_theta(max_size: int = 6) -> CheckResult:
-    """Contracts of the root-subtree variants of tilde and hat."""
-    return _run_sized([(_psi_theta, max_size)])[0]
 
 
 @sized_check("full-degree doubling: totals per multiset",
              "odd full-degree totals double odd degree totals, p <= {bound}")
-def _full_degree(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
+def _full_degree(f: Facts) -> str | None:
+    """Total full-degree-(2d+1) nodes are twice the degree-(2d+1) nodes."""
     full_hist: Counter = Counter()
     deg_hist: Counter = Counter()
     total_oddf = 0
     total_odd = 0
-    for t in trees:
-        sv = walk(t)
+    for t in f.trees:
+        sv = f.walk(t)
         for q, c in sv.deg.items():
             deg_hist[q] += c
             full_hist[q + 1] += c
@@ -318,16 +313,11 @@ def _full_degree(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
         total_oddf += sv.oddf
         total_odd += sv.odd
     if total_oddf != 2 * total_odd:
-        return f"{m}: oddf total {total_oddf} != 2 * {total_odd}"
-    for d in range(0, m.size // 2 + 1):
+        return f"{f.m}: oddf total {total_oddf} != 2 * {total_odd}"
+    for d in range(0, f.m.size // 2 + 1):
         if full_hist.get(2 * d + 1, 0) != 2 * deg_hist.get(2 * d + 1, 0):
-            return f"{m}: full-degree {2*d+1} count mismatch"
+            return f"{f.m}: full-degree {2*d+1} count mismatch"
     return None
-
-
-def check_full_degree(max_size: int = 8) -> CheckResult:
-    """Total full-degree-(2d+1) nodes are twice the degree-(2d+1) nodes."""
-    return _run_sized([(_full_degree, max_size)])[0]
 
 
 def check_euler(max_n: int = 8) -> CheckResult:
@@ -359,12 +349,14 @@ def check_euler(max_n: int = 8) -> CheckResult:
 
 @sized_check("binary correspondence: statistic transport and bookkeeping",
              "transport + dynamic identities, p <= {bound}")
-def _binary(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
-    for t in trees:
+def _binary(f: Facts) -> str | None:
+    """rho round-trips, transports all six statistics, and the binary
+    active/dynamic bookkeeping holds."""
+    for t in f.trees:
         b = rho(t)
         if rho_inv(b) != t:
             return f"round trip fails on {format_tree(t)}"
-        sv = walk(t)
+        sv = f.walk(t)
         bv = bstats(b)
         if (sv.deg, sv.od, sv.el, sv.odd, sv.oe, sv.ee) != (
             bv.rdeg, bv.rol, bv.ell, bv.ord, bv.oler, bv.eler
@@ -378,16 +370,10 @@ def _binary(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
             and bv.dme + bv.ndoler == bv.oler
             and bv.dmo + bv.ndord == bv.ord
             and bv.ndoler == bv.ndord
-            and m.size + 1 == bv.oler + bv.ord + bv.eler
+            and f.m.size + 1 == bv.oler + bv.ord + bv.eler
         ):
             return f"dynamic bookkeeping fails on {format_btree(b)}"
     return None
-
-
-def check_binary(max_size: int = 6) -> CheckResult:
-    """rho round-trips, transports all six statistics, and the binary
-    active/dynamic bookkeeping holds."""
-    return _run_sized([(_binary, max_size)])[0]
 
 
 class _MemberInfo:
@@ -421,11 +407,13 @@ def _dynamic_transport_ok(cur_info: _MemberInfo, new_info: _MemberInfo, i: int) 
 
 @sized_check("group action: branch swaps and orbit structure",
              "swap laws, orbits and gamma cross-check, p <= {bound}")
-def _action(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
-    p = m.size
+def _action(f: Facts) -> str | None:
+    """Branch-swap involutions: commutation, preorder invariance, the
+    orbit structure, the orbit sum identity, and the gamma cross-check."""
+    p = f.m.size
     seen: set = set()
     rep_table: dict[tuple[int, int], int] = {}
-    for t0 in trees:
+    for t0 in f.trees:
         b0 = rho(t0)
         if b0 in seen:
             continue
@@ -470,7 +458,7 @@ def _action(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
                         return f"swaps {i},{j} do not commute on {format_btree(cur)}"
 
         if len(reps) != 1:
-            return f"{m}: orbit with {len(reps)} zero-eact representatives"
+            return f"{f.m}: orbit with {len(reps)} zero-eact representatives"
         rep, rv = reps[0]
         if len(members) != 2 ** rv.act:
             return f"orbit of {format_btree(rep)} has size {len(members)}"
@@ -483,15 +471,9 @@ def _action(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
             return f"orbit sum identity fails on {format_btree(rep)}"
         key = (rv.eler // 2, rv.ndord // 2)
         rep_table[key] = rep_table.get(key, 0) + 1
-    if rep_table != gamma_expand_poly(reduce_poly(schett_of(trees)), p):
-        return f"{m}: gamma table differs from orbit representatives"
+    if rep_table != f.gamma:
+        return f"{f.m}: gamma table differs from orbit representatives"
     return None
-
-
-def check_action(max_size: int = 8) -> CheckResult:
-    """Branch-swap involutions: commutation, preorder invariance, the
-    orbit structure, the orbit sum identity, and the gamma cross-check."""
-    return _run_sized([(_action, max_size)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -584,36 +566,30 @@ def _gamma_example() -> str | None:
 
 @sized_check("gamma expansion: nonnegativity and active-node counts",
              "exact nonnegative tables matching active-node counts, p <= {bound}", _gamma_example)
-def _gamma(m: Multiset, trees: list[WTree], walk: Walk) -> str | None:
-    reduced = reduce_poly(schett_of(trees))
+def _gamma(f: Facts) -> str | None:
+    """Gamma expansion: exact, nonnegative, equal to the active-node counts,
+    with palindromic unimodal slices."""
     oracle: dict[tuple[int, int], int] = {}
-    for t in trees:
-        sv = walk(t)
+    for t in f.trees:
+        sv = f.walk(t)
         if sv.eact == 0:
             i = sv.ee // 2
-            d = m.size // 2 - i
+            d = f.m.size // 2 - i
             if (d - sv.act) % 2:
                 return f"active count parity broken on {format_tree(t)}"
             j = (d - sv.act) // 2
             oracle[(i, j)] = oracle.get((i, j), 0) + 1
-    table = gamma_expand_poly(reduced, m.size)
+    table = f.gamma
     if any(v < 0 for v in table.values()):
-        return f"{m}: negative gamma coefficient"
+        return f"{f.m}: negative gamma coefficient"
     if table != oracle:
-        return f"{m}: gamma table != active-node counts"
-    if gamma_from_table(table, m.size) != reduced:
-        return f"{m}: expansion does not rebuild the polynomial"
-    for i in range(reduced.degree("x") + 1):
-        coeffs = slice_poly_coeffs(reduced, i)
+        return f"{f.m}: gamma table != active-node counts"
+    if gamma_from_table(table, f.m.size) != f.reduced:
+        return f"{f.m}: expansion does not rebuild the polynomial"
+    for i, coeffs in enumerate(slice_poly_coeffs(f.reduced)):
         if not (is_palindromic(coeffs) and is_unimodal(coeffs)):
-            return f"{m}: slice i={i} not palindromic unimodal"
+            return f"{f.m}: slice i={i} not palindromic unimodal"
     return None
-
-
-def check_gamma(max_size: int = 8) -> CheckResult:
-    """Gamma expansion: exact, nonnegative, equal to the active-node counts,
-    with palindromic unimodal slices."""
-    return _run_sized([(_gamma, max_size)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +745,11 @@ def scan_real_rootedness(m: Multiset):
     else enumerates.
     """
     if m.multiplicities == (1,) * m.n:
-        table = schett_coeffs(m.n)
-        degree = max((i for i, _ in table), default=0)
-        for i in range(degree + 1):
-            row = {j: c for (si, j), c in table.items() if si == i}
-            coeffs = [row.get(j, 0) for j in range(max(row, default=0) + 1)]
-            yield i, coeffs, real_rooted(coeffs)
+        reduced = reduce_poly(schett_poly(m.n))
     else:
         reduced = reduced_schett(m)
-        for i in range(reduced.degree("x") + 1):
-            coeffs = slice_poly_coeffs(reduced, i)
-            yield i, coeffs, real_rooted(coeffs)
+    for i, coeffs in enumerate(slice_poly_coeffs(reduced)):
+        yield i, coeffs, real_rooted(coeffs)
 
 
 def conjecture_families(max_nodes: int) -> list[Multiset]:

@@ -1,98 +1,97 @@
 """Acceptance battery: every criterion at its full size, one line each.
 
-Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines;
-the whole battery covers multisets up to size 8 exhaustively (about two
-million trees) plus the series, closed-form, elliptic-coefficient and
-real-rootedness checks, and takes a few minutes of pure-Python time.
+The battery is `witrees verify --suite all --max-size 8`: one call of
+`run_suites(None, max_size=8, max_nodes=10)`, made once for the module,
+whose sized checks share one enumeration pass over all multisets with
+p <= 8 (about two million trees).  Each criterion asserts that its own
+lines PASS.  Run with `pytest -s tests/test_acceptance.py` to see the
+lines and the pass's total time; it takes a few minutes of pure-Python
+time, so the module is marked `slow` (`pytest -m "not slow"` skips it).
 """
 
 import time
+
+import pytest
 
 from witrees.enumeration import enumerate_trees
 from witrees.gamma import gamma_expand
 from witrees.multiset import count_trees, parse_multiset
 from witrees.sequences import euler_numbers
-from witrees.verify import (
-    check_action,
-    check_closed_forms,
-    check_conjecture,
-    check_counting,
-    check_euler,
-    check_gamma,
-    check_hat,
-    check_jacobi,
-    check_schett,
-    check_series,
-    check_st_relations,
-    check_symmetry,
-    check_tilde,
-)
+from witrees.verify import run_suites, suite_checks
+
+pytestmark = pytest.mark.slow
+
+
+@pytest.fixture(scope="module")
+def battery():
+    """suite name -> its results in the one fused run at p <= 8."""
+    t0 = time.perf_counter()
+    results = run_suites(None, max_size=8, max_nodes=10)
+    print(f"\nverify --suite all --max-size 8: {len(results)} checks in {time.perf_counter() - t0:.1f}s")
+    by_suite: dict = {}
+    names = [name for name, jobs in suite_checks().items() for _ in jobs]
+    for name, result in zip(names, results, strict=True):
+        by_suite.setdefault(name, []).append(result)
+    return by_suite
 
 
 def _report(number: int, title: str, result) -> None:
-    elapsed = getattr(result, "_elapsed", None)
-    suffix = f" [{elapsed:.1f}s]" if elapsed is not None else ""
-    status = "PASS" if result.passed else "FAIL"
-    print(f"ACCEPTANCE {number:2d} {status}{suffix}  {title}: {result.detail}")
+    print(f"ACCEPTANCE {number:2d} {'PASS' if result.passed else 'FAIL'}  {title}: {result.detail}")
     assert result.passed, f"criterion {number} ({title}): {result.detail}"
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    result._elapsed = time.perf_counter() - t0
-    return result
-
-
-def test_criterion_01_counting():
+def test_criterion_01_counting(battery):
     m = parse_multiset("1:2,2:2")
     assert count_trees(m) == 18 and len(enumerate_trees(m)) == 18
-    _report(1, "counting, p <= 8", _timed(check_counting, 8))
+    _report(1, "counting, p <= 8", battery["counting"][0])
+    _report(1, "statistic identities, p <= 6", battery["stats"][0])
 
 
-def test_criterion_02_schett_polynomials():
-    _report(2, "Schett polynomials (displays, n!, dual path)", _timed(check_schett, 8, 7))
+def test_criterion_02_schett_polynomials(battery):
+    _report(2, "Schett polynomials (displays, n!, dual path)", battery["schett"][0])
 
 
-def test_criterion_03_symmetry_and_tilde():
-    _report(3, "refined symmetries, p <= 8", _timed(check_symmetry, 8))
-    _report(3, "tilde involution with transport, p <= 8", _timed(check_tilde, 8))
+def test_criterion_03_symmetry_and_tilde(battery):
+    _report(3, "refined symmetries, p <= 8", battery["symmetry"][0])
+    _report(3, "tilde involution with transport, p <= 8", battery["tilde"][0])
+    _report(3, "psi/theta root-excluded transports, p <= 6", battery["psi-theta"][0])
 
 
-def test_criterion_04_hat_bijection():
-    _report(4, "hat bijection transport, p <= 8", _timed(check_hat, 8))
+def test_criterion_04_hat_bijection(battery):
+    _report(4, "hat bijection transport, p <= 8", battery["hat"][0])
+    _report(4, "full-degree doubling, p <= 8", battery["full-degree"][0])
 
 
-def test_criterion_05_gamma_expansion():
+def test_criterion_05_gamma_expansion(battery):
     assert gamma_expand(parse_multiset("1:2,2:2")) == {(1, 0): 3, (0, 0): 1, (0, 1): 8}
-    _report(5, "gamma tables vs active-node counts, p <= 8", _timed(check_gamma, 8))
+    _report(5, "gamma tables vs active-node counts, p <= 8", battery["gamma"][0])
 
 
-def test_criterion_06_group_action():
-    _report(6, "branch-swap action and orbits, p <= 8", _timed(check_action, 8))
+def test_criterion_06_group_action(battery):
+    _report(6, "branch-swap action and orbits, p <= 8", battery["action"][0])
+    _report(6, "binary correspondence and bookkeeping, p <= 6", battery["binary"][0])
 
 
-def test_criterion_07_generating_functions():
-    _report(7, "generating function displays and residuals, t^8", _timed(check_series, 8))
+def test_criterion_07_generating_functions(battery):
+    _report(7, "generating function displays and residuals, t^8", battery["series"][0])
 
 
-def test_criterion_08_closed_forms():
-    _report(8, "closed forms vs enumeration (9 edges), ternary n <= 20",
-            _timed(check_closed_forms, max_edges=9, ternary_max=20))
+def test_criterion_08_closed_forms(battery):
+    _report(8, "closed forms vs enumeration (9 edges), ternary n <= 20", battery["closed-forms"][0])
 
 
-def test_criterion_09_jacobi_coefficients():
-    _report(9, "elliptic coefficient tables through u^9", _timed(check_jacobi, 9, 4))
+def test_criterion_09_jacobi_coefficients(battery):
+    _report(9, "elliptic coefficient tables through u^9", battery["jacobi"][0])
 
 
-def test_criterion_10_euler_numbers():
+def test_criterion_10_euler_numbers(battery):
     assert euler_numbers(8)[8] == 1385  # from the recurrence, not a table
-    _report(10, "Euler-number tree counts, n <= 8", _timed(check_euler, 8))
+    _report(10, "Euler-number tree counts, n <= 8", battery["euler"][0])
 
 
-def test_criterion_11_real_rootedness():
-    _report(11, "real-rootedness scan, nodes <= 10", _timed(check_conjecture, 10))
+def test_criterion_11_real_rootedness(battery):
+    _report(11, "real-rootedness scan, nodes <= 10", battery["conjecture"][0])
 
 
-def test_criterion_12_st_relations():
-    _report(12, "s/t table relations, m <= 4", _timed(check_st_relations, 4))
+def test_criterion_12_st_relations(battery):
+    _report(12, "s/t table relations, m <= 4", battery["schett"][1])

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _oracles import oracle_annotation, subtree_at
+from _strategies import weakly_increasing_trees
 from witrees.binary import (
     BTreeSyntaxError,
     InvalidBTreeError,
@@ -18,7 +18,7 @@ from witrees.binary import (
 )
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.transforms import rho
-from witrees.trees import WTree, parse_tree, stats, validate_tree
+from witrees.trees import parse_tree, stats
 
 
 def test_parse_format_round_trip():
@@ -153,28 +153,6 @@ def test_annotation_matches_path_keyed_oracle():
             dyn_even, dyn_odd = dynamic_sets(ann)
             assert {paths[k] for k in dyn_even} == want["dyn_even"]
             assert {paths[k] for k in dyn_odd} == want["dyn_odd"]
-
-
-@st.composite
-def weakly_increasing_trees(draw, min_p=9, max_p=30):
-    """A random plane tree on a random multiset: the sorted labels are
-    attached one at a time as the last child of a random earlier node, so
-    parents and left siblings never carry larger labels."""
-    p = draw(st.integers(min_p, max_p))
-    drawn = sorted(draw(st.lists(st.integers(1, p), min_size=p, max_size=p)))
-    rank = {v: r for r, v in enumerate(sorted(set(drawn)), start=1)}
-    labels = [0] + [rank[v] for v in drawn]
-    children: list[list[int]] = [[]]
-    for k in range(1, p + 1):
-        children[draw(st.integers(0, k - 1))].append(k)
-        children.append([])
-
-    def build(k: int) -> WTree:
-        return WTree(labels[k], tuple(build(c) for c in children[k]))
-
-    t = build(0)
-    validate_tree(t)
-    return t
 
 
 def _bookkeeping_holds(b: WBTree, p: int) -> bool:

@@ -86,6 +86,22 @@ def test_verify_suite_exit_code():
     assert "PASS" in res.stdout and "1/1 checks passed" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "counting", "--max-size", "-1"],
+        ["verify", "--suite", "conjecture", "--max-nodes", "-3"],
+        ["conjecture", "--max-nodes", "-1"],
+    ],
+    ids=["verify-max-size", "verify-max-nodes", "conjecture-max-nodes"],
+)
+def test_negative_bound_is_a_usage_error(argv):
+    """A negative bound would cover nothing and pass vacuously."""
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert "must be an integer >= 0" in res.stderr and "PASS" not in res.stdout
+
+
 def test_series_check_and_display():
     res = run_cli("series", "--order", "3")
     assert res.stdout.strip() == "y+wxt+(wyz+x^2y)t^2+(w^2xz+wx^3+wxy^2+2xy^2z)t^3"

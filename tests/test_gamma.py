@@ -13,7 +13,7 @@ from witrees.gamma import (
     reduced_schett,
     slice_poly_coeffs,
 )
-from witrees.grammar import XYZ
+from witrees.grammar import XYZ, schett_coeffs, schett_poly
 from witrees.mpoly import MPoly
 from witrees.multiset import Multiset, parse_multiset
 from witrees.trees import stats
@@ -69,10 +69,22 @@ def test_empty_multiset():
 def test_slices_palindromic_unimodal():
     for m in iter_multisets(6):
         red = reduced_schett(m)
-        for i in range(red.degree("x") + 1):
-            coeffs = slice_poly_coeffs(red, i)
+        slices = slice_poly_coeffs(red)
+        assert len(slices) == red.degree("x") + 1
+        for i, coeffs in enumerate(slices):
             assert is_palindromic(coeffs), (str(m), i, coeffs)
             assert is_unimodal(coeffs), (str(m), i, coeffs)
+
+
+def test_slices_match_the_schett_table():
+    """Slicing the reduced S_n gives the rows of the table s_{n,i,j}."""
+    for n in range(13):
+        table = schett_coeffs(n)
+        rows = [
+            [table.get((i, j), 0) for j in range(1 + max(j for si, j in table if si == i))]
+            for i in range(1 + max(i for i, _ in table))
+        ]
+        assert slice_poly_coeffs(reduce_poly(schett_poly(n))) == rows, n
 
 
 def test_palindromic_unimodal_helpers():

@@ -70,7 +70,7 @@ def test_slices_and_coeff():
     s = p.slices("x")
     assert set(s) == {0, 1, 2}
     assert s[1] == MPoly(XYZ, {(0, 1, 0): 4, (0, 0, 1): 4})
-    assert p.coeff_of("x", 2) == MPoly(XYZ, {(0, 0, 0): 9})
+    assert s[2] == MPoly(XYZ, {(0, 0, 0): 9})
     assert p.degree("x") == 2
 
 

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from _strategies import weakly_increasing_trees
 from witrees.binary import format_btree
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.transforms import hat, psi, rho, rho_inv, theta, tilde
@@ -100,3 +102,34 @@ def test_rho_inv_rejects_right_child_at_root():
     bad = WBTree(0, WBTree(1), WBTree(1))
     with pytest.raises(ValueError, match="right child"):
         rho_inv(bad)
+
+
+# the same laws on random trees past the exhaustive bound, 9 <= p <= 40
+
+LARGE = weakly_increasing_trees(9, 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LARGE)
+def test_tilde_and_psi_laws_past_exhaustive_bound(t):
+    tt, pt = tilde(t), psi(t)
+    assert tilde(tt) == t and psi(pt) == t
+    a, b, c = stats(t), stats(tt), stats(pt)
+    assert (a.odd, a.oe, a.ee) == (b.oe, b.odd, b.ee)
+    assert (a.odd_star, a.oe_star, a.ee_star) == (c.ee_star, c.oe_star, c.odd_star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LARGE)
+def test_hat_and_theta_transport_past_exhaustive_bound(t):
+    a, b = stats(t), stats(hat(t))
+    p = sum(a.deg.values()) - 1
+    assert a.deg.get(0, 0) == a.leaf == b.el
+    for q in range(1, p + 2):
+        assert a.deg.get(q, 0) == b.od.get(q - 1, 0)
+    th = theta(t)
+    c = stats(th)
+    root_deg_img = len(th.children)
+    for d in range(p // 2 + 1):
+        ed_star = c.deg.get(2 * d, 0) - c.od.get(2 * d, 0) - (1 if root_deg_img == 2 * d else 0)
+        assert a.deg.get(2 * d + 1, 0) == ed_star + (1 if root_deg_img == 2 * d + 1 else 0)

@@ -6,47 +6,35 @@ from witrees.multiset import count_trees
 from witrees.transforms import hat
 from witrees.trees import stats
 from witrees.verify import (
-    check_action,
-    check_binary,
     check_closed_forms,
     check_conjecture,
-    check_counting,
-    check_euler,
-    check_full_degree,
-    check_gamma,
-    check_hat,
     check_jacobi,
-    check_psi_theta,
     check_schett,
     check_series,
     check_st_relations,
-    check_stat_invariants,
-    check_symmetry,
-    check_tilde,
     run_suites,
     suite_checks,
 )
 
+# test id -> the suite whose check it runs alone at p <= 5
+SMALL_SUITES = {
+    "check_counting": "counting",
+    "check_stat_invariants": "stats",
+    "check_hat": "hat",
+    "check_tilde": "tilde",
+    "check_symmetry": "symmetry",
+    "check_psi_theta": "psi-theta",
+    "check_full_degree": "full-degree",
+    "check_euler": "euler",
+    "check_binary": "binary",
+    "check_action": "action",
+    "check_gamma": "gamma",
+}
 
-@pytest.mark.parametrize(
-    "fn",
-    [
-        check_counting,
-        check_stat_invariants,
-        check_hat,
-        check_tilde,
-        check_symmetry,
-        check_psi_theta,
-        check_full_degree,
-        check_euler,
-        check_binary,
-        check_action,
-        check_gamma,
-    ],
-    ids=lambda f: f.__name__,
-)
-def test_sized_checks_pass_small(fn):
-    result = fn(5)
+
+@pytest.mark.parametrize("suite", list(SMALL_SUITES.values()), ids=list(SMALL_SUITES))
+def test_sized_checks_pass_small(suite):
+    (result,) = run_suites([suite], max_size=5)
     assert result.passed, result.detail
 
 
@@ -72,18 +60,7 @@ def test_run_suites_selection_and_order():
     assert "counting" in results[0].name and "Euler" in results[1].name
 
 
-SIZED_SUITES = {
-    "counting": check_counting,
-    "stats": check_stat_invariants,
-    "hat": check_hat,
-    "tilde": check_tilde,
-    "symmetry": check_symmetry,
-    "psi-theta": check_psi_theta,
-    "full-degree": check_full_degree,
-    "binary": check_binary,
-    "action": check_action,
-    "gamma": check_gamma,
-}
+SIZED_SUITES = [name for name in SMALL_SUITES.values() if name != "euler"]
 
 
 def _triples(results):
@@ -91,8 +68,8 @@ def _triples(results):
 
 
 def test_run_suites_fused_matches_single_checks():
-    fused = run_suites(list(SIZED_SUITES), max_size=5)
-    alone = [fn(5) for fn in SIZED_SUITES.values()]
+    fused = run_suites(SIZED_SUITES, max_size=5)
+    alone = [run_suites([name], max_size=5)[0] for name in SIZED_SUITES]
     assert _triples(fused) == _triples(alone)
 
 
@@ -108,8 +85,31 @@ def test_fused_pass_walks_each_tree_once(monkeypatch):
         return stats(t)
 
     monkeypatch.setattr(witrees.verify, "stats", counted)
-    assert all(r.passed for r in run_suites(list(SIZED_SUITES), max_size=5))
+    assert all(r.passed for r in run_suites(SIZED_SUITES, max_size=5))
     assert len(calls) == sum(count_trees(m) for m in iter_multisets(5)) == 1444
+
+
+def test_fused_action_and_gamma_share_the_gamma_table(monkeypatch):
+    """Each of the 32 multisets with p <= 5 gets one reduced polynomial and
+    one gamma table, which the action and gamma bodies both read."""
+    import witrees.verify
+
+    calls = {"schett_of": 0, "gamma_expand_poly": 0}
+
+    def counted(name):
+        real = getattr(witrees.verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(witrees.verify, name, counted(name))
+    assert all(r.passed for r in run_suites(["action", "gamma"], max_size=5))
+    assert calls == {"schett_of": 32, "gamma_expand_poly": 32}
+    assert sum(1 for _ in iter_multisets(5)) == 32
 
 
 def test_fused_failure_is_isolated(monkeypatch):
@@ -120,7 +120,7 @@ def test_fused_failure_is_isolated(monkeypatch):
         return t if len(t.children) == 2 else h
 
     monkeypatch.setattr(witrees.verify, "hat", wrong_hat)
-    alone = check_hat(4)
+    (alone,) = run_suites(["hat"], max_size=4)
     counting, hat_result, tilde_result = run_suites(["counting", "hat", "tilde"], max_size=4)
     assert not alone.passed
     assert hat_result.line() == alone.line()
@@ -147,7 +147,7 @@ def test_action_catches_swap_that_is_not_an_involution(monkeypatch):
     import witrees.binary
 
     monkeypatch.setattr(witrees.binary, "_swap_three", lambda u: WBTree(u.label, u.right, u.left))
-    assert check_action(5).line() == ACTION + "swap 1 not an involution on 0[1[2[3[_|_]|_]|_]|_]"
+    assert run_suites(["action"], max_size=5)[0].line() == ACTION + "swap 1 not an involution on 0[1[2[3[_|_]|_]|_]|_]"
 
 
 def test_action_catches_swaps_that_do_not_commute(monkeypatch):
@@ -167,6 +167,6 @@ def test_action_catches_swaps_that_do_not_commute(monkeypatch):
         return out
 
     monkeypatch.setattr(witrees.binary, "swap_branches", tangled)
-    assert check_action(6).line() == (
+    assert run_suites(["action"], max_size=6)[0].line() == (
         ACTION + "swaps 1,5 do not commute on 0[1[2[3[4[5[6[_|_]|_]|_]|_]|_]|_]|_]"
     )
