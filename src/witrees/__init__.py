@@ -28,7 +28,7 @@ from .jacobi import jacobi_taylor
 from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .realroots import RootReport, real_rooted
-from .sequences import catalan, euler_numbers
+from .sequences import euler_numbers
 from .series import TruncSeries, check_algebraic_eq, lagrange_coeff, plane_gf
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
 from .trees import StatVector, WTree, format_tree, parse_tree, stats
@@ -50,7 +50,6 @@ __all__ = [
     "WBTree",
     "WTree",
     "bstats",
-    "catalan",
     "check_algebraic_eq",
     "count_trees",
     "enumerate_trees",

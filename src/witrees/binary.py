@@ -138,7 +138,6 @@ class BAnnotation(NamedTuple):
     left: list[int]  # position of the left child
     right: list[int]  # position of the right child
     left_level: list[int]
-    trailing_rights: list[int]  # right steps since the last left edge
     ancestor: list[int]
     rdeg: list[int]
     active: list[bool]
@@ -168,7 +167,6 @@ def annotate(b: WBTree) -> BAnnotation:
     left: list[int] = []
     right: list[int] = []
     ll: list[int] = []
-    tr: list[int] = []
     ancestor: list[int] = []
     rdeg: list[int] = []
     active: list[bool] = []
@@ -187,7 +185,6 @@ def annotate(b: WBTree) -> BAnnotation:
         left.append(-1)
         right.append(-1)
         ll.append(lev)
-        tr.append(rights)
         ancestor.append(anc)
         x, y = node.left, node.right
         d = _right_degree(node)
@@ -205,7 +202,7 @@ def annotate(b: WBTree) -> BAnnotation:
                 right_first = not d & 1 if ok else par >= 0 and active[par] and is_right
                 if right_first:
                     stack[-1], stack[-2] = stack[-2], stack[-1]
-    return BAnnotation(nodes, parent, left, right, ll, tr, ancestor, rdeg, active)
+    return BAnnotation(nodes, parent, left, right, ll, ancestor, rdeg, active)
 
 
 def modified_preorder(b: WBTree, ann: BAnnotation | None = None) -> list[Path]:

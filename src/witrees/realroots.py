@@ -1,10 +1,13 @@
 """Exact all-real-roots decisions for integer polynomials via Sturm chains.
 
 Everything runs over the rationals, so a verdict is a proof at this scale,
-not a numeric heuristic.  A polynomial has only real roots exactly when its
-squarefree part g = f / gcd(f, f') has deg(g) distinct real roots, and the
-distinct-root count over (-inf, inf) is the difference of sign variations
-of the Sturm chain at the two ends, read off the leading coefficients.
+not a numeric heuristic.  One signed remainder sequence p, p', -rem(p, p'),
+... decides it (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry,
+ch. 2): the difference of its sign variations at -inf and +inf, read off
+the leading coefficients, counts the distinct real roots of p, squarefree
+or not, and its last member is gcd(p, p') up to a constant, so the
+squarefree part of p has degree deg p - deg of that member.  p has only
+real roots exactly when the two numbers agree.
 """
 
 from __future__ import annotations
@@ -29,72 +32,35 @@ def _derivative(p: Poly) -> Poly:
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean quotient and remainder of a by b (b nonzero)."""
+def _rem(a: Poly, b: Poly) -> Poly:
+    """Remainder of a by b (b nonzero), rescaled to leading coefficient
+    magnitude 1.  Only positive scaling, so Sturm sign sequences are
+    unaffected."""
     r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     lb = b[-1]
     while _trim(r) and len(r) >= len(b):
         factor = r[-1] / lb
         shift = len(r) - len(b)
-        q[shift] = factor
         for i, c in enumerate(b[:-1]):
             r[i + shift] -= factor * c
         r.pop()  # the leading term cancels exactly
-    return _trim(q), r
-
-
-def _rem(a: Poly, b: Poly) -> Poly:
-    """Remainder of a by b, rescaled to leading coefficient magnitude 1.
-    Only positive scaling, so Sturm sign sequences are unaffected."""
-    r = _divmod(a, b)[1]
     if r:
         scale = abs(r[-1])
         r = [c / scale for c in r]
     return r
 
 
-def _divide_exact(a: Poly, b: Poly) -> Poly:
-    q, r = _divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, _rem(a, b)
-    if a:
-        a = [c / a[-1] for c in a]  # monic
-    return a
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
+    """The signed remainder sequence of p up to its last nonzero member,
+    which is gcd(p, p') up to a constant."""
     chain = [list(p), _derivative(p)]
     while chain[-1]:
-        nxt = [-c for c in _rem(chain[-2], chain[-1])]
-        if not nxt:
-            break
-        chain.append(nxt)
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
     return [c for c in chain if c]
 
 
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def distinct_real_roots(coeffs: list[int] | list[Fraction]) -> int:
-    """Number of distinct real roots over (-inf, inf), exactly."""
-    p = _to_poly(list(coeffs))
-    if len(p) <= 1:
-        return 0
-    chain = sturm_chain(p)
-    at_pos = [(1 if c[-1] > 0 else -1) for c in chain]
-    at_neg = [
-        (1 if c[-1] > 0 else -1) * (-1 if (len(c) - 1) % 2 else 1) for c in chain
-    ]
-    return _variations(at_neg) - _variations(at_pos)
+def _sign_changes(positive: list[bool]) -> int:
+    return sum(a != b for a, b in zip(positive, positive[1:]))
 
 
 @dataclass(frozen=True)
@@ -125,8 +91,9 @@ def real_rooted(coeffs: list[int]) -> RootReport:
 
     The zero polynomial is reported as vacuously real-rooted with the
     `vacuous` flag set.  Powers of t are stripped first (roots at zero are
-    real); the verdict compares the Sturm count of the squarefree part with
-    its degree, which also certifies the roots of every multiplicity level.
+    real); the verdict compares the Sturm count of distinct real roots with
+    the degree of the squarefree part, which also certifies the roots of
+    every multiplicity level.
     """
     coeffs = list(coeffs)
     if not any(coeffs):
@@ -139,9 +106,11 @@ def real_rooted(coeffs: list[int]) -> RootReport:
     degree = len(p) - 1
     if degree == 0:
         return RootReport(tuple(coeffs), 0, stripped, 0, 0, True, False)
-    g = _divide_exact(p, _gcd(p, _derivative(p)))
-    sq_deg = len(g) - 1
-    count = distinct_real_roots(g)
+    chain = sturm_chain(p)
+    sq_deg = degree - (len(chain[-1]) - 1)
+    at_pos = [c[-1] > 0 for c in chain]
+    at_neg = [(c[-1] > 0) != (len(c) % 2 == 0) for c in chain]  # odd degree flips the sign
+    count = _sign_changes(at_neg) - _sign_changes(at_pos)
     return RootReport(
         tuple(int(c) for c in coeffs),
         degree,

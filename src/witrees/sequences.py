@@ -24,7 +24,3 @@ def euler_numbers(n: int) -> list[int]:
             raise InternalError("Euler-number convolution must be even")
         es.append(q)
     return es[: n + 1]
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)

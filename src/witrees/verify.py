@@ -20,7 +20,8 @@ first shard and a forked child each other one; per check, the failure
 earliest in multiset order wins and otherwise the coverage adds up, so the
 results are those of the serial run, which is the same code on one shard
 (one CPU, as under `taskset -c 0`, or no `os.fork`).  A shard that raises
-or dies is an InternalError, never a pass.  Set-up callbacks and the other
+or dies is an InternalError, never a pass, and a forked shard whose parent
+has died stops before its next multiset.  Set-up callbacks and the other
 checks run once, here.
 
 The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
@@ -148,7 +149,7 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
 Outcome = tuple[int | None, str | int]  # (first failing multiset, detail) or (None, trees covered)
 
 
-def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], shard: list[int],
+def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], shard: Iterable[int],
                top: int) -> list[Outcome]:
     """Feed the multisets at the indices of `shard`, in order, to the jobs;
     each job stops at its first failure."""
@@ -194,19 +195,20 @@ def _shards(weights: list[int], n: int) -> list[list[int]]:
     return [sorted(shard) for shard in shards]
 
 
-def _fork_map(fn: Callable[[list[int]], list], shards: list[list[int]]) -> list[list]:
+def _fork_map(fn: Callable[[Iterable[int]], list], shards: list[list[int]]) -> list[list]:
     """[fn(shard) for shard in shards]: shard 0 runs here, every other one in
     a forked child that sends its result back through a pipe.  A child that
     raises, dies or sends no readable result raises InternalError here, and
     on every way out each child started is killed if still running and
     reaped."""
     pending = {}  # pid -> read end of its pipe
+    parent = os.getpid()
     try:
         for shard in shards[1:]:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _shard_child(fn, shard, w)
+                _shard_child(fn, shard, w, parent)
             os.close(w)
             pending[pid] = open(r, "rb")
         results = [fn(shards[0])]
@@ -226,15 +228,17 @@ def _fork_map(fn: Callable[[list[int]], list], shards: list[list[int]]) -> list[
             os.waitpid(pid, 0)
 
 
-def _shard_child(fn: Callable[[list[int]], list], shard: list[int], w: int) -> NoReturn:
+def _shard_child(fn: Callable[[Iterable[int]], list], shard: list[int], w: int, parent: int) -> NoReturn:
     """Run one shard in a forked child and write (True, result) or (False,
-    "Type: message") to fd w.  It leaves by `os._exit` whatever happens, so
-    the caller's finally blocks, atexit handlers and stdout buffer stay the
-    parent's alone."""
+    "Type: message") to fd w.  Before each multiset it leaves if `parent`
+    is no longer its parent process, so a killed verify leaves no shard
+    running.  It leaves by `os._exit` whatever happens, so the caller's
+    finally blocks, atexit handlers and stdout buffer stay the parent's
+    alone."""
     code = 1
     try:
         try:
-            reply = (True, fn(shard))
+            reply = (True, fn(_while_parent_lives(shard, parent)))
         except Exception as exc:
             reply = (False, f"{type(exc).__name__}: {exc}")
         with open(w, "wb") as pipe:
@@ -242,6 +246,13 @@ def _shard_child(fn: Callable[[list[int]], list], shard: list[int], w: int) -> N
         code = 0
     finally:
         os._exit(code)
+
+
+def _while_parent_lives(shard: list[int], parent: int) -> Iterable[int]:
+    for i in shard:
+        if os.getppid() != parent:
+            os._exit(1)
+        yield i
 
 
 def _shard_reply(data: bytes, status: int) -> list:

@@ -162,7 +162,6 @@ def oracle_annotation(b: WBTree) -> dict:
     return {
         "order": order,
         "left_level": {path: path.count(0) for path in nodes},
-        "trailing_rights": {path: trailing_rights(path) for path in nodes},
         "ancestor": {path: ancestor(path) for path in nodes},
         "rdeg": rdeg,
         "active": active,

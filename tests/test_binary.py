@@ -142,7 +142,6 @@ def test_annotation_matches_path_keyed_oracle():
             assert paths == want["order"], format_btree(b)
             assert [subtree_at(b, q) for q in paths] == ann.nodes
             assert ann.left_level == [want["left_level"][q] for q in paths]
-            assert ann.trailing_rights == [want["trailing_rights"][q] for q in paths]
             assert ann.rdeg == [want["rdeg"][q] for q in paths]
             assert ann.active == [want["active"][q] for q in paths]
             assert [paths[a] if a >= 0 else None for a in ann.ancestor] == [want["ancestor"][q] for q in paths]

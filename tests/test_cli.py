@@ -261,3 +261,11 @@ def test_binary_commands_golden_output(command, fmt, k):
     assert res.returncode == 0
     suffix = "json" if fmt == "json" else "txt"
     assert res.stdout == (GOLDEN / f"{command}_{k}.{suffix}").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_conjecture_golden_output(fmt):
+    res = run_cli("conjecture", "--max-nodes", "10", "--format", fmt)
+    assert res.returncode == 0
+    suffix = "json" if fmt == "json" else "txt"
+    assert res.stdout == (GOLDEN / f"conjecture_10.{suffix}").read_text()

@@ -1,6 +1,6 @@
 import random
 
-from witrees.realroots import distinct_real_roots, real_rooted
+from witrees.realroots import real_rooted
 
 
 def _mul_linear(poly, a):
@@ -32,12 +32,52 @@ def test_stripped_power_reported():
 
 
 def test_distinct_root_counts():
-    assert distinct_real_roots([0, 1]) == 1
-    assert distinct_real_roots([-1, 0, 1]) == 2
-    assert distinct_real_roots([1, 2, 1]) == 1  # double root counted once
-    assert distinct_real_roots([1, 0, 1]) == 0
-    assert distinct_real_roots([0, -1, 0, 1]) == 3  # t(t-1)(t+1)
-    assert distinct_real_roots([6]) == 0
+    """Distinct real roots of the polynomial divided by its power of t."""
+    cases = [
+        ([0, 1], 1, 0),  # t
+        ([-1, 0, 1], 0, 2),
+        ([1, 2, 1], 0, 1),  # double root counted once
+        ([1, 0, 1], 0, 0),
+        ([0, -1, 0, 1], 1, 2),  # t(t-1)(t+1)
+        ([6], 0, 0),
+    ]
+    for coeffs, stripped, distinct in cases:
+        rep = real_rooted(coeffs)
+        assert (rep.stripped_power, rep.distinct_roots) == (stripped, distinct), coeffs
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_roots_known_by_construction():
+    """c * t^j * prod (t - a)^k over distinct nonzero a, times an
+    irreducible quadratic (t + b)^2 + e to the power 0, 1 or 2: every field
+    of the report is read off the construction."""
+    rng = random.Random(7)
+    for _ in range(400):
+        roots = rng.sample([a for a in range(-6, 7) if a], rng.randint(0, 4))
+        mults = [rng.randint(1, 3) for _ in roots]
+        power = rng.randint(0, 3)
+        quad = rng.choice([0, 0, 1, 2])
+        poly = [0] * power + [rng.choice([-3, -1, 1, 2])]
+        for a, k in zip(roots, mults):
+            for _ in range(k):
+                poly = _mul(poly, [-a, 1])
+        b, e = rng.randint(-3, 3), rng.randint(1, 4)
+        for _ in range(quad):
+            poly = _mul(poly, [b * b + e, 2 * b, 1])
+        rep = real_rooted(poly)
+        assert rep.stripped_power == power, poly
+        assert rep.degree == sum(mults) + 2 * quad, poly
+        assert rep.distinct_roots == len(roots), poly
+        assert rep.squarefree_degree == len(roots) + (2 if quad else 0), poly
+        assert rep.all_real == (quad == 0), poly
+        assert not rep.vacuous
 
 
 def test_factorization_oracle():

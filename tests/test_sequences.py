@@ -1,6 +1,6 @@
 import pytest
 
-from witrees.sequences import catalan, euler_numbers
+from witrees.sequences import euler_numbers
 
 
 def test_euler_numbers_match_classical_values():
@@ -11,7 +11,3 @@ def test_euler_numbers_prefix_stability():
     assert euler_numbers(3) == euler_numbers(8)[:4]
     with pytest.raises(ValueError):
         euler_numbers(-1)
-
-
-def test_catalan():
-    assert [catalan(n) for n in range(9)] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]

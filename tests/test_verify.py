@@ -2,6 +2,8 @@ import dataclasses
 import marshal
 import os
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -250,6 +252,40 @@ def test_interrupt_kills_and_reaps_the_shards(monkeypatch):
         run_suites(["counting"], max_size=5)
     assert time.monotonic() - t0 < 30
     _no_child_left()
+
+
+# verify on two shards, whatever the CPUs of this machine; at p <= 8 each
+# shard has about a minute of work, and each multiset it starts in its
+# first seconds takes well under one
+TWO_SHARD_VERIFY = (
+    "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from witrees.cli import main; "
+    "sys.exit(main(['verify', '--max-size', '8']))"
+)
+
+
+def test_shards_stop_when_verify_is_killed():
+    """SIGKILL to the verify process alone, as a watchdog sends it, leaves
+    no shard running: each leaves before its next multiset."""
+    proc = subprocess.Popen([sys.executable, "-c", TWO_SHARD_VERIFY], stdout=subprocess.DEVNULL,
+                            start_new_session=True)
+    pgid = proc.pid
+    try:
+        time.sleep(1)
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                return
+            time.sleep(0.1)
+        pytest.fail("a verify shard outlived its parent by 10 s")
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def test_fused_failure_is_isolated(monkeypatch):
