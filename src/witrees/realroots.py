@@ -1,31 +1,29 @@
 """Exact all-real-roots decisions for integer polynomials via Sturm chains.
 
-Everything runs over the rationals, so a verdict is a proof at this scale,
+Everything runs over the integers, so a verdict is a proof at this scale,
 not a numeric heuristic.  One signed remainder sequence p, p', -rem(p, p'),
 ... decides it (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry,
 ch. 2): the difference of its sign variations at -inf and +inf, read off
 the leading coefficients, counts the distinct real roots of p, squarefree
 or not, and its last member is gcd(p, p') up to a constant, so the
 squarefree part of p has degree deg p - deg of that member.  p has only
-real roots exactly when the two numbers agree.
+real roots exactly when the two numbers agree.  It stays fraction-free
+(ch. 8): each remainder is of a positive multiple of the dividend, made
+primitive, so every sign is that of the sequence over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
-Poly = list[Fraction]  # ascending coefficients, no trailing zeros
+Poly = list[int]  # ascending coefficients, no trailing zeros
 
 
-def _trim(p: list[Fraction]) -> Poly:
+def _trim(p: list[int]) -> Poly:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _to_poly(coeffs: list[int] | list[Fraction]) -> Poly:
-    return _trim([Fraction(c) for c in coeffs])
 
 
 def _derivative(p: Poly) -> Poly:
@@ -33,26 +31,29 @@ def _derivative(p: Poly) -> Poly:
 
 
 def _rem(a: Poly, b: Poly) -> Poly:
-    """Remainder of a by b (b nonzero), rescaled to leading coefficient
-    magnitude 1.  Only positive scaling, so Sturm sign sequences are
+    """The primitive part of the remainder of c*a by b (b nonzero), for a
+    positive integer c.  Only positive scaling, so Sturm sign sequences are
     unaffected."""
     r = list(a)
     lb = b[-1]
     while _trim(r) and len(r) >= len(b):
-        factor = r[-1] / lb
+        g = gcd(r[-1], lb)
+        scale, factor = abs(lb) // g, r[-1] // g * (1 if lb > 0 else -1)
         shift = len(r) - len(b)
+        r = [c * scale for c in r]
         for i, c in enumerate(b[:-1]):
             r[i + shift] -= factor * c
-        r.pop()  # the leading term cancels exactly
+        r.pop()  # the leading term cancels exactly: scale*r[-1] == factor*lb
     if r:
-        scale = abs(r[-1])
-        r = [c / scale for c in r]
+        content = gcd(*r)
+        r = [c // content for c in r]
     return r
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """The signed remainder sequence of p up to its last nonzero member,
-    which is gcd(p, p') up to a constant."""
+    """The signed remainder sequence of p, each member a positive integer
+    multiple of its counterpart over the rationals, up to its last nonzero
+    member, which is gcd(p, p') up to a constant."""
     chain = [list(p), _derivative(p)]
     while chain[-1]:
         chain.append([-c for c in _rem(chain[-2], chain[-1])])
@@ -102,7 +103,7 @@ def real_rooted(coeffs: list[int]) -> RootReport:
     while coeffs[0] == 0:
         coeffs.pop(0)
         stripped += 1
-    p = _to_poly(coeffs)
+    p = _trim(list(coeffs))
     degree = len(p) - 1
     if degree == 0:
         return RootReport(tuple(coeffs), 0, stripped, 0, 0, True, False)

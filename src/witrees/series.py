@@ -38,10 +38,6 @@ class TruncSeries:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls([], order)
-
-    @classmethod
     def from_poly(cls, poly: MPoly, order: int) -> "TruncSeries":
         return cls([poly], order)
 
@@ -129,20 +125,6 @@ class TruncSeries:
         return format_series(self)
 
 
-def geometric(u: TruncSeries) -> TruncSeries:
-    """1 / (1 - u) for a series with zero constant term."""
-    if u.coeffs[0].terms:
-        raise ValueError("geometric inverse needs zero constant term")
-    total = TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), u.order)
-    power = total
-    for _ in range(u.order):
-        power = power * u
-        if power.is_zero():
-            break
-        total = total + power
-    return total
-
-
 def format_series(s: TruncSeries) -> str:
     """Display like `y+wxt+(wyz+x^2y)t^2+...`; multi-term coefficients are
     parenthesised, zero coefficients skipped."""
@@ -165,36 +147,50 @@ def format_series(s: TruncSeries) -> str:
 _SWAP_STAR = {"x": "y", "y": "x", "z": "w", "w": "z"}
 
 
+def _square_coeff(a: list[MPoly], m: int) -> MPoly:
+    """[t^m] of the square of the series with coefficients a[0..m]."""
+    cross = poly_sum(SERIES_VARS, (a[i] * a[m - i] for i in range((m + 1) // 2)))
+    return cross + cross + (a[m // 2] * a[m // 2] if m % 2 == 0 else 0)
+
+
 def plane_gf(order: int) -> TruncSeries:
     """The plane-tree generating function N mod t^(order+1).
 
-    Fixpoint iteration of the functional-equation pair; iteration k pins the
-    coefficient of t^k, so order+1 rounds converge and one extra round is
-    run to check stability.
+    Clearing denominators gives N = y + w t N* + t^2 N N*^2 and its partner
+    N* = x + z t N + t^2 N* N^2, so N_k = w N*_(k-1) + sum_(i <= k-2)
+    N_i (N*^2)_(k-2-i), the squares built one coefficient per step.  Exact
+    checks follow: both equations hold to t^order, each from one product
+    with a fresh N N*, and N* is the variable-swapped N.
     """
-    y = TruncSeries.var("y", order)
-    x = TruncSeries.var("x", order)
-    w = MPoly.var(SERIES_VARS, "w")
-    z = MPoly.var(SERIES_VARS, "z")
-    n_cur, n_star = TruncSeries.zero(order), TruncSeries.zero(order)
-    for _ in range(order + 2):
-        n_next = (y + (n_star * w).shift(1)) * geometric(n_star.shift(1) ** 2)
-        s_next = (x + (n_cur * z).shift(1)) * geometric(n_cur.shift(1) ** 2)
-        if n_next == n_cur and s_next == n_star:
-            break
-        n_cur, n_star = n_next, s_next
-    if n_cur != (y + (n_star * w).shift(1)) * geometric(n_star.shift(1) ** 2):
-        raise InternalError("fixpoint did not stabilise within order+2 rounds")
-    if n_star != n_cur.rename_vars(_SWAP_STAR):
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    w, x, y, z = (MPoly.var(SERIES_VARS, v) for v in "wxyz")
+    n, s, n2, s2 = [y], [x], [], []  # coefficients of N, N*, N^2 and N*^2
+    for k in range(1, order + 1):
+        if k >= 2:
+            n2.append(_square_coeff(n, k - 2))
+            s2.append(_square_coeff(s, k - 2))
+        n.append(poly_sum(SERIES_VARS, [w * s[k - 1], *(n[i] * s2[k - 2 - i] for i in range(k - 1))]))
+        s.append(poly_sum(SERIES_VARS, [z * n[k - 1], *(s[i] * n2[k - 2 - i] for i in range(k - 1))]))
+    big_n, big_s = TruncSeries(n, order), TruncSeries(s, order)
+    low = max(order - 2, 0)  # the t^2 terms need products only to t^(order-2)
+    n_low, s_low = TruncSeries(n, low), TruncSeries(s, low)
+    both = n_low * s_low
+    for lhs, partner, root, edge, tail in ((big_n, big_s, y, w, both * s_low), (big_s, big_n, x, z, both * n_low)):
+        rhs = TruncSeries([root], order) + (partner * edge).shift(1) + TruncSeries(tail.coeffs, order).shift(2)
+        if lhs != rhs:
+            raise InternalError("the coefficient recursion does not solve its functional equation")
+    if big_s != big_n.rename_vars(_SWAP_STAR):
         raise InternalError("partner series must be the variable-swapped series")
-    return n_cur
+    return big_n
 
 
 def quintic_residual(n: TruncSeries) -> TruncSeries:
     """Residual of the quintic algebraic relation satisfied by N."""
     order = n.order
     w, x, y, z = (MPoly.var(SERIES_VARS, s) for s in "wxyz")
-    n2, n3 = n * n, n * n * n
+    n2 = n * n
+    n3 = n2 * n
     n4, n5 = n2 * n2, n2 * n3
     return (
         n5.shift(4)
@@ -214,7 +210,8 @@ def quintic_residual_w_eq_z(nz: TruncSeries) -> TruncSeries:
     """Residual of the specialised quintic for N with w set to z."""
     order = nz.order
     x, y, z = (MPoly.var(SERIES_VARS, s) for s in "xyz")
-    n2, n3 = nz * nz, nz * nz * nz
+    n2 = nz * nz
+    n3 = n2 * nz
     n4, n5 = n2 * n2, n2 * n3
     return (
         n5.shift(4)

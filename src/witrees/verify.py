@@ -740,10 +740,12 @@ def check_series(order: int = 8, enum_max: int = 8) -> CheckResult:
     """The plane-tree generating function: display, residuals, symmetry,
     enumeration cross-check, and the kernel coefficient extraction."""
     name = "generating function: functional and algebraic equations"
-    disp = format_series(plane_gf(3))
+    try:  # a series that fails its own equations fails this check
+        disp, n = format_series(plane_gf(3)), plane_gf(order)
+    except InternalError as exc:
+        return _fail(name, f"plane_gf: {exc}")
     if disp != N_DISPLAY_3:
         return _fail(name, f"display through t^3 is {disp!r}")
-    n = plane_gf(order)
     for k in range(min(order, enum_max) + 1):
         hist: dict[tuple[int, int, int, int], int] = {}
         for t in iter_trees(uniform_multiset(k)):

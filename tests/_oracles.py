@@ -4,13 +4,19 @@ These deliberately use a different strategy from the library: all plane
 tree shapes are generated first, then every distinct arrangement of the
 label multiset is tried and filtered by the validity rules.  The binary
 annotation oracle keys every node by its path from the root and follows the
-definitions in `witrees.binary`'s docstring one by one.  Slow but obviously
-correct; sized for small inputs.
+definitions in `witrees.binary`'s docstring one by one.  The plane-tree
+series oracle iterates the functional equations to a fixpoint, and the
+real-rootedness oracle runs its Sturm chain over the rationals.  Slow but
+obviously correct; sized for small inputs.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 from witrees.binary import WBTree
+from witrees.mpoly import MPoly
+from witrees.realroots import RootReport
+from witrees.series import SERIES_VARS, TruncSeries
 from witrees.trees import WTree, format_tree
 
 
@@ -168,3 +174,81 @@ def oracle_annotation(b: WBTree) -> dict:
         "dyn_even": dyn_even,
         "dyn_odd": dyn_odd,
     }
+
+
+def _geometric(u: TruncSeries) -> TruncSeries:
+    """1 / (1 - u) for a series with zero constant term."""
+    if u.coeffs[0].terms:
+        raise ValueError("geometric inverse needs zero constant term")
+    total = TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), u.order)
+    power = total
+    for _ in range(u.order):
+        power = power * u
+        if power.is_zero():
+            break
+        total = total + power
+    return total
+
+
+def oracle_plane_gf(order: int) -> TruncSeries:
+    """N mod t^(order+1) by fixpoint iteration of N = (y + w t N*) /
+    (1 - (t N*)^2) and N* = (x + z t N) / (1 - (t N)^2): round k pins the
+    coefficient of t^k, so order+1 rounds reach it."""
+    y = TruncSeries.var("y", order)
+    x = TruncSeries.var("x", order)
+    w = MPoly.var(SERIES_VARS, "w")
+    z = MPoly.var(SERIES_VARS, "z")
+    n_cur, n_star = TruncSeries([], order), TruncSeries([], order)
+    for _ in range(order + 1):
+        n_cur, n_star = (
+            (y + (n_star * w).shift(1)) * _geometric(n_star.shift(1) ** 2),
+            (x + (n_cur * z).shift(1)) * _geometric(n_cur.shift(1) ** 2),
+        )
+    return n_cur
+
+
+def _sturm_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b over the rationals, scaled to leading
+    coefficient magnitude 1."""
+    r = list(a)
+    while r and r[-1] == 0:
+        r.pop()
+    while r and len(r) >= len(b):
+        factor = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[i + shift] -= factor * c
+        while r and r[-1] == 0:
+            r.pop()
+    return [c / abs(r[-1]) for c in r] if r else r
+
+
+def oracle_real_rooted(coeffs: list[int]) -> RootReport:
+    """The RootReport of `witrees.realroots.real_rooted`, from a Sturm
+    chain over the rationals."""
+    coeffs = list(coeffs)
+    if not any(coeffs):
+        return RootReport((), 0, 0, 0, 0, True, True)
+    stripped = 0
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+        stripped += 1
+    p = [Fraction(c) for c in coeffs]
+    while p[-1] == 0:
+        p.pop()
+    degree = len(p) - 1
+    if degree == 0:
+        return RootReport(tuple(coeffs), 0, stripped, 0, 0, True, False)
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        r = _sturm_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    count = changes([(c[-1] > 0) != (len(c) % 2 == 0) for c in chain]) - changes([c[-1] > 0 for c in chain])
+    sq_deg = degree - (len(chain[-1]) - 1)
+    return RootReport(tuple(coeffs), degree, stripped, sq_deg, count, count == sq_deg, False)

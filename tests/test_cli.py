@@ -269,3 +269,24 @@ def test_conjecture_golden_output(fmt):
     assert res.returncode == 0
     suffix = "json" if fmt == "json" else "txt"
     assert res.stdout == (GOLDEN / f"conjecture_10.{suffix}").read_text()
+
+
+@pytest.mark.parametrize("argv", [["series", "--order", "-1"], ["series", "--check", "alg", "--order", "-1"]],
+                         ids=["display", "check-alg"])
+def test_negative_series_order_is_a_usage_error(argv):
+    _assert_usage_error(run_cli(*argv))
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["series", "--order", "12"], "series_12.txt"),
+        (["series", "--order", "12", "--format", "json"], "series_12.json"),
+        (["series", "--check", "alg", "--order", "14"], "series_alg_14.json"),
+    ],
+    ids=["text", "json", "check-alg"],
+)
+def test_series_golden_output(argv, golden):
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    assert res.stdout == (GOLDEN / golden).read_text()

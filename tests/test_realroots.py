@@ -1,5 +1,8 @@
 import random
 
+from _oracles import oracle_real_rooted
+from witrees.gamma import reduce_poly, slice_poly_coeffs
+from witrees.grammar import schett_poly
 from witrees.realroots import real_rooted
 
 
@@ -54,23 +57,30 @@ def _mul(a, b):
     return out
 
 
+def _random_product(rng):
+    """c * t^j * prod (t - a)^k * ((t + b)^2 + e)^quad, with its roots,
+    multiplicities k, j and quad."""
+    roots = rng.sample([a for a in range(-6, 7) if a], rng.randint(0, 4))
+    mults = [rng.randint(1, 3) for _ in roots]
+    power = rng.randint(0, 3)
+    quad = rng.choice([0, 0, 1, 2])
+    poly = [0] * power + [rng.choice([-3, -1, 1, 2])]
+    for a, k in zip(roots, mults):
+        for _ in range(k):
+            poly = _mul(poly, [-a, 1])
+    b, e = rng.randint(-3, 3), rng.randint(1, 4)
+    for _ in range(quad):
+        poly = _mul(poly, [b * b + e, 2 * b, 1])
+    return poly, roots, mults, power, quad
+
+
 def test_roots_known_by_construction():
     """c * t^j * prod (t - a)^k over distinct nonzero a, times an
     irreducible quadratic (t + b)^2 + e to the power 0, 1 or 2: every field
     of the report is read off the construction."""
     rng = random.Random(7)
     for _ in range(400):
-        roots = rng.sample([a for a in range(-6, 7) if a], rng.randint(0, 4))
-        mults = [rng.randint(1, 3) for _ in roots]
-        power = rng.randint(0, 3)
-        quad = rng.choice([0, 0, 1, 2])
-        poly = [0] * power + [rng.choice([-3, -1, 1, 2])]
-        for a, k in zip(roots, mults):
-            for _ in range(k):
-                poly = _mul(poly, [-a, 1])
-        b, e = rng.randint(-3, 3), rng.randint(1, 4)
-        for _ in range(quad):
-            poly = _mul(poly, [b * b + e, 2 * b, 1])
+        poly, roots, mults, power, quad = _random_product(rng)
         rep = real_rooted(poly)
         assert rep.stripped_power == power, poly
         assert rep.degree == sum(mults) + 2 * quad, poly
@@ -102,3 +112,15 @@ def test_report_str_mentions_verdict():
     assert "real-rooted" in str(real_rooted([3, 3]))
     assert "NOT" in str(real_rooted([1, 0, 1]))
     assert "vacuously" in str(real_rooted([]))
+
+
+def test_matches_rational_sturm_oracle():
+    """The integer Sturm chain gives the report of the chain over the
+    rationals on every slice of reduced S_n for n <= 36 and on 500 seeded
+    products with repeated roots and irreducible quadratic factors."""
+    slices = [c for n in range(1, 37) for c in slice_poly_coeffs(reduce_poly(schett_poly(n)))]
+    assert len(slices) == 342
+    rng = random.Random(2026)
+    products = [_random_product(rng)[0] for _ in range(500)]
+    for poly in slices + products:
+        assert real_rooted(poly) == oracle_real_rooted(poly), poly

@@ -1,5 +1,6 @@
 import pytest
 
+from _oracles import oracle_plane_gf
 from witrees.enumeration import iter_trees
 from witrees.mpoly import MPoly
 from witrees.multiset import uniform_multiset
@@ -9,7 +10,6 @@ from witrees.series import (
     TruncSeries,
     check_algebraic_eq,
     format_series,
-    geometric,
     lagrange_coeff,
     lagrange_series,
     plane_gf,
@@ -23,6 +23,33 @@ N_DISPLAY = "y+wxt+(wyz+x^2y)t^2+(w^2xz+wx^3+wxy^2+2xy^2z)t^3"
 
 def test_display_byte_match():
     assert format_series(plane_gf(3)) == N_DISPLAY
+
+
+def test_matches_fixpoint_oracle():
+    for k in range(11):
+        got, want = plane_gf(k), oracle_plane_gf(k)
+        assert got == want and format_series(got) == format_series(want), k
+
+
+def test_recursion_product_count(monkeypatch):
+    """plane_gf(14) runs the coefficient recursion and its exact checks in at
+    most 1,000 polynomial products (the fixpoint iteration took 11,681)."""
+    calls = 0
+    mul = MPoly.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    plane_gf(14)
+    assert 0 < calls <= 1000
+
+
+def test_negative_order_rejected():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        plane_gf(-1)
 
 
 def test_low_order_coefficients():
@@ -59,14 +86,8 @@ def test_symmetry_requires_w_eq_z():
 
 def test_series_arithmetic():
     y = TruncSeries.var("y", 4)
-    t_term = TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), 4).shift(1)
-    g = geometric(t_term)  # 1/(1-t)
-    assert all(c == MPoly.const(SERIES_VARS, 1) for c in g.coeffs)
-    assert (g * (TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), 4) - t_term)).coeffs[0] == 1
     assert (y * y).coeffs[0] == MPoly(SERIES_VARS, {(0, 0, 2, 0): 1})
     assert (y**3).coeffs[0] == MPoly(SERIES_VARS, {(0, 0, 3, 0): 1})
-    with pytest.raises(ValueError):
-        geometric(TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), 4))
 
 
 def test_shift_orders():
