@@ -1,7 +1,12 @@
-"""Multiset Schett polynomials, their reduced form, and the gamma expansion.
+"""The parity census of a multiset, its Schett polynomial, the reduced form,
+and the gamma expansion.
 
-For a multiset M the polynomial S_M(x,y,z) sums x^ee y^oe z^odd over all
-weakly increasing trees on M; the reduced polynomial floor-halves all three
+For a multiset M the census P_M(w,x,y,z) sums w^eo x^oe y^ee z^oo over all
+weakly increasing trees on M, recording the four node types (even or odd
+degree on an even or odd level); for M = {1^k} it is the t^k coefficient of
+the plane-tree series N.  The multiset Schett polynomial S_M(x,y,z) sums
+x^ee y^oe z^odd over the same trees, so it is the specialisation of P_M that
+merges the two odd-degree types.  The reduced polynomial floor-halves all three
 exponents, which loses no information because the node count p+1 fixes the
 parity of ee and oe+odd.  Every x-slice of the reduced polynomial is
 homogeneous of degree floor(p/2) - i in (y, z) and expands exactly in the
@@ -19,17 +24,39 @@ from .errors import InternalError
 from .grammar import XYZ
 from .mpoly import MPoly, poly_sum
 from .multiset import Multiset
-from .trees import WTree, parity_counts
+from .series import SERIES_VARS
+from .trees import WTree
 
 GammaTable = dict[tuple[int, int], int]
 
 
-def schett_of(trees: Iterable[WTree]) -> MPoly:
-    """The sum of x^ee y^oe z^odd over the given trees."""
-    terms: dict[tuple[int, int, int], int] = {}
+def parity_poly(trees: Iterable[WTree]) -> MPoly:
+    """The sum of w^eo x^oe y^ee z^oo over the given trees, in the series
+    variables (w, x, y, z), from one walk of each tree."""
+    terms: dict[tuple[int, int, int, int], int] = {}
     for t in trees:
-        e = parity_counts(t)[:3]
-        terms[e] = terms.get(e, 0) + 1
+        counts = [0, 0, 0, 0]  # ee, eo, oe, oo: index 2 * odd level + odd degree
+        level, odd_level = [t], 0
+        while level:
+            below: list[WTree] = []
+            for node in level:
+                ch = node[1]
+                counts[odd_level + (len(ch) & 1)] += 1
+                below += ch
+            level, odd_level = below, odd_level ^ 2
+        ee, eo, oe, oo = counts
+        key = (eo, oe, ee, oo)
+        terms[key] = terms.get(key, 0) + 1
+    return MPoly(SERIES_VARS, terms)
+
+
+def schett_of(trees: Iterable[WTree]) -> MPoly:
+    """The sum of x^ee y^oe z^odd over the given trees: the parity census
+    with y -> x, x -> y and both w and z -> z."""
+    terms: dict[tuple[int, int, int], int] = {}
+    for (eo, oe, ee, oo), c in parity_poly(trees).terms.items():
+        key = (ee, oe, eo + oo)
+        terms[key] = terms.get(key, 0) + c
     return MPoly(XYZ, terms)
 
 

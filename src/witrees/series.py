@@ -41,10 +41,6 @@ class TruncSeries:
     def from_poly(cls, poly: MPoly, order: int) -> "TruncSeries":
         return cls([poly], order)
 
-    @classmethod
-    def var(cls, name: str, order: int) -> "TruncSeries":
-        return cls.from_poly(MPoly.var(SERIES_VARS, name), order)
-
     # -- arithmetic -------------------------------------------------------
     def _check(self, other: "TruncSeries") -> None:
         if self.order != other.order:
@@ -61,9 +57,6 @@ class TruncSeries:
         return TruncSeries(
             [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
         )
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-a for a in self.coeffs], self.order)
 
     def __mul__(self, other) -> "TruncSeries":
         if isinstance(other, (int, MPoly)):
@@ -84,19 +77,6 @@ class TruncSeries:
         return TruncSeries(out, self.order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative series powers are not supported")
-        result = TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by t^k."""

@@ -194,32 +194,3 @@ def stats(t: WTree) -> StatVector:
         for c in ch:
             push((c, lvl))
     return StatVector(leaf, el, odd, oe, ee, oo, eo, odd_star, oe_star, ee_star, oddf, deg, od, act, eact, oact)
-
-
-def parity_counts(t: WTree) -> tuple[int, int, int, int, int, int]:
-    """(ee, oe, odd, oo, leaf, root_degree) in one pass.
-
-    Everything else in the parity family derives from these: eo = odd - oo,
-    el = ee + eo, even = ee + oe, and the root-excluded variants subtract
-    the root's contribution read off its degree parity.
-    """
-    ee = oe = odd = oo = leaf = 0
-    stack = [(t, 0)]
-    while stack:
-        node, lvl = stack.pop()
-        d = len(node[1])
-        if d & 1:
-            odd += 1
-            if lvl & 1:
-                oo += 1
-        elif lvl & 1:
-            oe += 1
-            if not d:
-                leaf += 1
-        else:
-            ee += 1
-            if not d:
-                leaf += 1
-        for c in node[1]:
-            stack.append((c, lvl + 1))
-    return ee, oe, odd, oo, leaf, len(t.children)

@@ -51,6 +51,7 @@ from .gamma import (
     gamma_from_table,
     is_palindromic,
     is_unimodal,
+    parity_poly,
     reduce_poly,
     reduced_schett,
     schett_of,
@@ -69,9 +70,9 @@ from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .realroots import real_rooted
 from .sequences import euler_numbers
-from .series import check_algebraic_eq, format_series, lagrange_series, plane_gf, series_to_poly5, SERIES5_VARS
+from .series import check_algebraic_eq, format_series, lagrange_series, plane_gf, series_to_poly5, SERIES5_VARS, TruncSeries
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
-from .trees import WTree, format_tree, parity_counts, parse_tree, stats
+from .trees import WTree, format_tree, parse_tree, stats
 
 
 @dataclass
@@ -466,11 +467,10 @@ def check_euler(max_n: int = 8) -> CheckResult:
         ee_star_zero = 0
         odd_star_zero = 0
         for t in iter_trees(set_multiset(n)):
-            ee, oe, odd, _, _, root_deg = parity_counts(t)
-            root_odd = root_deg % 2
-            if ee - (1 - root_odd) == 0:
+            sv = stats(t)
+            if sv.ee_star == 0:
                 ee_star_zero += 1
-            if odd - root_odd == 0:
+            if sv.odd_star == 0:
                 odd_star_zero += 1
         if not ee_star_zero == odd_star_zero == es[n]:
             return _fail(
@@ -624,9 +624,13 @@ SCHETT_DISPLAYS = [
     "y^3z+yz^3+4x^2yz",
     "xy^4+14xy^2z^2+xz^4+4x^3y^2+4x^3z^2",
 ]
+SCHETT_MAX_N = 8  # n!, symmetry and parity shape of S_n
+SCHETT_DUAL_MAX = 7  # S_n from the grammar against S_n by enumeration
+ST_RELATIONS_MAX_M = 4  # the s/t relations for n = 2m - 1 and 2m
+ST_TREES_MAX_N = 7  # the t-table against increasing trees on [n]
 
 
-def check_schett(max_n: int = 8, dual_max: int = 7) -> CheckResult:
+def check_schett() -> CheckResult:
     """Grammar-side properties of the Schett polynomials."""
     name = "Schett polynomials: grammar identities"
     from .gamma import multiset_schett
@@ -635,7 +639,7 @@ def check_schett(max_n: int = 8, dual_max: int = 7) -> CheckResult:
         got = schett_poly(n).canonical_str("grouped")
         if got != want:
             return _fail(name, f"S_{n} prints {got!r}, want {want!r}")
-    for n in range(max_n + 1):
+    for n in range(SCHETT_MAX_N + 1):
         s = schett_poly(n)
         if s.evaluate({"x": 1, "y": 1, "z": 1}) != factorial(n):
             return _fail(name, f"S_{n}(1,1,1) != {n}!")
@@ -646,7 +650,7 @@ def check_schett(max_n: int = 8, dual_max: int = 7) -> CheckResult:
                 return _fail(name, f"S_{n} parity shape broken at {(ex, ey, ez)}")
             if n % 2 == 1 and not (ex % 2 == 0 and ey % 2 == 1 and ez % 2 == 1):
                 return _fail(name, f"S_{n} parity shape broken at {(ex, ey, ez)}")
-    for n in range(dual_max + 1):
+    for n in range(SCHETT_DUAL_MAX + 1):
         if multiset_schett(set_multiset(n)) != schett_poly(n):
             return _fail(name, f"grammar and enumeration disagree at n={n}")
     # Leibniz law on pseudorandom polynomials
@@ -663,14 +667,14 @@ def check_schett(max_n: int = 8, dual_max: int = 7) -> CheckResult:
         })
         if derive(rules, u * v) != derive(rules, u) * v + u * derive(rules, v):
             return _fail(name, f"Leibniz law fails on {u}, {v}")
-    return _ok(name, f"displays, n!, symmetry, parity shape (n <= {max_n}), dual path (n <= {dual_max}), Leibniz")
+    return _ok(name, f"displays, n!, symmetry, parity shape (n <= {SCHETT_MAX_N}), dual path (n <= {SCHETT_DUAL_MAX}), Leibniz")
 
 
-def check_st_relations(max_m: int = 4, int_tn_max: int = 7) -> CheckResult:
+def check_st_relations() -> CheckResult:
     """The two-table relations between the three- and four-variable
     grammars, and the tree interpretation of the four-variable table."""
     name = "s/t tables: grammar relations and tree interpretation"
-    for mm in range(1, max_m + 1):
+    for mm in range(1, ST_RELATIONS_MAX_M + 1):
         for n in (2 * mm - 1, 2 * mm):
             s = schett_coeffs(n)
             tt = four_var_coeffs(n)
@@ -683,15 +687,15 @@ def check_st_relations(max_m: int = 4, int_tn_max: int = 7) -> CheckResult:
                     tv = tt.get((2 * i + 1, j), 0) + tt.get((2 * i, j), 0)
                 if sv != tv:
                     return _fail(name, f"n={n}, (i,j)=({i},{j}): s={sv}, t-sum={tv}")
-    for n in range(int_tn_max + 1):
+    for n in range(ST_TREES_MAX_N + 1):
         want: dict[tuple[int, int], int] = {}
         for t in iter_trees(set_multiset(n)):
-            ee, oe, _odd, _oo, _leaf, root_deg = parity_counts(t)
-            i = ee - (1 - root_deg % 2)
-            want[(i, oe // 2)] = want.get((i, oe // 2), 0) + 1
+            sv = stats(t)
+            key = (sv.ee_star, sv.oe // 2)
+            want[key] = want.get(key, 0) + 1
         if want != four_var_coeffs(n):
             return _fail(name, f"t-table at n={n} differs from enumeration")
-    return _ok(name, f"relations for m <= {max_m}, interpretation for n <= {int_tn_max}")
+    return _ok(name, f"relations for m <= {ST_RELATIONS_MAX_M}, interpretation for n <= {ST_TREES_MAX_N}")
 
 
 def _gamma_example() -> str | None:
@@ -734,45 +738,42 @@ def _gamma(f: Facts) -> str | None:
 # ---------------------------------------------------------------------------
 
 N_DISPLAY_3 = "y+wxt+(wyz+x^2y)t^2+(w^2xz+wx^3+wxy^2+2xy^2z)t^3"
+SERIES_ENUM_MAX = 8  # the coefficients of t^k against plane trees with k edges
+TERNARY_MAX = 20  # the ternary identity for n = 1..TERNARY_MAX
 
 
-def check_series(order: int = 8, enum_max: int = 8) -> CheckResult:
+def check_series(order: int = 8) -> CheckResult:
     """The plane-tree generating function: display, residuals, symmetry,
     enumeration cross-check, and the kernel coefficient extraction."""
     name = "generating function: functional and algebraic equations"
     try:  # a series that fails its own equations fails this check
-        disp, n = format_series(plane_gf(3)), plane_gf(order)
+        n = plane_gf(max(order, 3))
     except InternalError as exc:
         return _fail(name, f"plane_gf: {exc}")
+    disp = format_series(TruncSeries(n.coeffs, 3))
     if disp != N_DISPLAY_3:
         return _fail(name, f"display through t^3 is {disp!r}")
-    for k in range(min(order, enum_max) + 1):
-        hist: dict[tuple[int, int, int, int], int] = {}
-        for t in iter_trees(uniform_multiset(k)):
-            ee, oe, odd, oo, _, _ = parity_counts(t)
-            key = (odd - oo, oe, ee, oo)  # (w, x, y, z) = (eo, oe, ee, oo)
-            hist[key] = hist.get(key, 0) + 1
-        if n.coeffs[k] != MPoly(("w", "x", "y", "z"), hist):
+    for k in range(min(order, SERIES_ENUM_MAX) + 1):
+        if n.coeffs[k] != parity_poly(iter_trees(uniform_multiset(k))):
             return _fail(name, f"coefficient of t^{k} differs from enumeration")
     rep = check_algebraic_eq(order)
     if not rep["ok"]:
         return _fail(name, f"algebraic residuals: {rep}")
     lag = lagrange_series(min(order, 6))
-    flat = series_to_poly5(plane_gf(min(order, 6)))
+    flat = series_to_poly5(TruncSeries(n.coeffs, min(order, 6)))
     y_term = MPoly.monomial(SERIES5_VARS, (0, 0, 1, 0, 0), 1)
     if lag != flat - y_term:
         return _fail(name, "kernel extraction does not rebuild the series minus its constant term")
-    return _ok(name, f"display, zero residuals and symmetry to t^{order}, enumeration to t^{min(order, enum_max)}")
+    return _ok(name, f"display, zero residuals and symmetry to t^{order}, enumeration to t^{min(order, SERIES_ENUM_MAX)}")
 
 
-def check_closed_forms(max_edges: int = 9, ternary_max: int = 20) -> CheckResult:
+def check_closed_forms(max_edges: int = 9) -> CheckResult:
     """Closed-form counts against exhaustive plane-tree enumeration."""
     name = "closed forms: parity-class counts"
     hist: Counter = Counter()
     for k in range(max_edges + 1):
-        for t in iter_trees(uniform_multiset(k)):
-            ee, oe, odd, oo, _, _ = parity_counts(t)
-            hist[(oe, ee, oo, odd - oo)] += 1
+        for (eo, oe, ee, oo), c in parity_poly(iter_trees(uniform_multiset(k))).terms.items():
+            hist[(oe, ee, oo, eo)] += c
     top = max_edges + 1
     for i in range(top + 1):
         for j in range(top + 1 - i):
@@ -803,11 +804,11 @@ def check_closed_forms(max_edges: int = 9, ternary_max: int = 20) -> CheckResult
                     return _fail(name, f"zero-ee count wrong at {(i, j)}")
             if fish_count(i, j) != fish_count(j, i):
                 return _fail(name, f"fish count not symmetric at {(i, j)}")
-    for nn in range(1, ternary_max + 1):
+    for nn in range(1, TERNARY_MAX + 1):
         lhs, rhs = ternary_identity(nn)
         if lhs != rhs:
             return _fail(name, f"ternary identity fails at n={nn}: {lhs} != {rhs}")
-    return _ok(name, f"all classes up to {max_edges} edges, ternary identity to n={ternary_max}")
+    return _ok(name, f"all classes up to {max_edges} edges, ternary identity to n={TERNARY_MAX}")
 
 
 JACOBI_DISPLAYS = {
@@ -818,9 +819,10 @@ JACOBI_DISPLAYS = {
     # classical displays list the cofactor after dividing it out
     "dn": {0: (1,), 2: (0, 1), 4: (4, 1), 6: (16, 44, 1)},
 }
+JACOBI_BOUNDARY_MAX = 4  # the sn/cn/dn boundary identities for n <= this
 
 
-def check_jacobi(order: int = 9, boundary_max: int = 4) -> CheckResult:
+def check_jacobi(order: int = 9) -> CheckResult:
     """Taylor tables of sn/cn/dn: displayed values, sign pattern, and the
     boundary identities with the Schett coefficient tables."""
     name = "elliptic coefficients: displays and boundary identities"
@@ -850,7 +852,7 @@ def check_jacobi(order: int = 9, boundary_max: int = 4) -> CheckResult:
             got = got[1:]
         if tuple(abs(c) for c in got) != want:
             return _fail(name, f"dn u^{k} cofactor is {dn[k]}")
-    for nb in range(boundary_max + 1):
+    for nb in range(JACOBI_BOUNDARY_MAX + 1):
         if 2 * nb + 1 <= order:
             se, so = schett_coeffs(2 * nb), schett_coeffs(2 * nb + 1)
             poly = sn[2 * nb + 1]
@@ -868,7 +870,7 @@ def check_jacobi(order: int = 9, boundary_max: int = 4) -> CheckResult:
                     return _fail(name, f"cn boundary fails at n={nb}, i={i}")
                 if not dv == s1.get((i, 0), 0) == s2.get((i, 0), 0):
                     return _fail(name, f"dn boundary fails at n={nb}, i={i}")
-    return _ok(name, f"displays and sign pattern to u^{order}, boundary identities to n={boundary_max}")
+    return _ok(name, f"displays and sign pattern to u^{order}, boundary identities to n={JACOBI_BOUNDARY_MAX}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 These deliberately use a different strategy from the library: all plane
 tree shapes are generated first, then every distinct arrangement of the
-label multiset is tried and filtered by the validity rules.  The binary
+label multiset is tried and filtered by the validity rules.  The parity
+walker counts the node types of one tree with its own traversal.  The binary
 annotation oracle keys every node by its path from the root and follows the
 definitions in `witrees.binary`'s docstring one by one.  The plane-tree
 series oracle iterates the functional equations to a fixpoint, and the
@@ -82,6 +83,35 @@ def oracle_tree_texts(multiplicities: tuple[int, ...]) -> set[str]:
             if _valid(t):
                 texts.add(format_tree(t))
     return texts
+
+
+def parity_counts(t: WTree) -> tuple[int, int, int, int, int, int]:
+    """(ee, oe, odd, oo, leaf, root_degree) in one pass.
+
+    Everything else in the parity family derives from these: eo = odd - oo,
+    el = ee + eo, even = ee + oe, and the root-excluded variants subtract
+    the root's contribution read off its degree parity.
+    """
+    ee = oe = odd = oo = leaf = 0
+    stack = [(t, 0)]
+    while stack:
+        node, lvl = stack.pop()
+        d = len(node[1])
+        if d & 1:
+            odd += 1
+            if lvl & 1:
+                oo += 1
+        elif lvl & 1:
+            oe += 1
+            if not d:
+                leaf += 1
+        else:
+            ee += 1
+            if not d:
+                leaf += 1
+        for c in node[1]:
+            stack.append((c, lvl + 1))
+    return ee, oe, odd, oo, leaf, len(t.children)
 
 
 def subtree_at(b: WBTree, path: tuple[int, ...]) -> WBTree:
@@ -194,15 +224,16 @@ def oracle_plane_gf(order: int) -> TruncSeries:
     """N mod t^(order+1) by fixpoint iteration of N = (y + w t N*) /
     (1 - (t N*)^2) and N* = (x + z t N) / (1 - (t N)^2): round k pins the
     coefficient of t^k, so order+1 rounds reach it."""
-    y = TruncSeries.var("y", order)
-    x = TruncSeries.var("x", order)
+    y = TruncSeries.from_poly(MPoly.var(SERIES_VARS, "y"), order)
+    x = TruncSeries.from_poly(MPoly.var(SERIES_VARS, "x"), order)
     w = MPoly.var(SERIES_VARS, "w")
     z = MPoly.var(SERIES_VARS, "z")
     n_cur, n_star = TruncSeries([], order), TruncSeries([], order)
     for _ in range(order + 1):
+        tn, tn_star = n_cur.shift(1), n_star.shift(1)
         n_cur, n_star = (
-            (y + (n_star * w).shift(1)) * _geometric(n_star.shift(1) ** 2),
-            (x + (n_cur * z).shift(1)) * _geometric(n_cur.shift(1) ** 2),
+            (y + (n_star * w).shift(1)) * _geometric(tn_star * tn_star),
+            (x + (n_cur * z).shift(1)) * _geometric(tn * tn),
         )
     return n_cur
 

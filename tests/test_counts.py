@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from _oracles import parity_counts
 from witrees.counts import (
     fish_count,
     jaco2_count,
@@ -12,7 +13,6 @@ from witrees.counts import (
 )
 from witrees.enumeration import iter_trees
 from witrees.multiset import uniform_multiset
-from witrees.trees import parity_counts
 
 MAX_EDGES = 7
 

@@ -1,5 +1,6 @@
 import pytest
 
+from _oracles import parity_counts
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.gamma import (
     GammaResidualError,
@@ -9,14 +10,45 @@ from witrees.gamma import (
     is_palindromic,
     is_unimodal,
     multiset_schett,
+    parity_poly,
     reduce_poly,
     reduced_schett,
+    schett_of,
     slice_poly_coeffs,
 )
 from witrees.grammar import XYZ, schett_coeffs, schett_poly
 from witrees.mpoly import MPoly
-from witrees.multiset import Multiset, parse_multiset
+from witrees.multiset import Multiset, parse_multiset, uniform_multiset
+from witrees.series import SERIES_VARS, plane_gf
 from witrees.trees import stats
+
+
+def _oracle_histogram(trees, key):
+    """Trees counted by key(parity_counts(t)), from the reference walker."""
+    hist = {}
+    for t in trees:
+        k = key(*parity_counts(t))
+        hist[k] = hist.get(k, 0) + 1
+    return hist
+
+
+def test_parity_poly_matches_the_reference_walker():
+    for m in iter_multisets(7):
+        want = _oracle_histogram(iter_trees(m), lambda ee, oe, odd, oo, _l, _r: (odd - oo, oe, ee, oo))
+        assert parity_poly(iter_trees(m)) == MPoly(SERIES_VARS, want), str(m)
+
+
+def test_parity_poly_of_plane_trees_is_the_series():
+    """P_{1^k} is the t^k coefficient of N, past the verify bound of t^8."""
+    n = plane_gf(10)
+    for k in range(11):
+        assert parity_poly(iter_trees(uniform_multiset(k))) == n.coeffs[k], k
+
+
+def test_schett_of_matches_the_reference_walker():
+    for m in iter_multisets(7):
+        want = _oracle_histogram(iter_trees(m), lambda ee, oe, odd, _o, _l, _r: (ee, oe, odd))
+        assert schett_of(iter_trees(m)) == MPoly(XYZ, want), str(m)
 
 
 def test_reduced_example():

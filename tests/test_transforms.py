@@ -5,7 +5,7 @@ from _strategies import weakly_increasing_trees
 from witrees.binary import format_btree
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.transforms import hat, psi, rho, rho_inv, theta, tilde
-from witrees.trees import format_tree, parity_counts, parse_tree, stats
+from witrees.trees import format_tree, parse_tree, stats
 
 
 def _deg_od_el(sv):
@@ -45,9 +45,8 @@ def test_tilde_involution_and_transport():
         for t in iter_trees(m):
             tt = tilde(t)
             assert tilde(tt) == t, format_tree(t)
-            ee, oe, odd, *_ = parity_counts(t)
-            ee2, oe2, odd2, *_ = parity_counts(tt)
-            assert (odd, oe, ee) == (oe2, odd2, ee2), format_tree(t)
+            a, b = stats(t), stats(tt)
+            assert (a.odd, a.oe, a.ee) == (b.oe, b.odd, b.ee), format_tree(t)
 
 
 def test_psi_structure_on_two_elements():

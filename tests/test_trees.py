@@ -1,12 +1,12 @@
 import pytest
 
+from _oracles import parity_counts
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.trees import (
     InvalidTreeError,
     TreeSyntaxError,
     WTree,
     format_tree,
-    parity_counts,
     parse_tree,
     stats,
 )

@@ -64,7 +64,7 @@ def test_unsized_checks_pass():
 
 def test_series_and_closed_forms():
     assert check_series(6).passed
-    assert check_closed_forms(max_edges=6, ternary_max=12).passed
+    assert check_closed_forms(max_edges=6).passed
 
 
 def test_conjecture_small():
