@@ -2,7 +2,10 @@
 
 A grammar assigns each variable a polynomial substitution rule; the formal
 derivative D acts on polynomials by linearity and the Leibniz rule, with
-D(v) = rule(v) on variables.  The Schett polynomials are S_n = D^n(x) for
+D(v) = rule(v) on variables.  On a monomial it acts by exponent shifts:
+each term of rule(v) moves the exponent vector by that term's exponents
+minus the unit vector of v, with the power of v as a factor, so D never
+forms a product of polynomials.  The Schett polynomials are S_n = D^n(x) for
 the rules x -> yz, y -> xz, z -> xy; they extend the Taylor coefficients of
 the Jacobi elliptic functions, satisfy S_n(1,1,1) = n!, and equal the
 generating polynomial of increasing trees on [n] by (even-degree on even
@@ -15,8 +18,10 @@ three counts.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import InternalError
-from .mpoly import MPoly, poly_sum
+from .mpoly import MPoly
 
 GrammarRules = dict[str, MPoly]
 
@@ -42,28 +47,48 @@ def four_var_rules() -> GrammarRules:
 
 
 def derive(rules: GrammarRules, poly: MPoly) -> MPoly:
-    """One application of the formal derivative (Leibniz on each monomial)."""
+    """One application of the formal derivative D.
+
+    By Leibniz, D(c v^e) = sum_i c e_i v^(e - u_i) rule(v_i), u_i the unit
+    vector of v_i, so a term r v^f of rule(v_i) sends c v^e to
+    c e_i r v^(e + f - u_i).  The shifts f - u_i are read off the rules
+    once per call and the terms summed into one dict.
+    """
     variables = poly.vars
-    rule_list: list[MPoly | None] = []
-    for v in variables:
+    shifts: list[list[tuple[tuple[int, ...], int]] | None] = []
+    for i, v in enumerate(variables):
         r = rules.get(v)
-        if r is not None and r.vars != variables:
+        if r is None:
+            shifts.append(None)
+            continue
+        if r.vars != variables:
             raise ValueError(f"rule for {v} uses context {r.vars}, expected {variables}")
-        rule_list.append(r)
+        shifts.append(
+            [(f[:i] + (f[i] - 1,) + f[i + 1 :], rc) for f, rc in r.terms.items()]
+        )
     for name in rules:
         if name not in variables:
             raise ValueError(f"rule for undeclared variable {name!r}")
-    pieces = []
+    terms: dict[tuple[int, ...], int] = {}
     for e, c in poly.terms.items():
         for i, power in enumerate(e):
             if not power:
                 continue
-            rule = rule_list[i]
-            if rule is None:
+            rule_shifts = shifts[i]
+            if rule_shifts is None:
                 raise ValueError(f"no substitution rule for variable {variables[i]!r}")
-            lowered = e[:i] + (power - 1,) + e[i + 1 :]
-            pieces.append(MPoly.monomial(variables, lowered, c * power) * rule)
-    return poly_sum(variables, pieces)
+            cp = c * power
+            for d, rc in rule_shifts:
+                key = tuple(map(add, e, d))
+                nc = terms.get(key, 0) + cp * rc
+                if nc:
+                    terms[key] = nc
+                else:
+                    del terms[key]
+    out = MPoly.__new__(MPoly)
+    out.vars = variables
+    out.terms = terms
+    return out
 
 
 def grammar_derive(rules: GrammarRules, start: MPoly, n: int) -> MPoly:

@@ -11,6 +11,7 @@ coefficients).
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -121,7 +122,7 @@ class MPoly:
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 nc = terms.get(e, 0) + c1 * c2
                 if nc:
                     terms[e] = nc

@@ -165,13 +165,30 @@ def plane_gf(order: int) -> TruncSeries:
     return big_n
 
 
+def _powers(n: TruncSeries) -> tuple[TruncSeries, TruncSeries, TruncSeries, TruncSeries]:
+    """n^2, n^3, n^4 and n^5 padded to n's order.
+
+    The residuals shift n^2 and n^3 by at least t^2 and n^4 and n^5 by t^4,
+    so the first pair is formed from n truncated to t^(order-2) and the
+    second to t^(order-4) (clamped at t^0); the padding past those orders
+    is dropped by the shifts.
+    """
+    order = n.order
+    n_2 = TruncSeries(n.coeffs, max(order - 2, 0))
+    n2 = n_2 * n_2
+    n3 = n2 * n_2
+    low = max(order - 4, 0)
+    n2_4 = TruncSeries(n2.coeffs, low)
+    n4 = n2_4 * n2_4
+    n5 = n4 * TruncSeries(n.coeffs, low)
+    return tuple(TruncSeries(p.coeffs, order) for p in (n2, n3, n4, n5))
+
+
 def quintic_residual(n: TruncSeries) -> TruncSeries:
     """Residual of the quintic algebraic relation satisfied by N."""
     order = n.order
     w, x, y, z = (MPoly.var(SERIES_VARS, s) for s in "wxyz")
-    n2 = n * n
-    n3 = n2 * n
-    n4, n5 = n2 * n2, n2 * n3
+    n2, n3, n4, n5 = _powers(n)
     return (
         n5.shift(4)
         - (n4 * y).shift(4)
@@ -190,9 +207,7 @@ def quintic_residual_w_eq_z(nz: TruncSeries) -> TruncSeries:
     """Residual of the specialised quintic for N with w set to z."""
     order = nz.order
     x, y, z = (MPoly.var(SERIES_VARS, s) for s in "xyz")
-    n2 = nz * nz
-    n3 = n2 * nz
-    n4, n5 = n2 * n2, n2 * n3
+    n2, n3, n4, n5 = _powers(nz)
     return (
         n5.shift(4)
         - (n4 * y).shift(4)

@@ -7,15 +7,16 @@ walker counts the node types of one tree with its own traversal.  The binary
 annotation oracle keys every node by its path from the root and follows the
 definitions in `witrees.binary`'s docstring one by one.  The plane-tree
 series oracle iterates the functional equations to a fixpoint, and the
-real-rootedness oracle runs its Sturm chain over the rationals.  Slow but
-obviously correct; sized for small inputs.
+real-rootedness oracle runs its Sturm chain over the rationals, and the
+grammar derivative oracle multiplies out each Leibniz term as a polynomial
+product.  Slow but obviously correct; sized for small inputs.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from witrees.binary import WBTree
-from witrees.mpoly import MPoly
+from witrees.mpoly import MPoly, poly_sum
 from witrees.realroots import RootReport
 from witrees.series import SERIES_VARS, TruncSeries
 from witrees.trees import WTree, format_tree
@@ -236,6 +237,32 @@ def oracle_plane_gf(order: int) -> TruncSeries:
             (x + (n_cur * z).shift(1)) * _geometric(tn * tn),
         )
     return n_cur
+
+
+def oracle_derive(rules: dict[str, MPoly], poly: MPoly) -> MPoly:
+    """One application of the formal derivative, one polynomial product per
+    (monomial, variable) pair: D(c v^e) = sum_i c e_i v^(e - u_i) rule(v_i)."""
+    variables = poly.vars
+    rule_list: list[MPoly | None] = []
+    for v in variables:
+        r = rules.get(v)
+        if r is not None and r.vars != variables:
+            raise ValueError(f"rule for {v} uses context {r.vars}, expected {variables}")
+        rule_list.append(r)
+    for name in rules:
+        if name not in variables:
+            raise ValueError(f"rule for undeclared variable {name!r}")
+    pieces = []
+    for e, c in poly.terms.items():
+        for i, power in enumerate(e):
+            if not power:
+                continue
+            rule = rule_list[i]
+            if rule is None:
+                raise ValueError(f"no substitution rule for variable {variables[i]!r}")
+            lowered = e[:i] + (power - 1,) + e[i + 1 :]
+            pieces.append(MPoly.monomial(variables, lowered, c * power) * rule)
+    return poly_sum(variables, pieces)
 
 
 def _sturm_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

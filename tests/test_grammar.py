@@ -3,12 +3,15 @@ from math import factorial
 
 import pytest
 
+from _oracles import oracle_derive
 from witrees.gamma import multiset_schett
 from witrees.grammar import (
+    WXYZ,
     XYZ,
     derive,
     four_var_coeffs,
     four_var_poly,
+    four_var_rules,
     grammar_derive,
     schett_coeffs,
     schett_poly,
@@ -95,3 +98,45 @@ def test_leibniz_law():
         u = MPoly(XYZ, {tuple(rng.randrange(3) for _ in range(3)): rng.randint(-5, 5) for _ in range(4)})
         v = MPoly(XYZ, {tuple(rng.randrange(3) for _ in range(3)): rng.randint(-5, 5) for _ in range(4)})
         assert derive(rules, u * v) == derive(rules, u) * v + u * derive(rules, v)
+
+
+def test_derive_matches_product_oracle_on_chains():
+    for rules, start in ((schett_rules(), MPoly.var(XYZ, "x")), (four_var_rules(), MPoly.var(WXYZ, "w"))):
+        cur = start
+        for n in range(21):
+            got = derive(rules, cur)
+            assert got == oracle_derive(rules, cur), n
+            assert 0 not in got.terms.values()
+            cur = got
+
+
+def test_derive_matches_product_oracle_on_cancelling_rules():
+    """Multi-term rules with negative coefficients, chosen so that terms of
+    D(p) cancel; no zero coefficient may be stored."""
+    rng = random.Random(23)
+    cancelled = 0
+    for _ in range(60):
+        rules = {
+            v: MPoly(XYZ, {tuple(rng.randrange(3) for _ in range(3)): rng.randint(-3, 3) for _ in range(3)})
+            for v in XYZ
+        }
+        p = MPoly(XYZ, {tuple(rng.randrange(4) for _ in range(3)): rng.randint(-4, 4) for _ in range(5)})
+        got = derive(rules, p)
+        assert got == oracle_derive(rules, p)
+        assert 0 not in got.terms.values()
+        reached = {
+            tuple(a + b - (j == i) for j, (a, b) in enumerate(zip(e, f)))
+            for e in p.terms
+            for i, power in enumerate(e)
+            if power
+            for f in rules[XYZ[i]].terms
+        }
+        cancelled += not reached <= got.terms.keys()
+    assert cancelled > 0  # some monomial reached by a Leibniz term summed to 0
+    # x -> y - z, y -> z, z -> y: D(x^2 + xy) = 2xy - 2xz + y^2 - yz + xz, and
+    # D(xz) = yz - z^2 + xy; the sum cancels the yz terms exactly
+    rules = {"x": MPoly(XYZ, {(0, 1, 0): 1, (0, 0, 1): -1}), "y": MPoly.var(XYZ, "z"), "z": MPoly.var(XYZ, "y")}
+    p = MPoly(XYZ, {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1})
+    got = derive(rules, p)
+    assert got == oracle_derive(rules, p)
+    assert got == MPoly(XYZ, {(1, 1, 0): 3, (1, 0, 1): -1, (0, 2, 0): 1, (0, 0, 2): -1})

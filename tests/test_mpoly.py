@@ -48,6 +48,13 @@ def test_no_zero_terms_stored():
 def test_context_mismatch():
     with pytest.raises(ValueError):
         MPoly.var(XYZ, "x") + MPoly.var(("a", "b"), "a")
+    # a product adds exponents position by position, which would cut the
+    # longer vector short if the contexts were not compared first
+    wxyz = MPoly(("w", "x", "y", "z"), {(1, 0, 1, 0): 2})
+    with pytest.raises(ValueError, match="variable contexts differ"):
+        MPoly(XYZ, {(1, 2, 0): 3, (0, 0, 1): -1}) * wxyz
+    with pytest.raises(ValueError, match="variable contexts differ"):
+        wxyz * MPoly.var(XYZ, "x")
     with pytest.raises(ValueError):
         MPoly(XYZ, {(1, 0): 1})
 

@@ -14,6 +14,7 @@ from witrees.series import (
     lagrange_series,
     plane_gf,
     quintic_residual,
+    quintic_residual_w_eq_z,
     series_to_poly5,
 )
 
@@ -74,6 +75,23 @@ def test_algebraic_relations():
     assert rep["ok"], rep
     # order-0 sanity: the residual of N = y alone vanishes at t^0
     assert quintic_residual(plane_gf(0)).is_zero()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 9])
+def test_residuals_catch_a_wrong_coefficient(order):
+    """Adding a monomial to the t^k coefficient of N makes both residuals
+    nonzero first at t^k, for every k up to the order (the powers of N are
+    formed only to t^(order-2) and t^(order-4), clamped at t^0)."""
+    n = plane_gf(order)
+    assert quintic_residual(n).is_zero()
+    assert quintic_residual_w_eq_z(n.rename_vars({"w": "z"})).is_zero()
+    bump = MPoly(SERIES_VARS, {(1, 2, 0, 1): 1})
+    for k in range(order + 1):
+        coeffs = list(n.coeffs)
+        coeffs[k] = coeffs[k] + bump
+        wrong = TruncSeries(coeffs, order)
+        assert quintic_residual(wrong).first_nonzero() == k, k
+        assert quintic_residual_w_eq_z(wrong.rename_vars({"w": "z"})).first_nonzero() == k, k
 
 
 def test_symmetry_requires_w_eq_z():
