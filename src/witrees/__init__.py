@@ -15,13 +15,12 @@ from .binary import (
 )
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import SizeBoundError, enumerate_trees, iter_multisets, iter_trees
-from .gamma import GammaTable, gamma_expand, multiset_schett, reduced_schett
+from .gamma import GammaTable, ReducedTable, gamma_expand, reduced_table, schett_of
 from .grammar import (
     GrammarRules,
     four_var_coeffs,
     four_var_poly,
     grammar_derive,
-    schett_coeffs,
     schett_poly,
 )
 from .jacobi import jacobi_taylor
@@ -43,6 +42,7 @@ __all__ = [
     "GrammarRules",
     "MPoly",
     "Multiset",
+    "ReducedTable",
     "RootReport",
     "SizeBoundError",
     "StatVector",
@@ -68,7 +68,6 @@ __all__ = [
     "jacobi_taylor",
     "lagrange_coeff",
     "modified_preorder",
-    "multiset_schett",
     "orbit",
     "parse_btree",
     "parse_multiset",
@@ -77,11 +76,11 @@ __all__ = [
     "plane_tree_count",
     "psi",
     "real_rooted",
-    "reduced_schett",
+    "reduced_table",
     "rho",
     "rho_inv",
     "run_suites",
-    "schett_coeffs",
+    "schett_of",
     "schett_poly",
     "set_multiset",
     "six_term_count",

@@ -20,11 +20,12 @@ from dataclasses import asdict
 
 from .binary import annotate, bstats, format_btree, modified_preorder, orbit, parse_btree
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
-from .enumeration import enumerate_trees
+from .enumeration import enumerate_trees, iter_trees
 from .errors import InternalError
-from .gamma import gamma_expand_poly, reduced_schett
-from .grammar import four_var_poly, schett_poly
+from .gamma import gamma_expand, reduced_table, schett_of
+from .grammar import XYZ, four_var_poly, schett_poly
 from .jacobi import jacobi_taylor
+from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .series import check_algebraic_eq, format_series, plane_gf
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
@@ -134,8 +135,9 @@ def cmd_schett(args: argparse.Namespace) -> int:
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     m = _multiset_from(args)
-    reduced = reduced_schett(m, size_bound=args.max_size)
-    table = gamma_expand_poly(reduced, m.size)
+    reduced = reduced_table(schett_of(iter_trees(m, args.max_size)), m.size)
+    table = gamma_expand(reduced, m.size)
+    text = MPoly(XYZ, {(i, j, m.size // 2 - i - j): c for (i, j), c in reduced.items()}).canonical_str("grouped")
     entries = [
         {"i": i, "j": j, "value": v} for (i, j), v in sorted(table.items())
     ]
@@ -143,12 +145,12 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         payload = {
             "multiset": list(m.multiplicities),
             "count": count_trees(m),
-            "reduced_polynomial": reduced.canonical_str("grouped"),
+            "reduced_polynomial": text,
             "gamma": entries,
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        lines = [f"reduced polynomial: {reduced.canonical_str('grouped')}"]
+        lines = [f"reduced polynomial: {text}"]
         lines += [f"gamma[{e['i']},{e['j']}] = {e['value']}" for e in entries]
         _emit("\n".join(lines), args.out)
     return 0
@@ -188,18 +190,18 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
     payload: dict = {}
-    if args.stats:
+    if args.stats is not None:
         i, j, k, l = (int(x) for x in args.stats.split(","))
         payload["stats"] = [i, j, k, l]
         payload["count"] = plane_tree_count(i, j, k, l)
         payload["six_term_count"] = six_term_count(i, j, k, l)
-    if args.zero_odd:
+    if args.zero_odd is not None:
         i, j = (int(x) for x in args.zero_odd.split(","))
         payload["zero_odd"] = {"i": i, "j": j, "count": jaco2_count(i, j)}
-    if args.zero_ee:
+    if args.zero_ee is not None:
         i, j = (int(x) for x in args.zero_ee.split(","))
         payload["zero_ee"] = {"i": i, "j": j, "count": fish_count(i, j)}
-    if args.ternary:
+    if args.ternary is not None:
         lhs, rhs = ternary_identity(args.ternary)
         payload["ternary"] = {"n": args.ternary, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
     if not payload:

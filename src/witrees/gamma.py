@@ -17,17 +17,17 @@ floor(p/2) - i - 2j active nodes.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
-from .enumeration import iter_trees
 from .errors import InternalError
 from .grammar import XYZ
-from .mpoly import MPoly, poly_sum
-from .multiset import Multiset
+from .mpoly import MPoly
 from .series import SERIES_VARS
 from .trees import WTree
 
 GammaTable = dict[tuple[int, int], int]
+ReducedTable = dict[tuple[int, int], int]  # (i, j) -> coefficient of x^i y^j
 
 
 def parity_poly(trees: Iterable[WTree]) -> MPoly:
@@ -60,89 +60,70 @@ def schett_of(trees: Iterable[WTree]) -> MPoly:
     return MPoly(XYZ, terms)
 
 
-def multiset_schett(m: Multiset, size_bound: int | None = None) -> MPoly:
-    """S_M(x,y,z) by exhaustive enumeration."""
-    return schett_of(iter_trees(m, size_bound))
-
-
-def reduce_poly(poly: MPoly) -> MPoly:
-    """Floor-halve every exponent (merging collided monomials)."""
-    terms: dict[tuple[int, ...], int] = {}
-    for e, c in poly.terms.items():
-        key = tuple(x // 2 for x in e)
-        terms[key] = terms.get(key, 0) + c
-    return MPoly(poly.vars, terms)
-
-
-def reduced_schett(m: Multiset, size_bound: int | None = None) -> MPoly:
-    """The reduced multiset Schett polynomial over x, y, z."""
-    return reduce_poly(multiset_schett(m, size_bound))
-
-
 class GammaResidualError(InternalError):
-    """The gamma change of basis left a nonzero residual: an implementation
-    bug, since exact peeling of a homogeneous symmetric slice cannot fail."""
+    """A Schett polynomial term off the degree its size fixes, or a nonzero
+    residual after the gamma peel: an implementation bug, since a Schett
+    polynomial reduces to homogeneous symmetric slices."""
 
 
-def gamma_expand_poly(reduced: MPoly, p: int) -> GammaTable:
-    """Exact change of basis of a reduced polynomial into the gamma basis.
-
-    For each x-power i the slice s_i(y,z) must be homogeneous of degree
-    d = floor(p/2) - i; the expansion s_i = sum_j g_{i,j} (yz)^j (y+z)^(d-2j)
-    is extracted by peeling the coefficient of y^(d-j) z^j for j ascending.
-    """
-    d_total = p // 2
-    table: GammaTable = {}
-    yz = MPoly(XYZ, {(0, 1, 1): 1})
-    y_plus_z = MPoly(XYZ, {(0, 1, 0): 1, (0, 0, 1): 1})
-    for i, slice_i in reduced.slices("x").items():
-        d = d_total - i
-        for (ex, ey, ez), _c in slice_i.terms.items():
-            if ey + ez != d:
-                raise GammaResidualError(
-                    f"x^{i} slice is not homogeneous of degree {d}: found y^{ey}z^{ez}"
-                )
-        residual = slice_i
-        for j in range(d // 2 + 1):
-            g = residual.terms.get((0, d - j, j), 0)
-            table[(i, j)] = g
-            if g:
-                residual = residual - g * yz**j * y_plus_z ** (d - 2 * j)
-        if not residual.is_zero():
+def reduced_table(schett: MPoly, p: int) -> ReducedTable:
+    """The reduced polynomial of a Schett polynomial on p letters, as the
+    table {(i, j): c} of c x^i y^j z^(floor(p/2)-i-j): every exponent
+    floor-halved, the only place the reduction happens."""
+    half = p // 2
+    table: ReducedTable = {}
+    for (ee, oe, odd), c in schett.terms.items():
+        key = (ee // 2, oe // 2)
+        if key[0] + key[1] + odd // 2 != half:
             raise GammaResidualError(
-                f"nonzero residual in x^{i} slice: {residual.canonical_str()}"
+                f"x^{ee}y^{oe}z^{odd} does not reduce to degree {half}"
             )
-        # drop all-zero rows so the table holds exactly the support
-        for j in range(d // 2 + 1):
-            if table[(i, j)] == 0:
-                del table[(i, j)]
+        table[key] = table.get(key, 0) + c
     return table
 
 
-def gamma_expand(m: Multiset, size_bound: int | None = None) -> GammaTable:
-    """Gamma table of the reduced multiset Schett polynomial of m."""
-    return gamma_expand_poly(reduced_schett(m, size_bound), m.size)
+def slice_poly_coeffs(reduced: ReducedTable) -> list[list[int]]:
+    """Coefficient lists (ascending in y, z set to 1) of the x-slices
+    i = 0, ..., deg_x: slice i sums t^floor(oe/2) over the trees with
+    floor(ee/2) = i."""
+    rows: list[list[int]] = [[] for _ in range(1 + max((i for i, _ in reduced), default=0))]
+    for (i, j), c in sorted(reduced.items()):
+        rows[i] += [0] * (j - len(rows[i])) + [c]
+    return rows
 
 
-def gamma_from_table(table: GammaTable, p: int) -> MPoly:
-    """Rebuild the reduced polynomial from a gamma table (basis expansion)."""
-    yz = MPoly(XYZ, {(0, 1, 1): 1})
-    y_plus_z = MPoly(XYZ, {(0, 1, 0): 1, (0, 0, 1): 1})
-    x = MPoly.var(XYZ, "x")
-    parts = []
+def gamma_expand(reduced: ReducedTable, p: int) -> GammaTable:
+    """Exact change of basis of a reduced table into the gamma basis.
+
+    The x^i slice, of degree d = floor(p/2) - i in (y, z), is
+    sum_j g_{i,j} (yz)^j (y+z)^(d-2j); g_{i,j} is peeled off as the
+    coefficient of y^(d-j) z^j for j ascending, by subtracting binomial
+    rows from the integer coefficient list.
+    """
+    table: GammaTable = {}
+    for i, row in enumerate(slice_poly_coeffs(reduced)):
+        d = p // 2 - i
+        residual = row + [0] * (d + 1 - len(row))
+        for j in range(d // 2 + 1):
+            g = residual[d - j]
+            if g:
+                table[(i, j)] = g
+                for k in range(d - 2 * j + 1):
+                    residual[j + k] -= g * comb(d - 2 * j, k)
+        if any(residual):
+            rest = MPoly(XYZ, {(0, e, d - e): c for e, c in enumerate(residual)})
+            raise GammaResidualError(f"nonzero residual in x^{i} slice: {rest.canonical_str()}")
+    return table
+
+
+def gamma_from_table(table: GammaTable, p: int) -> ReducedTable:
+    """Rebuild the reduced table from a gamma table (basis expansion)."""
+    out: ReducedTable = {}
     for (i, j), g in table.items():
-        parts.append(g * x**i * yz**j * y_plus_z ** (p // 2 - i - 2 * j))
-    return poly_sum(XYZ, parts)
-
-
-def slice_poly_coeffs(reduced: MPoly) -> list[list[int]]:
-    """Coefficient lists (ascending) of the univariate x-slices i = 0, ...,
-    deg_x with the third variable set to 1, in one pass over the terms:
-    slice i sums t^floor(oe/2) over the trees with floor(ee/2) = i."""
-    rows: list[dict[int, int]] = [{} for _ in range(reduced.degree("x") + 1)]
-    for (ex, ey, _ez), c in reduced.terms.items():
-        rows[ex][ey] = rows[ex].get(ey, 0) + c
-    return [[row.get(j, 0) for j in range(max(row) + 1)] if row else [] for row in rows]
+        d = p // 2 - i - 2 * j
+        for k in range(d + 1):
+            out[(i, j + k)] = out.get((i, j + k), 0) + g * comb(d, k)
+    return out
 
 
 def is_palindromic(coeffs: list[int]) -> bool:

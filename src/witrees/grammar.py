@@ -111,17 +111,6 @@ def four_var_poly(n: int) -> MPoly:
     return grammar_derive(four_var_rules(), MPoly.var(WXYZ, "w"), n)
 
 
-def schett_coeffs(n: int) -> dict[tuple[int, int], int]:
-    """The table s_{n,i,j}: coefficient of the monomial with x-exponent
-    2i+1 (n even) resp. 2i (n odd) and y-exponent 2j resp. 2j+1 in S_n.
-    Equivalently, i and j are the floor-halved x- and y-exponents."""
-    out: dict[tuple[int, int], int] = {}
-    for (ex, ey, _ez), c in schett_poly(n).terms.items():
-        key = (ex // 2, ey // 2)
-        out[key] = out.get(key, 0) + c
-    return out
-
-
 def four_var_coeffs(n: int) -> dict[tuple[int, int], int]:
     """The table t_{n,i,j}: coefficient of w * x^i * y^(2j or 2j+1) in D^n(w)."""
     out: dict[tuple[int, int], int] = {}

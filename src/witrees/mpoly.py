@@ -135,32 +135,7 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- structure ----------------------------------------------------
-    def degree(self, name: str) -> int:
-        """Highest power of one variable (zero polynomial has degree 0)."""
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def slices(self, name: str) -> dict[int, "MPoly"]:
-        """Split by the power of one variable; values have that slot zeroed."""
-        i = self.vars.index(name)
-        out: dict[int, dict[tuple[int, ...], int]] = {}
-        for e, c in self.terms.items():
-            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
-        return {p: MPoly(self.vars, t) for p, t in sorted(out.items())}
-
     def rename(self, mapping: Mapping[str, str]) -> "MPoly":
         """Permute/merge variables within the same context, e.g. swap y and z
         or substitute w := z (exponents of merged variables add)."""

@@ -165,13 +165,15 @@ def plane_gf(order: int) -> TruncSeries:
     return big_n
 
 
-def _powers(n: TruncSeries) -> tuple[TruncSeries, TruncSeries, TruncSeries, TruncSeries]:
-    """n^2, n^3, n^4 and n^5 padded to n's order.
+def _powers(n: TruncSeries) -> tuple[TruncSeries, ...]:
+    """n truncated to t^(order-2), then n^2, n^3, n^4 and n^5, all padded
+    to n's order.
 
-    The residuals shift n^2 and n^3 by at least t^2 and n^4 and n^5 by t^4,
-    so the first pair is formed from n truncated to t^(order-2) and the
-    second to t^(order-4) (clamped at t^0); the padding past those orders
-    is dropped by the shifts.
+    The residuals shift n, n^2 and n^3 by at least t^2 wherever they meet
+    a polynomial factor or a power, and n^4 and n^5 by t^4, so the first
+    three are formed from n truncated to t^(order-2) and the last two to
+    t^(order-4) (clamped at t^0); the padding past those orders is dropped
+    by the shifts.
     """
     order = n.order
     n_2 = TruncSeries(n.coeffs, max(order - 2, 0))
@@ -181,14 +183,14 @@ def _powers(n: TruncSeries) -> tuple[TruncSeries, TruncSeries, TruncSeries, Trun
     n2_4 = TruncSeries(n2.coeffs, low)
     n4 = n2_4 * n2_4
     n5 = n4 * TruncSeries(n.coeffs, low)
-    return tuple(TruncSeries(p.coeffs, order) for p in (n2, n3, n4, n5))
+    return tuple(TruncSeries(p.coeffs, order) for p in (n_2, n2, n3, n4, n5))
 
 
 def quintic_residual(n: TruncSeries) -> TruncSeries:
     """Residual of the quintic algebraic relation satisfied by N."""
     order = n.order
     w, x, y, z = (MPoly.var(SERIES_VARS, s) for s in "wxyz")
-    n2, n3, n4, n5 = _powers(n)
+    n_2, n2, n3, n4, n5 = _powers(n)
     return (
         n5.shift(4)
         - (n4 * y).shift(4)
@@ -199,7 +201,7 @@ def quintic_residual(n: TruncSeries) -> TruncSeries:
         - TruncSeries.from_poly(w * x, order).shift(1)
         + (n3 * (w * z - z * z)).shift(4)
         + (n2 * (w * x - 2 * x * z)).shift(3)
-        - (n * (w * z + x * x)).shift(2)
+        - (n_2 * (w * z + x * x)).shift(2)
     )
 
 
@@ -207,7 +209,7 @@ def quintic_residual_w_eq_z(nz: TruncSeries) -> TruncSeries:
     """Residual of the specialised quintic for N with w set to z."""
     order = nz.order
     x, y, z = (MPoly.var(SERIES_VARS, s) for s in "xyz")
-    n2, n3, n4, n5 = _powers(nz)
+    nz_2, n2, n3, n4, n5 = _powers(nz)
     return (
         n5.shift(4)
         - (n4 * y).shift(4)
@@ -215,7 +217,7 @@ def quintic_residual_w_eq_z(nz: TruncSeries) -> TruncSeries:
         + 2 * (n2 * y).shift(2)
         - (n2 * (x * z)).shift(3)
         + nz
-        - (nz * (z * z + x * x)).shift(2)
+        - (nz_2 * (z * z + x * x)).shift(2)
         - TruncSeries.from_poly(y, order)
         - TruncSeries.from_poly(z * x, order).shift(1)
     )

@@ -9,10 +9,11 @@ its `Facts` to every selected body whose bound covers it and which has not
 failed yet, so each check reports its own first failure in multiset order,
 alone or fused.  `Facts` builds each shared fact at most once: the memo of
 `stats` (the bodies' only source of plane-tree statistics; the images under
-hat, tilde, psi and theta lie on the same multiset) and the reduced Schett
-polynomial with its gamma table.  The group-action body takes each orbit
-from `binary.orbit`, which annotates and swaps every member once.  The
-checks over sets, {1^n} or series orders enumerate their own families.
+hat, tilde, psi and theta lie on the same multiset) and the reduced table
+of the Schett polynomial with its gamma table.  The group-action body
+takes each orbit from `binary.orbit`, which annotates and swaps every
+member once.  The checks over sets, {1^n} or series orders enumerate
+their own families.
 
 The multisets of the pass are split into one shard per CPU in the
 process's affinity set, balanced by tree count.  This process runs the
@@ -46,28 +47,20 @@ from .enumeration import iter_multisets, iter_trees
 from .errors import InternalError
 from .gamma import (
     GammaTable,
+    ReducedTable,
     gamma_expand,
-    gamma_expand_poly,
     gamma_from_table,
     is_palindromic,
     is_unimodal,
     parity_poly,
-    reduce_poly,
-    reduced_schett,
+    reduced_table,
     schett_of,
     slice_poly_coeffs,
 )
-from .grammar import (
-    XYZ,
-    derive,
-    four_var_coeffs,
-    schett_coeffs,
-    schett_poly,
-    schett_rules,
-)
+from .grammar import XYZ, derive, four_var_coeffs, schett_poly, schett_rules
 from .jacobi import jacobi_taylor
 from .mpoly import MPoly
-from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
+from .multiset import Multiset, count_trees, set_multiset, uniform_multiset
 from .realroots import real_rooted
 from .sequences import euler_numbers
 from .series import check_algebraic_eq, format_series, lagrange_series, plane_gf, series_to_poly5, SERIES5_VARS, TruncSeries
@@ -95,8 +88,8 @@ def _ok(name: str, detail: str) -> CheckResult:
 
 class Facts:
     """One multiset's trees and the facts its sized bodies share, each
-    built at most once: `walk`, the memo of `stats`, and the reduced Schett
-    polynomial with its gamma table."""
+    built at most once: `walk`, the memo of `stats`, and the reduced table
+    of the Schett polynomial with its gamma table."""
 
     def __init__(self, m: Multiset, trees: list[WTree]):
         self.m = m
@@ -104,12 +97,12 @@ class Facts:
         self.walk = cache(stats)
 
     @cached_property
-    def reduced(self) -> MPoly:
-        return reduce_poly(schett_of(self.trees))
+    def reduced(self) -> ReducedTable:
+        return reduced_table(schett_of(self.trees), self.m.size)
 
     @cached_property
     def gamma(self) -> GammaTable:
-        return gamma_expand_poly(self.reduced, self.m.size)
+        return gamma_expand(self.reduced, self.m.size)
 
 
 @dataclass(frozen=True)
@@ -633,8 +626,6 @@ ST_TREES_MAX_N = 7  # the t-table against increasing trees on [n]
 def check_schett() -> CheckResult:
     """Grammar-side properties of the Schett polynomials."""
     name = "Schett polynomials: grammar identities"
-    from .gamma import multiset_schett
-
     for n, want in enumerate(SCHETT_DISPLAYS):
         got = schett_poly(n).canonical_str("grouped")
         if got != want:
@@ -651,7 +642,7 @@ def check_schett() -> CheckResult:
             if n % 2 == 1 and not (ex % 2 == 0 and ey % 2 == 1 and ez % 2 == 1):
                 return _fail(name, f"S_{n} parity shape broken at {(ex, ey, ez)}")
     for n in range(SCHETT_DUAL_MAX + 1):
-        if multiset_schett(set_multiset(n)) != schett_poly(n):
+        if schett_of(iter_trees(set_multiset(n))) != schett_poly(n):
             return _fail(name, f"grammar and enumeration disagree at n={n}")
     # Leibniz law on pseudorandom polynomials
     rng = random.Random(2024)
@@ -676,7 +667,7 @@ def check_st_relations() -> CheckResult:
     name = "s/t tables: grammar relations and tree interpretation"
     for mm in range(1, ST_RELATIONS_MAX_M + 1):
         for n in (2 * mm - 1, 2 * mm):
-            s = schett_coeffs(n)
+            s = reduced_table(schett_poly(n), n)
             tt = four_var_coeffs(n)
             support = set(s) | {((k[0] + 1) // 2, k[1]) for k in tt}
             for i, j in support:
@@ -698,18 +689,13 @@ def check_st_relations() -> CheckResult:
     return _ok(name, f"relations for m <= {ST_RELATIONS_MAX_M}, interpretation for n <= {ST_TREES_MAX_N}")
 
 
-def _gamma_example() -> str | None:
-    example = gamma_expand(parse_multiset("1:2,2:2"))
-    if example != {(1, 0): 3, (0, 0): 1, (0, 1): 8}:
-        return f"{{1^2,2^2}} table is {example}"
-    return None
-
-
 @sized_check("gamma expansion: nonnegativity and active-node counts",
-             "exact nonnegative tables matching active-node counts, p <= {bound}", _gamma_example)
+             "exact nonnegative tables matching active-node counts, p <= {bound}")
 def _gamma(f: Facts) -> str | None:
     """Gamma expansion: exact, nonnegative, equal to the active-node counts,
-    with palindromic unimodal slices."""
+    with palindromic unimodal slices; {1^2,2^2} has the worked table."""
+    if f.m.multiplicities == (2, 2) and f.gamma != {(1, 0): 3, (0, 0): 1, (0, 1): 8}:
+        return f"{{1^2,2^2}} table is {f.gamma}"
     oracle: dict[tuple[int, int], int] = {}
     for t in f.trees:
         sv = f.walk(t)
@@ -854,14 +840,14 @@ def check_jacobi(order: int = 9) -> CheckResult:
             return _fail(name, f"dn u^{k} cofactor is {dn[k]}")
     for nb in range(JACOBI_BOUNDARY_MAX + 1):
         if 2 * nb + 1 <= order:
-            se, so = schett_coeffs(2 * nb), schett_coeffs(2 * nb + 1)
+            se, so = (reduced_table(schett_poly(n), n) for n in (2 * nb, 2 * nb + 1))
             poly = sn[2 * nb + 1]
             for j in range(nb + 1):
                 v = abs(poly[j]) if j < len(poly) else 0
                 if not v == se.get((0, j), 0) == so.get((0, j), 0):
                     return _fail(name, f"sn boundary fails at n={nb}, j={j}")
         if nb >= 1 and 2 * nb <= order:
-            s1, s2 = schett_coeffs(2 * nb - 1), schett_coeffs(2 * nb)
+            s1, s2 = (reduced_table(schett_poly(n), n) for n in (2 * nb - 1, 2 * nb))
             cpoly, dpoly = cn[2 * nb], dn[2 * nb]
             for i in range(nb + 1):
                 cv = abs(cpoly[i]) if i < len(cpoly) else 0
@@ -886,10 +872,10 @@ def scan_real_rootedness(m: Multiset):
     else enumerates.
     """
     if m.multiplicities == (1,) * m.n:
-        reduced = reduce_poly(schett_poly(m.n))
+        schett = schett_poly(m.n)
     else:
-        reduced = reduced_schett(m)
-    for i, coeffs in enumerate(slice_poly_coeffs(reduced)):
+        schett = schett_of(iter_trees(m))
+    for i, coeffs in enumerate(slice_poly_coeffs(reduced_table(schett, m.size))):
         yield i, coeffs, real_rooted(coeffs)
 
 
@@ -909,6 +895,8 @@ def check_conjecture(max_nodes: int = 10) -> CheckResult:
     """Real-rootedness of every reduced-polynomial slice for plane and
     increasing trees with at most max_nodes nodes."""
     name = "real-rootedness: plane and increasing tree slices"
+    if real_rooted([1, 0, 1]).all_real:  # negative control: t^2 + 1 has no real root
+        return _fail(name, "negative control: t^2+1 reported real-rooted")
     slices = 0
     vacuous = 0
     for m in conjecture_families(max_nodes):

@@ -6,10 +6,12 @@ label multiset is tried and filtered by the validity rules.  The parity
 walker counts the node types of one tree with its own traversal.  The binary
 annotation oracle keys every node by its path from the root and follows the
 definitions in `witrees.binary`'s docstring one by one.  The plane-tree
-series oracle iterates the functional equations to a fixpoint, and the
-real-rootedness oracle runs its Sturm chain over the rationals, and the
+series oracle iterates the functional equations to a fixpoint, the
+real-rootedness oracle runs its Sturm chain over the rationals, the
 grammar derivative oracle multiplies out each Leibniz term as a polynomial
-product.  Slow but obviously correct; sized for small inputs.
+product, and the gamma oracle peels each basis element off a reduced
+polynomial by polynomial products.  Slow but obviously correct; sized for
+small inputs.
 """
 
 from fractions import Fraction
@@ -263,6 +265,38 @@ def oracle_derive(rules: dict[str, MPoly], poly: MPoly) -> MPoly:
             lowered = e[:i] + (power - 1,) + e[i + 1 :]
             pieces.append(MPoly.monomial(variables, lowered, c * power) * rule)
     return poly_sum(variables, pieces)
+
+
+def _power(base: MPoly, k: int) -> MPoly:
+    out = MPoly.const(base.vars, 1)
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+def oracle_gamma(schett: MPoly, p: int) -> dict[tuple[int, int], int]:
+    """The gamma table of a Schett polynomial on p letters, by polynomial
+    arithmetic: floor-halve its exponents into a reduced polynomial, then
+    peel g (yz)^j (y+z)^(d-2j) off each x-slice of degree d in (y, z), the
+    coefficient of y^(d-j) z^j for j ascending, with powers formed as
+    repeated products."""
+    reduced = MPoly(schett.vars, {})
+    for e, c in schett.terms.items():
+        reduced = reduced + MPoly.monomial(schett.vars, tuple(v // 2 for v in e), c)
+    yz = MPoly.monomial(schett.vars, (0, 1, 1))
+    y_plus_z = MPoly.monomial(schett.vars, (0, 1, 0)) + MPoly.monomial(schett.vars, (0, 0, 1))
+    table = {}
+    for i in sorted({e[0] for e in reduced.terms}):
+        d = p // 2 - i
+        residual = MPoly(schett.vars, {(0,) + e[1:]: c for e, c in reduced.terms.items() if e[0] == i})
+        for j in range(d // 2 + 1):
+            g = residual.terms.get((0, d - j, j), 0)
+            if g:
+                table[(i, j)] = g
+                residual = residual - g * _power(yz, j) * _power(y_plus_z, d - 2 * j)
+        if not residual.is_zero():
+            raise ValueError(f"nonzero residual in x^{i} slice: {residual}")
+    return table
 
 
 def _sturm_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

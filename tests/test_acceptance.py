@@ -13,8 +13,8 @@ import time
 
 import pytest
 
-from witrees.enumeration import enumerate_trees
-from witrees.gamma import gamma_expand
+from witrees.enumeration import enumerate_trees, iter_trees
+from witrees.gamma import gamma_expand, reduced_table, schett_of
 from witrees.multiset import count_trees, parse_multiset
 from witrees.sequences import euler_numbers
 from witrees.verify import run_suites, suite_checks
@@ -63,7 +63,8 @@ def test_criterion_04_hat_bijection(battery):
 
 
 def test_criterion_05_gamma_expansion(battery):
-    assert gamma_expand(parse_multiset("1:2,2:2")) == {(1, 0): 3, (0, 0): 1, (0, 1): 8}
+    reduced = reduced_table(schett_of(iter_trees(parse_multiset("1:2,2:2"))), 4)
+    assert gamma_expand(reduced, 4) == {(1, 0): 3, (0, 0): 1, (0, 1): 8}
     _report(5, "gamma tables vs active-node counts, p <= 8", battery["gamma"][0])
 
 

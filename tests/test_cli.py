@@ -117,6 +117,16 @@ def test_closed_form():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["--ternary", "0"], ["--ternary", "0", "--stats", "1,1,1,1"]])
+def test_closed_form_ternary_zero_is_a_usage_error(argv):
+    """n = 0 reaches the identity, which is stated for n >= 1, instead of
+    being dropped as if --ternary were absent."""
+    res = run_cli("closed-form", *argv)
+    _assert_usage_error(res)
+    assert "the identity is stated for n >= 1" in res.stderr
+    assert res.stdout == ""
+
+
 def test_jacobi_json():
     res = run_cli("jacobi", "--order", "5", "--format", "json")
     payload = json.loads(res.stdout)
@@ -187,7 +197,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def broken(reduced, p):
         raise GammaResidualError("injected residual")
 
-    monkeypatch.setattr(witrees.cli, "gamma_expand_poly", broken)
+    monkeypatch.setattr(witrees.cli, "gamma_expand", broken)
     assert main(["gamma", "--multiset", "1:2,2:2"]) == 3
     assert "internal error: injected residual" in capsys.readouterr().err
 

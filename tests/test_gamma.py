@@ -1,22 +1,19 @@
 import pytest
 
-from _oracles import parity_counts
+from _oracles import oracle_gamma, parity_counts
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.gamma import (
     GammaResidualError,
     gamma_expand,
-    gamma_expand_poly,
     gamma_from_table,
     is_palindromic,
     is_unimodal,
-    multiset_schett,
     parity_poly,
-    reduce_poly,
-    reduced_schett,
+    reduced_table,
     schett_of,
     slice_poly_coeffs,
 )
-from witrees.grammar import XYZ, schett_coeffs, schett_poly
+from witrees.grammar import XYZ, schett_poly
 from witrees.mpoly import MPoly
 from witrees.multiset import Multiset, parse_multiset, uniform_multiset
 from witrees.series import SERIES_VARS, plane_gf
@@ -51,22 +48,35 @@ def test_schett_of_matches_the_reference_walker():
         assert schett_of(iter_trees(m)) == MPoly(XYZ, want), str(m)
 
 
+def _reduced(m):
+    return reduced_table(schett_of(iter_trees(m)), m.size)
+
+
 def test_reduced_example():
-    # 3x(y+z) + (y+z)^2 + 8yz, expanded
-    red = reduced_schett(parse_multiset("1:2,2:2"))
-    assert red.canonical_str("grouped") == "y^2+10yz+z^2+3xy+3xz"
+    # 3x(y+z) + (y+z)^2 + 8yz, expanded: y^2+10yz+z^2+3xy+3xz
+    red = _reduced(parse_multiset("1:2,2:2"))
+    assert red == {(0, 2): 1, (0, 1): 10, (0, 0): 1, (1, 1): 3, (1, 0): 3}
 
 
 def test_gamma_example():
-    assert gamma_expand(parse_multiset("1:2,2:2")) == {(1, 0): 3, (0, 0): 1, (0, 1): 8}
+    assert gamma_expand(_reduced(parse_multiset("1:2,2:2")), 4) == {(1, 0): 3, (0, 0): 1, (0, 1): 8}
 
 
 def test_gamma_rebuild_round_trip():
     for m in iter_multisets(6):
-        red = reduced_schett(m)
-        table = gamma_expand(m)
+        red = _reduced(m)
+        table = gamma_expand(red, m.size)
         assert gamma_from_table(table, m.size) == red
         assert all(v >= 0 for v in table.values())
+
+
+def test_integer_peel_matches_the_polynomial_oracle():
+    """The binomial peel over integer rows gives the tables of the peel by
+    polynomial products, on every multiset with p <= 7 and on S_n, n <= 24."""
+    schetts = [(schett_of(iter_trees(m)), m.size) for m in iter_multisets(7)]
+    schetts += [(schett_poly(n), n) for n in range(25)]
+    for s, p in schetts:
+        assert gamma_expand(reduced_table(s, p), p) == oracle_gamma(s, p), (s, p)
 
 
 def test_gamma_counts_active_nodes():
@@ -79,44 +89,35 @@ def test_gamma_counts_active_nodes():
             i = sv.ee // 2
             j = (m.size // 2 - i - sv.act) // 2
             oracle[(i, j)] = oracle.get((i, j), 0) + 1
-        assert oracle == gamma_expand(m), str(m)
+        assert oracle == gamma_expand(_reduced(m), m.size), str(m)
 
 
 def test_gamma_rejects_inhomogeneous():
-    bogus = MPoly(XYZ, {(0, 1, 0): 1, (0, 0, 0): 1})  # y + 1 at the same x-power
-    with pytest.raises(GammaResidualError):
-        gamma_expand_poly(bogus, 2)
+    bogus = MPoly(XYZ, {(1, 2, 0): 1, (1, 0, 0): 1})  # xy^2 + x: x is off degree for p = 2
+    with pytest.raises(GammaResidualError, match="does not reduce to degree 1"):
+        reduced_table(bogus, 2)
+    with pytest.raises(GammaResidualError, match="nonzero residual in x\\^0 slice"):
+        gamma_expand({(0, 1): 1}, 2)  # y alone is not symmetric in y, z
 
 
 def test_reduce_poly():
     p = MPoly(XYZ, {(3, 2, 1): 1, (2, 2, 0): 1})
-    assert reduce_poly(p) == MPoly(XYZ, {(1, 1, 0): 2})
+    assert reduced_table(p, 4) == {(1, 1): 2}
 
 
 def test_empty_multiset():
-    assert gamma_expand(Multiset(())) == {(0, 0): 1}
-    assert multiset_schett(Multiset(())) == MPoly(XYZ, {(1, 0, 0): 1})
+    assert schett_of(iter_trees(Multiset(()))) == MPoly(XYZ, {(1, 0, 0): 1})
+    assert gamma_expand(_reduced(Multiset(())), 0) == {(0, 0): 1}
 
 
 def test_slices_palindromic_unimodal():
     for m in iter_multisets(6):
-        red = reduced_schett(m)
+        red = _reduced(m)
         slices = slice_poly_coeffs(red)
-        assert len(slices) == red.degree("x") + 1
+        assert len(slices) == 1 + max(i for i, _ in red)
         for i, coeffs in enumerate(slices):
             assert is_palindromic(coeffs), (str(m), i, coeffs)
             assert is_unimodal(coeffs), (str(m), i, coeffs)
-
-
-def test_slices_match_the_schett_table():
-    """Slicing the reduced S_n gives the rows of the table s_{n,i,j}."""
-    for n in range(13):
-        table = schett_coeffs(n)
-        rows = [
-            [table.get((i, j), 0) for j in range(1 + max(j for si, j in table if si == i))]
-            for i in range(1 + max(i for i, _ in table))
-        ]
-        assert slice_poly_coeffs(reduce_poly(schett_poly(n))) == rows, n
 
 
 def test_palindromic_unimodal_helpers():

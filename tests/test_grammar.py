@@ -4,7 +4,8 @@ from math import factorial
 import pytest
 
 from _oracles import oracle_derive
-from witrees.gamma import multiset_schett
+from witrees.enumeration import iter_trees
+from witrees.gamma import reduced_table, schett_of
 from witrees.grammar import (
     WXYZ,
     XYZ,
@@ -13,7 +14,6 @@ from witrees.grammar import (
     four_var_poly,
     four_var_rules,
     grammar_derive,
-    schett_coeffs,
     schett_poly,
     schett_rules,
 )
@@ -71,7 +71,7 @@ def test_symmetry_and_parity_shape():
 
 def test_grammar_equals_enumeration():
     for n in range(7):
-        assert multiset_schett(set_multiset(n)) == schett_poly(n)
+        assert schett_of(iter_trees(set_multiset(n))) == schett_poly(n)
 
 
 def test_four_var_small():
@@ -81,7 +81,7 @@ def test_four_var_small():
 
 def test_st_relations():
     for n in range(1, 9):
-        s = schett_coeffs(n)
+        s = reduced_table(schett_poly(n), n)
         t = four_var_coeffs(n)
         for (i, j), v in s.items():
             if n % 2 == 1:

@@ -1,4 +1,5 @@
-from witrees.grammar import schett_coeffs
+from witrees.gamma import reduced_table
+from witrees.grammar import schett_poly
 from witrees.jacobi import jacobi_taylor
 
 
@@ -31,16 +32,20 @@ def test_alternating_signs():
             assert all(sign * c >= 0 for c in series[k]), (k, series[k])
 
 
+def _table(n):
+    return reduced_table(schett_poly(n), n)
+
+
 def test_boundary_identities_with_schett_tables():
     sn, cn, dn = jacobi_taylor(9)
     for n in range(5):
-        se, so = schett_coeffs(2 * n), schett_coeffs(2 * n + 1)
+        se, so = _table(2 * n), _table(2 * n + 1)
         poly = sn[2 * n + 1]
         for j in range(n + 1):
             v = abs(poly[j]) if j < len(poly) else 0
             assert v == se.get((0, j), 0) == so.get((0, j), 0), (n, j)
     for n in range(1, 5):
-        s1, s2 = schett_coeffs(2 * n - 1), schett_coeffs(2 * n)
+        s1, s2 = _table(2 * n - 1), _table(2 * n)
         cpoly, dpoly = cn[2 * n], dn[2 * n]
         for i in range(n + 1):
             cv = abs(cpoly[i]) if i < len(cpoly) else 0

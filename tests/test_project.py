@@ -1,0 +1,30 @@
+"""Checks on the project's own files: the README's library example runs,
+and the package keeps its invariants out of `assert` statements, which
+`python -O` strips."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_block_runs():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["count_trees"](namespace["m"]) == 18
+    gamma = namespace["gamma_expand"](namespace["reduced"], namespace["m"].size)
+    assert gamma == {(0, 0): 1, (0, 1): 8, (1, 0): 3}
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "witrees").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,7 +1,7 @@
 import random
 
 from _oracles import oracle_real_rooted
-from witrees.gamma import reduce_poly, slice_poly_coeffs
+from witrees.gamma import reduced_table, slice_poly_coeffs
 from witrees.grammar import schett_poly
 from witrees.realroots import real_rooted
 
@@ -118,7 +118,7 @@ def test_matches_rational_sturm_oracle():
     """The integer Sturm chain gives the report of the chain over the
     rationals on every slice of reduced S_n for n <= 36 and on 500 seeded
     products with repeated roots and irreducible quadratic factors."""
-    slices = [c for n in range(1, 37) for c in slice_poly_coeffs(reduce_poly(schett_poly(n)))]
+    slices = [c for n in range(1, 37) for c in slice_poly_coeffs(reduced_table(schett_poly(n), n))]
     assert len(slices) == 342
     rng = random.Random(2026)
     products = [_random_product(rng)[0] for _ in range(500)]

@@ -72,6 +72,21 @@ def test_conjecture_small():
     assert result.passed, result.detail
 
 
+def test_conjecture_fails_when_the_verdict_cannot_fail(monkeypatch):
+    """A `real_rooted` that calls everything real-rooted passes every scanned
+    slice; the negative control t^2+1 turns the check FAIL."""
+    real = witrees.verify.real_rooted
+
+    def always_real(coeffs):
+        return dataclasses.replace(real(coeffs), all_real=True)
+
+    monkeypatch.setattr(witrees.verify, "real_rooted", always_real)
+    assert check_conjecture(max_nodes=5).line() == (
+        "FAIL  real-rootedness: plane and increasing tree slices: "
+        "negative control: t^2+1 reported real-rooted"
+    )
+
+
 def test_run_suites_selection_and_order():
     results = run_suites(["counting", "euler"], max_size=4)
     assert [r.passed for r in results] == [True, True]
@@ -165,7 +180,7 @@ def test_fused_pass_walks_each_tree_once(monkeypatch, call_log):
 def test_fused_action_and_gamma_share_the_gamma_table(monkeypatch, call_log):
     """Each of the 32 multisets with p <= 5 gets one reduced polynomial and
     one gamma table, which the action and gamma bodies both read."""
-    for name, tag in (("schett_of", b"s"), ("gamma_expand_poly", b"g")):
+    for name, tag in (("schett_of", b"s"), ("gamma_expand", b"g")):
         monkeypatch.setattr(witrees.verify, name, call_log.wrap(getattr(witrees.verify, name), tag))
     assert all(r.passed for r in run_suites(["action", "gamma"], max_size=5))
     assert (call_log.count(b"s"), call_log.count(b"g")) == (32, 32)
