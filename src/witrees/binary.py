@@ -24,8 +24,9 @@ The *modified preorder* is a depth-first walk that, at a node with two
 children, picks which child to visit first from the node's active flag and
 right-degree, or from its parent's active flag and its own side (see
 `annotate`).  A node's position in this walk names it: `BAnnotation` holds
-one list per per-node quantity, indexed by position, and `dynamic_sets`
-returns sets of positions.  Paths from the root (0 = left step, 1 = right
+one list per per-node quantity, indexed by position, and the dynamic pairs
+as sets of positions.  It is the only input of `bstats`, `swap_branches`
+and `modified_preorder`.  Paths from the root (0 = left step, 1 = right
 step) appear only in `modified_preorder`'s output.
 
 The branch swap at the i-th node of the modified preorder exchanges the
@@ -131,7 +132,8 @@ def validate_btree(b: WBTree) -> None:
 
 class BAnnotation(NamedTuple):
     """Per-node data for one tree, as lists indexed by modified-preorder
-    position: 0 is the root, and -1 stands for an absent node."""
+    position: 0 is the root, and -1 stands for an absent node.  It hashes
+    as its tree, so it can stand for the tree in a set or as a key."""
 
     nodes: list[WBTree]
     parent: list[int]
@@ -141,6 +143,11 @@ class BAnnotation(NamedTuple):
     ancestor: list[int]
     rdeg: list[int]
     active: list[bool]
+    dyn_even: set[int]  # positions in dynamic even pairs
+    dyn_odd: set[int]  # positions in dynamic odd pairs
+
+    def __hash__(self) -> int:
+        return hash(self.nodes[0])
 
 
 def _right_degree(node: WBTree) -> int:
@@ -160,7 +167,8 @@ def annotate(b: WBTree) -> BAnnotation:
     reached: at a two-way branch an active node sends its walk right first
     when its right-degree is even and left first when it is odd; an
     inactive node whose parent is active goes first to the child on the
-    side it hangs on itself; any other node goes left first.
+    side it hangs on itself; any other node goes left first.  A post-pass
+    forms the dynamic pairs.
     """
     nodes: list[WBTree] = []
     parent: list[int] = []
@@ -202,13 +210,22 @@ def annotate(b: WBTree) -> BAnnotation:
                 right_first = not d & 1 if ok else par >= 0 and active[par] and is_right
                 if right_first:
                     stack[-1], stack[-2] = stack[-2], stack[-1]
-    return BAnnotation(nodes, parent, left, right, ll, ancestor, rdeg, active)
+    dyn_even: set[int] = set()
+    dyn_odd: set[int] = set()
+    for k, act in enumerate(active):
+        if not act:
+            continue
+        if rdeg[k] & 1:
+            dyn_odd.add(k)
+            dyn_odd.add(right[k] if right[k] >= 0 else ancestor[k])
+        else:
+            dyn_even.add(k)
+            dyn_even.add(right[k])
+    return BAnnotation(nodes, parent, left, right, ll, ancestor, rdeg, active, dyn_even, dyn_odd)
 
 
-def modified_preorder(b: WBTree, ann: BAnnotation | None = None) -> list[Path]:
+def modified_preorder(ann: BAnnotation) -> list[Path]:
     """Paths of all nodes in modified preorder, starting at the root."""
-    if ann is None:
-        ann = annotate(b)
     paths: list[Path] = [()]
     for k in range(1, len(ann.nodes)):
         par = ann.parent[k]
@@ -241,45 +258,14 @@ class BStatVector:
     ndoler: int = 0
     ndord: int = 0
 
-    def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["rdeg"] = {str(q): c for q, c in sorted(self.rdeg.items())}
-        d["rol"] = {str(q): c for q, c in sorted(self.rol.items())}
-        return d
 
-
-def dynamic_sets(ann: BAnnotation) -> tuple[set[int], set[int]]:
-    """(dynamic even, dynamic odd) node positions.
-
-    An active node pairs with its right child; an active node without a
-    right child (necessarily of odd right-degree) pairs with its ancestor.
-    """
-    dyn_even: set[int] = set()
-    dyn_odd: set[int] = set()
-    right, rdeg = ann.right, ann.rdeg
-    for k, act in enumerate(ann.active):
-        if not act:
-            continue
-        if rdeg[k] & 1:
-            dyn_odd.add(k)
-            dyn_odd.add(right[k] if right[k] >= 0 else ann.ancestor[k])
-        else:
-            dyn_even.add(k)
-            dyn_even.add(right[k])
-    return dyn_even, dyn_odd
-
-
-def bstats(
-    b: WBTree, ann: BAnnotation | None = None, dyn: tuple[set[int], set[int]] | None = None
-) -> BStatVector:
-    """Compute the full binary statistic vector in one pass; `dyn` is
-    dynamic_sets(ann) when the caller already has it."""
-    if ann is None:
-        ann = annotate(b)
+def bstats(ann: BAnnotation) -> BStatVector:
+    """Compute the full binary statistic vector in one pass."""
+    dyn_even, dyn_odd = ann.dyn_even, ann.dyn_odd
     rdeg: dict[int, int] = {}
     rol: dict[int, int] = {}
-    ell = ord_ = oler = eler = act = eact = oact = 0
-    for d, lev, is_act in zip(ann.rdeg, ann.left_level, ann.active):
+    ell = ord_ = oler = eler = act = eact = oact = ndoler = ndord = 0
+    for k, (d, lev, is_act) in enumerate(zip(ann.rdeg, ann.left_level, ann.active)):
         rdeg[d] = rdeg.get(d, 0) + 1
         if lev & 1:
             rol[d] = rol.get(d, 0) + 1
@@ -287,8 +273,12 @@ def bstats(
             ell += 1
         if d & 1:
             ord_ += 1
+            if k not in dyn_odd:
+                ndord += 1
         elif lev & 1:
             oler += 1
+            if k not in dyn_even:
+                ndoler += 1
         else:
             eler += 1
         if is_act:
@@ -297,18 +287,10 @@ def bstats(
                 oact += 1
             else:
                 eact += 1
-    dyn_even, dyn_odd = dynamic_sets(ann) if dyn is None else dyn
     if len(dyn_even) != 2 * eact:
         raise InternalError("dynamic even pairs must be disjoint")
     if len(dyn_odd) != 2 * oact:
         raise InternalError("dynamic odd pairs must be disjoint")
-    ndoler = ndord = 0
-    for k, (d, lev) in enumerate(zip(ann.rdeg, ann.left_level)):
-        if d & 1:
-            if k not in dyn_odd:
-                ndord += 1
-        elif lev & 1 and k not in dyn_even:
-            ndoler += 1
     return BStatVector(
         rdeg=rdeg, rol=rol, ell=ell, ord=ord_, oler=oler, eler=eler, act=act, eact=eact, oact=oact,
         dme=len(dyn_even), dmo=len(dyn_odd), ndoler=ndoler, ndord=ndord,
@@ -324,21 +306,20 @@ def _swap_three(u: WBTree) -> WBTree:
     return WBTree(u.label, flip(u.right), flip(u.left))
 
 
-def swap_branches(b: WBTree, i: int, ann: BAnnotation | None = None) -> WBTree:
+def swap_branches(ann: BAnnotation, i: int) -> WBTree:
     """The involution at the i-th node of the modified preorder, i in [p].
 
     Identity when that node is inactive; otherwise swaps the left and right
     branches at the node and at both of its children, which flips the node
     between active even and active odd while preserving the modified
     preorder, the even-left-level right-degree profile, and the orbit-level
-    statistics.  The spine above the node is rebuilt along `ann.parent`.
+    statistics.  The spine above the node is rebuilt along `ann.parent`;
+    at an inactive node the result is the annotated tree object itself.
     """
-    if ann is None:
-        ann = annotate(b)
     if not 1 <= i < len(ann.nodes):
         raise IndexError(f"node index {i} out of range 1..{len(ann.nodes) - 1}")
     if not ann.active[i]:
-        return b
+        return ann.nodes[0]
     nodes, parent, left = ann.nodes, ann.parent, ann.left
     new = _swap_three(nodes[i])
     k = i
@@ -351,27 +332,31 @@ def swap_branches(b: WBTree, i: int, ann: BAnnotation | None = None) -> WBTree:
 
 
 class OrbitMember(NamedTuple):
-    """One orbit member's annotation and its swap results: `swaps[i-1]` is
-    swap_branches at position i, stored as that member's own key object."""
+    """One orbit member's annotation, its statistics and its swap results:
+    `swaps[i-1]` is swap_branches at position i, stored as that member's
+    own key object."""
 
     ann: BAnnotation
+    stats: BStatVector
     swaps: list[WBTree]
 
 
 def orbit(b: WBTree) -> dict[WBTree, OrbitMember]:
-    """Closure of b under all branch swaps, in discovery order, annotating
-    and swapping each member once; its size is 2**act of the orbit's
-    unique representative without active even nodes."""
-    members = {b: OrbitMember(annotate(b), [])}
+    """Closure of b under all branch swaps, in discovery order, annotating,
+    measuring and swapping each member once; its size is 2**act of the
+    orbit's unique representative without active even nodes."""
+    ann = annotate(b)
+    members = {b: OrbitMember(ann, bstats(ann), [])}
     frontier = [(b, members[b])]
     while frontier:
-        cur, (ann, swaps) = frontier.pop()
+        cur, (ann, _, swaps) = frontier.pop()
         for i in range(1, len(ann.nodes)):
-            nxt = swap_branches(cur, i, ann)
+            nxt = swap_branches(ann, i)
             if nxt is not cur:
                 known = members.get(nxt)
                 if known is None:
-                    members[nxt] = known = OrbitMember(annotate(nxt), [])
+                    new_ann = annotate(nxt)
+                    members[nxt] = known = OrbitMember(new_ann, bstats(new_ann), [])
                     frontier.append((nxt, known))
                 else:
                     nxt = known.ann.nodes[0]  # the root node is the tree itself

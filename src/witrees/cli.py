@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .binary import annotate, bstats, format_btree, modified_preorder, orbit, parse_btree
+from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import enumerate_trees, iter_trees
 from .errors import InternalError
@@ -250,7 +250,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     orb = sorted(members, key=format_btree)
     rows = []
     for member in orb:
-        v = bstats(member, members[member].ann)
+        v = members[member].stats
         rows.append(
             {
                 "tree": format_btree(member),
@@ -274,11 +274,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_preorder(args: argparse.Namespace) -> int:
-    b = parse_btree(args.tree)
-    ann = annotate(b)
+    ann = annotate(parse_btree(args.tree))
     rows = [
         {"index": i, "label": ann.nodes[i].label, "path": "".join("LR"[s] for s in path)}
-        for i, path in enumerate(modified_preorder(b, ann))
+        for i, path in enumerate(modified_preorder(ann))
     ]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.out)

@@ -60,9 +60,6 @@ class MPoly:
             return MPoly.const(self.vars, other)
         return NotImplemented  # type: ignore[return-value]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -72,9 +69,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "MPoly":

@@ -11,9 +11,9 @@ alone or fused.  `Facts` builds each shared fact at most once: the memo of
 `stats` (the bodies' only source of plane-tree statistics; the images under
 hat, tilde, psi and theta lie on the same multiset) and the reduced table
 of the Schett polynomial with its gamma table.  The group-action body
-takes each orbit from `binary.orbit`, which annotates and swaps every
-member once.  The checks over sets, {1^n} or series orders enumerate
-their own families.
+takes each orbit from `binary.orbit`, which annotates, measures and swaps
+every member once.  The checks over sets, {1^n} or series orders
+enumerate their own families.
 
 The multisets of the pass are split into one shard per CPU in the
 process's affinity set, balanced by tree count.  This process runs the
@@ -22,8 +22,8 @@ earliest in multiset order wins and otherwise the coverage adds up, so the
 results are those of the serial run, which is the same code on one shard
 (one CPU, as under `taskset -c 0`, or no `os.fork`).  A shard that raises
 or dies is an InternalError, never a pass, and a forked shard whose parent
-has died stops before its next multiset.  Set-up callbacks and the other
-checks run once, here.
+has died stops before its next multiset.  The other checks run once,
+here.
 
 The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
 checks in one pass, 149 s on the two cores of a 2-core Xeon and about
@@ -41,7 +41,7 @@ from functools import cache, cached_property
 from math import comb, factorial
 from typing import Callable, Iterable, NoReturn
 
-from .binary import OrbitMember, WBTree, bstats, dynamic_sets, format_btree, orbit
+from .binary import BAnnotation, annotate, bstats, format_btree, orbit
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import iter_multisets, iter_trees
 from .errors import InternalError
@@ -108,18 +108,16 @@ class Facts:
 @dataclass(frozen=True)
 class SizedCheck:
     """A check over every multiset with p <= a bound.  `summary` is the PASS
-    detail, formatted with the bound and the number of trees covered;
-    `setup`, if given, runs once before any multiset and can fail too."""
+    detail, formatted with the bound and the number of trees covered."""
 
     name: str
     body: Callable[[Facts], "str | None"]
     summary: str
-    setup: Callable[[], "str | None"] | None = None
 
 
-def sized_check(name: str, summary: str, setup: Callable[[], "str | None"] | None = None):
+def sized_check(name: str, summary: str):
     """Decorator making a per-multiset body a SizedCheck."""
-    return lambda body: SizedCheck(name, body, summary, setup)
+    return lambda body: SizedCheck(name, body, summary)
 
 
 def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
@@ -129,15 +127,11 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
     job, its first failing multiset or the trees it covered, and the merge
     keeps the failure earliest in multiset order, else sums the coverage.
     So the results equal those of the one-shard (serial) run."""
-    setups = [check.setup() if check.setup else None for check, _ in jobs]
-    live = [job for job, detail in zip(jobs, setups) if detail is None]
-    top = max((bound for _, bound in live), default=-1)
+    top = max((bound for _, bound in jobs), default=-1)
     multisets = list(iter_multisets(top))
     shards = _shards([count_trees(m) for m in multisets], _cpus())
-    per_job = zip(*_fork_map(lambda shard: _run_shard(live, multisets, shard, top), shards))
-    merged = iter([_merge(check, bound, outcomes) for (check, bound), outcomes in zip(live, per_job)])
-    return [_fail(check.name, detail) if detail is not None else next(merged)
-            for (check, _), detail in zip(jobs, setups)]
+    per_job = zip(*_fork_map(lambda shard: _run_shard(jobs, multisets, shard, top), shards))
+    return [_merge(check, bound, outcomes) for (check, bound), outcomes in zip(jobs, per_job)]
 
 
 Outcome = tuple[int | None, str | int]  # (first failing multiset, detail) or (None, trees covered)
@@ -348,17 +342,16 @@ _TILDE_BASE = {
 }
 
 
-def _tilde_base() -> str | None:
-    for src, dst in _TILDE_BASE.items():
-        if format_tree(tilde(parse_tree(src))) != dst:
-            return f"base case {src} -> {dst} violated"
-    return None
-
-
 @sized_check("tilde involution: (odd, oe, ee) -> (oe, odd, ee)",
-             "involution with exact transport, p <= {bound} ({trees} trees)", _tilde_base)
+             "involution with exact transport, p <= {bound} ({trees} trees)")
 def _tilde(f: Facts) -> str | None:
-    """tilde is an involution swapping odd <-> oe and fixing ee."""
+    """tilde is an involution swapping odd <-> oe and fixing ee, and maps
+    the base cases as given; the pass reaches those first, on the empty
+    multiset, so a broken base case is the check's earliest failure."""
+    if f.m.size == 0:
+        for src, dst in _TILDE_BASE.items():
+            if format_tree(tilde(parse_tree(src))) != dst:
+                return f"base case {src} -> {dst} violated"
     for t in f.trees:
         tt = tilde(t)
         if tilde(tt) != t:
@@ -487,7 +480,7 @@ def _binary(f: Facts) -> str | None:
         if rho_inv(b) != t:
             return f"round trip fails on {format_tree(t)}"
         sv = f.walk(t)
-        bv = bstats(b)
+        bv = bstats(annotate(b))
         if (sv.deg, sv.od, sv.el, sv.odd, sv.oe, sv.ee) != (
             bv.rdeg, bv.rol, bv.ell, bv.ord, bv.oler, bv.eler
         ):
@@ -506,25 +499,11 @@ def _binary(f: Facts) -> str | None:
     return None
 
 
-class _MemberInfo:
-    """Cached per-tree data for one orbit member, built from its `orbit`
-    entry: the annotation, and the swap results at positions 1..p."""
-
-    __slots__ = ("ann", "bv", "labels", "dyn_even", "dyn_odd", "swaps")
-
-    def __init__(self, b: WBTree, member: OrbitMember):
-        self.ann, self.swaps = member
-        self.dyn_even, self.dyn_odd = dyn = dynamic_sets(self.ann)
-        self.bv = bstats(b, self.ann, dyn)
-        self.labels = [node.label for node in self.ann.nodes]
-
-
-def _dynamic_transport_ok(cur_info: _MemberInfo, new_info: _MemberInfo, i: int) -> bool:
+def _dynamic_transport_ok(ann: BAnnotation, new_ann: BAnnotation, i: int) -> bool:
     """Dynamic pairs move as (u,y) <-> (u,x) or through the ancestor,
     with node identity tracked by the invariant preorder position."""
-    ann = cur_info.ann
-    e1, o1 = cur_info.dyn_even, cur_info.dyn_odd
-    e2, o2 = new_info.dyn_even, new_info.dyn_odd
+    e1, o1 = ann.dyn_even, ann.dyn_odd
+    e2, o2 = new_ann.dyn_even, new_ann.dyn_odd
     ix, iy, iw = ann.left[i], ann.right[i], ann.ancestor[i]
     if ix >= 0 and iy >= 0:
         return ((i in e1 and iy in e1) == (i in o2 and ix in o2)) and (
@@ -547,37 +526,37 @@ def _action(f: Facts) -> str | None:
         b0 = rho(t0)
         if b0 in seen:
             continue
-        members = {b: _MemberInfo(b, member) for b, member in orbit(b0).items()}
+        members = orbit(b0)
         seen.update(members)
+        labels = {b: [node.label for node in member.ann.nodes] for b, member in members.items()}
 
         orbit_hist: Counter = Counter()
         reps = []
-        for cur, info in members.items():
-            bv = info.bv
+        for cur, (ann, bv, swaps) in members.items():
             if bv.ndoler != bv.ndord or bv.dme + bv.ndoler != bv.oler or bv.dmo + bv.ndord != bv.ord:
                 return f"dynamic bookkeeping fails on {format_btree(cur)}"
             orbit_hist[(bv.eler, bv.oler, bv.ord)] += 1
             if bv.eact == 0:
                 reps.append((cur, bv))
-            active, swaps = info.ann.active, info.swaps
+            active = ann.active
             for i in range(1, p + 1):
                 nb = swaps[i - 1]
                 if not active[i]:
                     if nb != cur:
                         return f"swap at inactive node {i} moved {format_btree(cur)}"
                     continue
-                new_info = members[nb]
-                if new_info.swaps[i - 1] != cur:
+                new_ann, new_bv, new_swaps = members[nb]
+                if new_swaps[i - 1] != cur:
                     return f"swap {i} not an involution on {format_btree(cur)}"
-                if new_info.labels != info.labels:
+                if labels[nb] != labels[cur]:
                     return f"preorder changed by swap {i} on {format_btree(cur)}"
-                if new_info.ann.active != active:
+                if new_ann.active != active:
                     return f"active set changed by swap {i} on {format_btree(cur)}"
-                if new_info.bv.eler != bv.eler:
+                if new_bv.eler != bv.eler:
                     return f"eler changed by swap {i} on {format_btree(cur)}"
-                if info.ann.rdeg[i] & 1 == new_info.ann.rdeg[i] & 1:
+                if ann.rdeg[i] & 1 == new_ann.rdeg[i] & 1:
                     return f"swap {i} kept right-degree parity on {format_btree(cur)}"
-                if not _dynamic_transport_ok(info, new_info, i):
+                if not _dynamic_transport_ok(ann, new_ann, i):
                     return f"dynamic transport fails at {i} on {format_btree(cur)}"
             # identity swaps commute trivially and the active set is
             # invariant, so checking both-active pairs covers commutation
@@ -874,7 +853,7 @@ def scan_real_rootedness(m: Multiset):
     if m.multiplicities == (1,) * m.n:
         schett = schett_poly(m.n)
     else:
-        schett = schett_of(iter_trees(m))
+        schett = schett_of(iter_trees(m, size_bound=m.size))
     for i, coeffs in enumerate(slice_poly_coeffs(reduced_table(schett, m.size))):
         yield i, coeffs, real_rooted(coeffs)
 

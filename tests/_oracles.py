@@ -5,7 +5,9 @@ tree shapes are generated first, then every distinct arrangement of the
 label multiset is tried and filtered by the validity rules.  The parity
 walker counts the node types of one tree with its own traversal.  The binary
 annotation oracle keys every node by its path from the root and follows the
-definitions in `witrees.binary`'s docstring one by one.  The plane-tree
+definitions in `witrees.binary`'s docstring one by one, and the binary
+statistics oracle pairs the dynamic nodes from the annotation's lists and
+counts the non-dynamic ones in a second pass.  The plane-tree
 series oracle iterates the functional equations to a fixpoint, the
 real-rootedness oracle runs its Sturm chain over the rationals, the
 grammar derivative oracle multiplies out each Leibniz term as a polynomial
@@ -17,7 +19,7 @@ small inputs.
 from fractions import Fraction
 from itertools import permutations
 
-from witrees.binary import WBTree
+from witrees.binary import BAnnotation, BStatVector, WBTree
 from witrees.mpoly import MPoly, poly_sum
 from witrees.realroots import RootReport
 from witrees.series import SERIES_VARS, TruncSeries
@@ -209,6 +211,47 @@ def oracle_annotation(b: WBTree) -> dict:
     }
 
 
+def oracle_bstats(ann: BAnnotation) -> BStatVector:
+    """The binary statistic vector in two passes over the annotation: the
+    per-node counts first, then the non-dynamic nodes against the dynamic
+    sets, which are paired here from the active flags, not read from
+    `ann.dyn_even`/`ann.dyn_odd`."""
+    dyn_even, dyn_odd = set(), set()
+    for k, act in enumerate(ann.active):
+        if not act:
+            continue
+        if ann.rdeg[k] & 1:
+            dyn_odd.update((k, ann.right[k] if ann.right[k] >= 0 else ann.ancestor[k]))
+        else:
+            dyn_even.update((k, ann.right[k]))
+    v = BStatVector(dme=len(dyn_even), dmo=len(dyn_odd))
+    for d, lev, is_act in zip(ann.rdeg, ann.left_level, ann.active):
+        v.rdeg[d] = v.rdeg.get(d, 0) + 1
+        if lev & 1:
+            v.rol[d] = v.rol.get(d, 0) + 1
+        else:
+            v.ell += 1
+        if d & 1:
+            v.ord += 1
+        elif lev & 1:
+            v.oler += 1
+        else:
+            v.eler += 1
+        if is_act:
+            v.act += 1
+            if d & 1:
+                v.oact += 1
+            else:
+                v.eact += 1
+    for k, (d, lev) in enumerate(zip(ann.rdeg, ann.left_level)):
+        if d & 1:
+            if k not in dyn_odd:
+                v.ndord += 1
+        elif lev & 1 and k not in dyn_even:
+            v.ndoler += 1
+    return v
+
+
 def _geometric(u: TruncSeries) -> TruncSeries:
     """1 / (1 - u) for a series with zero constant term."""
     if u.coeffs[0].terms:
@@ -294,7 +337,7 @@ def oracle_gamma(schett: MPoly, p: int) -> dict[tuple[int, int], int]:
             if g:
                 table[(i, j)] = g
                 residual = residual - g * _power(yz, j) * _power(y_plus_z, d - 2 * j)
-        if not residual.is_zero():
+        if residual:
             raise ValueError(f"nonzero residual in x^{i} slice: {residual}")
     return table
 

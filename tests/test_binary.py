@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from _oracles import oracle_annotation, subtree_at
+from _oracles import oracle_annotation, oracle_bstats, subtree_at
 from _strategies import weakly_increasing_trees
 from witrees.binary import (
     BTreeSyntaxError,
@@ -9,7 +9,6 @@ from witrees.binary import (
     WBTree,
     annotate,
     bstats,
-    dynamic_sets,
     format_btree,
     modified_preorder,
     orbit,
@@ -40,8 +39,7 @@ def test_parse_rejects_invalid():
 
 
 def test_single_edge_stats():
-    b = rho(parse_tree("0(1)"))
-    v = bstats(b)
+    v = bstats(annotate(rho(parse_tree("0(1)"))))
     assert v.ell == 1  # only the root sits on an even left-level
     # the root has right-degree 1 (= its plane degree), node 1 has 0 on an
     # odd left-level; matches (odd, oe, ee) = (1, 1, 0) of the plane tree
@@ -52,7 +50,7 @@ def test_single_edge_stats():
 def test_right_degree_matches_plane_degree():
     for m in iter_multisets(5):
         for t in iter_trees(m):
-            sv, bv = stats(t), bstats(rho(t))
+            sv, bv = stats(t), bstats(annotate(rho(t)))
             assert sv.deg == bv.rdeg and sv.od == bv.rol
             assert (sv.el, sv.odd, sv.oe, sv.ee) == (bv.ell, bv.ord, bv.oler, bv.eler)
             assert (sv.act, sv.eact, sv.oact) == (bv.act, bv.eact, bv.oact)
@@ -61,7 +59,7 @@ def test_right_degree_matches_plane_degree():
 def test_dynamic_bookkeeping():
     for m in iter_multisets(5):
         for t in iter_trees(m):
-            v = bstats(rho(t))
+            v = bstats(annotate(rho(t)))
             assert v.dme == 2 * v.eact and v.dmo == 2 * v.oact
             assert v.dme + v.ndoler == v.oler and v.dmo + v.ndord == v.ord
             assert v.ndoler == v.ndord
@@ -69,17 +67,17 @@ def test_dynamic_bookkeeping():
 
 
 def test_modified_preorder_base_cases():
-    assert modified_preorder(parse_btree("0[_|_]")) == [()]
+    assert modified_preorder(annotate(parse_btree("0[_|_]"))) == [()]
     # a pure left chain with no active nodes is plain preorder
     chain = parse_btree("0[1[2[_|_]|_]|_]")
-    assert modified_preorder(chain) == [(), (0,), (0, 0)]
+    assert modified_preorder(annotate(chain)) == [(), (0,), (0, 0)]
 
 
 def test_preorder_all_nodes_once():
     for m in iter_multisets(5):
         for t in iter_trees(m):
             b = rho(t)
-            order = modified_preorder(b)
+            order = modified_preorder(annotate(b))
             assert order[0] == ()
             assert len(order) == m.size + 1
             assert len(set(order)) == len(order)
@@ -92,23 +90,24 @@ def test_swap_identity_on_inactive():
     ann = annotate(b)
     for i in range(1, 3):
         if not ann.active[i]:
-            assert swap_branches(b, i) == b
+            assert swap_branches(ann, i) is b
 
 
 def test_swap_involution_small():
     for m in iter_multisets(5):
         for t in iter_trees(m):
             b = rho(t)
+            ann = annotate(b)
             for i in range(1, m.size + 1):
-                assert swap_branches(swap_branches(b, i), i) == b
+                assert swap_branches(annotate(swap_branches(ann, i)), i) == b
 
 
 def test_swap_index_range():
-    b = rho(parse_tree("0(1)"))
+    ann = annotate(rho(parse_tree("0(1)")))
     with pytest.raises(IndexError):
-        swap_branches(b, 0)
+        swap_branches(ann, 0)
     with pytest.raises(IndexError):
-        swap_branches(b, 2)
+        swap_branches(ann, 2)
 
 
 def test_orbit_sizes_are_powers_of_two():
@@ -117,14 +116,14 @@ def test_orbit_sizes_are_powers_of_two():
             b = rho(t)
             orb = orbit(b)
             assert len(orb) & (len(orb) - 1) == 0
-            reps = [x for x in orb if bstats(x).eact == 0]
+            reps = [member.stats for member in orb.values() if member.stats.eact == 0]
             assert len(reps) == 1
-            assert len(orb) == 2 ** bstats(reps[0]).act
+            assert len(orb) == 2 ** reps[0].act
 
 
 def test_inactive_tree_orbit_is_singleton():
     b = rho(parse_tree("0(1(2))"))
-    if bstats(b).act == 0:
+    if bstats(annotate(b)).act == 0:
         assert set(orbit(b)) == {b}
 
 
@@ -138,7 +137,8 @@ def test_annotation_matches_path_keyed_oracle():
             b = rho(t)
             ann = annotate(b)
             want = oracle_annotation(b)
-            paths = modified_preorder(b, ann)
+            assert hash(ann) == hash(b)
+            paths = modified_preorder(ann)
             assert paths == want["order"], format_btree(b)
             assert [subtree_at(b, q) for q in paths] == ann.nodes
             assert ann.left_level == [want["left_level"][q] for q in paths]
@@ -149,13 +149,22 @@ def test_annotation_matches_path_keyed_oracle():
                 par = ann.parent[k]
                 assert paths[k][:-1] == paths[par]
                 assert k == (ann.left[par] if paths[k][-1] == 0 else ann.right[par])
-            dyn_even, dyn_odd = dynamic_sets(ann)
-            assert {paths[k] for k in dyn_even} == want["dyn_even"]
-            assert {paths[k] for k in dyn_odd} == want["dyn_odd"]
+            assert {paths[k] for k in ann.dyn_even} == want["dyn_even"]
+            assert {paths[k] for k in ann.dyn_odd} == want["dyn_odd"]
 
 
-def _bookkeeping_holds(b: WBTree, p: int) -> bool:
-    v = bstats(b)
+def test_stats_match_two_pass_oracle():
+    for m in iter_multisets(6):
+        for t in iter_trees(m):
+            b = rho(t)
+            ann = annotate(b)
+            assert bstats(ann) == oracle_bstats(ann), format_btree(b)
+            for member in orbit(b).values():
+                assert member.stats == oracle_bstats(member.ann), format_btree(member.ann.nodes[0])
+
+
+def _bookkeeping_holds(ann, p: int) -> bool:
+    v = bstats(ann)
     return (
         v.dme == 2 * v.eact
         and v.dmo == 2 * v.oact
@@ -173,22 +182,23 @@ def test_swap_laws_past_exhaustive_bound(t):
     ann = annotate(b)
     p = len(ann.nodes) - 1
     labels = [node.label for node in ann.nodes]
-    assert _bookkeeping_holds(b, p)
+    assert _bookkeeping_holds(ann, p)
     swapped = {}
     for i in range(1, p + 1):
-        nb = swap_branches(b, i, ann)
+        nb = swap_branches(ann, i)
         if not ann.active[i]:
-            assert nb == b
+            assert nb is b
             continue
         nann = annotate(nb)
-        assert swap_branches(nb, i, nann) == b
+        assert swap_branches(nann, i) == b
         assert [node.label for node in nann.nodes] == labels
         assert nann.active == ann.active
         assert (nann.rdeg[i] - ann.rdeg[i]) % 2 == 1
-        assert _bookkeeping_holds(nb, p)
-        swapped[i] = (nb, nann)
+        assert _bookkeeping_holds(nann, p)
+        swapped[i] = nann
+    for member in orbit(b).values():
+        assert member.stats == oracle_bstats(member.ann)
     active = list(swapped)
     for a, i in enumerate(active):
         for j in active[a + 1:]:
-            (bi, ai), (bj, aj) = swapped[i], swapped[j]
-            assert swap_branches(bi, j, ai) == swap_branches(bj, i, aj)
+            assert swap_branches(swapped[i], j) == swap_branches(swapped[j], i)

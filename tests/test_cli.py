@@ -1,15 +1,20 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import witrees
 import witrees.cli
 from witrees.cli import main
 from witrees.gamma import GammaResidualError
 
 RUN = [sys.executable, "-m", "witrees.cli"]
+# the subprocesses import the same witrees as this process
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(witrees.__file__)), os.environ.get("PYTHONPATH")]))}
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,7 +26,7 @@ GOLDEN_TREES = [
 
 
 def run_cli(*args):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True)
+    return subprocess.run(RUN + list(args), capture_output=True, text=True, env=ENV)
 
 
 def test_enumerate_line_count():
@@ -58,6 +63,7 @@ def test_transform_single_and_batch():
         input="0(1)\n0(1,2)\n",
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert batch.stdout.strip().splitlines() == ["0(1)", "0(1(2))"]
 
@@ -247,7 +253,8 @@ def test_orbit_annotates_each_member_once(monkeypatch, capsys):
 def test_closed_stdout_exits_quietly():
     # 40,320 lines: far more than a pipe buffer holds, so the writer is
     # still writing when the reader closes its end
-    proc = subprocess.Popen(RUN + ["enumerate", "--set", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen(RUN + ["enumerate", "--set", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=ENV)
     proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -258,7 +265,7 @@ def test_closed_stdout_exits_quietly():
 def test_optimized_interpreter_same_verify_output():
     plain = run_cli("verify", "--max-size", "4")
     optimized = subprocess.run([sys.executable, "-O", "-m", "witrees.cli", "verify", "--max-size", "4"],
-                               capture_output=True, text=True)
+                               capture_output=True, text=True, env=ENV)
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
 

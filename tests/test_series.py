@@ -111,7 +111,7 @@ def test_shift_orders():
     y = TruncSeries.from_poly(MPoly.var(SERIES_VARS, "y"), 3)
     shifted = y.shift(2)
     assert shifted.coeffs[2] == MPoly.var(SERIES_VARS, "y")
-    assert shifted.coeffs[0].is_zero()
+    assert not shifted.coeffs[0]
     assert len(shifted.coeffs) == 4
 
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import witrees
 import witrees.verify
 from witrees.binary import WBTree, annotate
 from witrees.cli import main
@@ -72,6 +73,15 @@ def test_conjecture_small():
     assert result.passed, result.detail
 
 
+def test_conjecture_scans_past_the_default_size_bound():
+    """At 12 nodes the scan enumerates the plane trees on {1^11}, past the
+    default size bound 10 of `iter_trees`: it takes the multiset it is
+    given, whatever its size."""
+    result = check_conjecture(max_nodes=12)
+    assert result.passed, result.detail
+    assert result.detail.startswith("72 slices certified")
+
+
 def test_conjecture_fails_when_the_verdict_cannot_fail(monkeypatch):
     """A `real_rooted` that calls everything real-rooted passes every scanned
     slice; the negative control t^2+1 turns the check FAIL."""
@@ -128,6 +138,20 @@ def _multiset_of(t) -> Multiset:
         counts[u.label] += 1
         stack.extend(u.children)
     return Multiset(tuple(counts[i] for i in range(1, max(counts, default=0) + 1)))
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["serial", "three-shards"])
+@pytest.mark.parametrize("max_size", [0, 4])
+def test_broken_tilde_base_case_fails_tilde_alone(monkeypatch, cpus, max_size):
+    """The base cases are checked on the empty multiset, which every pass
+    starts with, so a broken one is the tilde check's earliest failure."""
+    monkeypatch.setitem(witrees.verify._TILDE_BASE, "0(1,2)", "0(1,2)")
+    _on_cpus(monkeypatch, cpus)
+    counting, tilde_result = run_suites(["counting", "tilde"], max_size=max_size)
+    assert counting.passed
+    assert tilde_result.line() == (
+        "FAIL  tilde involution: (odd, oe, ee) -> (oe, odd, ee): base case 0(1,2) -> 0(1,2) violated"
+    )
 
 
 @pytest.mark.parametrize("earliest", [1, 0], ids=["in-child", "in-parent"])
@@ -276,13 +300,16 @@ TWO_SHARD_VERIFY = (
     "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from witrees.cli import main; "
     "sys.exit(main(['verify', '--max-size', '8']))"
 )
+# the child imports the same witrees as this process
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(witrees.__file__)), os.environ.get("PYTHONPATH")]))}
 
 
 def test_shards_stop_when_verify_is_killed():
     """SIGKILL to the verify process alone, as a watchdog sends it, leaves
     no shard running: each leaves before its next multiset."""
     proc = subprocess.Popen([sys.executable, "-c", TWO_SHARD_VERIFY], stdout=subprocess.DEVNULL,
-                            start_new_session=True)
+                            start_new_session=True, env=CHILD_ENV)
     pgid = proc.pid
     try:
         time.sleep(1)
@@ -347,12 +374,11 @@ def test_action_catches_swaps_that_do_not_commute(monkeypatch):
 
     real = witrees.binary.swap_branches
 
-    def tangled(b, i, ann=None):
-        ann = ann or annotate(b)
-        out = real(b, i, ann)
+    def tangled(ann, i):
+        out = real(ann, i)
         act = [k for k in range(1, len(ann.nodes)) if ann.active[k]]
         if len(act) >= 3 and i == act[0] and ann.rdeg[act[2]] & 1:
-            out = real(out, act[1])
+            out = real(annotate(out), act[1])
         return out
 
     monkeypatch.setattr(witrees.binary, "swap_branches", tangled)
