@@ -133,7 +133,8 @@ def validate_btree(b: WBTree) -> None:
 class BAnnotation(NamedTuple):
     """Per-node data for one tree, as lists indexed by modified-preorder
     position: 0 is the root, and -1 stands for an absent node.  It hashes
-    as its tree, so it can stand for the tree in a set or as a key."""
+    as its tree: `perfbench/tracing.py` counts distinct trees by hashing the
+    first argument of `annotate` (a tree) and `swap_branches` (one of these)."""
 
     nodes: list[WBTree]
     parent: list[int]

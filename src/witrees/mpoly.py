@@ -32,10 +32,6 @@ class MPoly:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, variables: tuple[str, ...]) -> "MPoly":
-        return cls(variables)
-
-    @classmethod
     def const(cls, variables: tuple[str, ...], value: int) -> "MPoly":
         return cls(variables, {(0,) * len(variables): value} if value else {})
 
@@ -45,10 +41,6 @@ class MPoly:
         exps = [0] * len(variables)
         exps[i] = 1
         return cls(variables, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, variables: tuple[str, ...], exps: tuple[int, ...], coeff: int = 1) -> "MPoly":
-        return cls(variables, {tuple(exps): coeff})
 
     # -- helpers ------------------------------------------------------
     def _coerce(self, other) -> "MPoly":
@@ -100,9 +92,6 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "MPoly":
-        return (-self) + other
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, int):

@@ -11,10 +11,14 @@ level parity.  It solves the system
 obtained by splitting a root's children into consecutive pairs plus an
 optional last one, and eliminating N* gives one quintic polynomial relation
 for N; setting w = z in it shows N(x,y,z,z;t) is symmetric in x and z.
-Both relations are verified here with exact residuals.
+One residual function checks both relations exactly; Lagrange inversion
+of a kernel (Flajolet-Sedgewick, Analytic Combinatorics, A.6) rebuilds N
+as a second `TruncSeries`.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import InternalError
 from .mpoly import MPoly, poly_sum
@@ -31,15 +35,9 @@ class TruncSeries:
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
-        padded = list(coeffs[: order + 1])
-        while len(padded) < order + 1:
-            padded.append(MPoly.zero(SERIES_VARS))
-        self.coeffs = padded
-
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_poly(cls, poly: MPoly, order: int) -> "TruncSeries":
-        return cls([poly], order)
+        self.coeffs = list(coeffs[: order + 1])
+        while len(self.coeffs) < order + 1:
+            self.coeffs.append(MPoly(SERIES_VARS))
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other: "TruncSeries") -> None:
@@ -80,7 +78,7 @@ class TruncSeries:
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by t^k."""
-        return TruncSeries([MPoly.zero(SERIES_VARS)] * k + self.coeffs, self.order)
+        return TruncSeries([MPoly(SERIES_VARS)] * k + self.coeffs, self.order)
 
     def rename_vars(self, mapping: dict[str, str]) -> "TruncSeries":
         return TruncSeries([c.rename(mapping) for c in self.coeffs], self.order)
@@ -186,10 +184,11 @@ def _powers(n: TruncSeries) -> tuple[TruncSeries, ...]:
     return tuple(TruncSeries(p.coeffs, order) for p in (n_2, n2, n3, n4, n5))
 
 
-def quintic_residual(n: TruncSeries) -> TruncSeries:
-    """Residual of the quintic algebraic relation satisfied by N."""
+def quintic_residual(n: TruncSeries, edge: str = "w") -> TruncSeries:
+    """Residual of the quintic algebraic relation satisfied by N, or, with
+    edge="z" standing for w, of the relation for N(x,y,z,z;t)."""
     order = n.order
-    w, x, y, z = (MPoly.var(SERIES_VARS, s) for s in "wxyz")
+    x, y, z, w = (MPoly.var(SERIES_VARS, s) for s in ("x", "y", "z", edge))
     n_2, n2, n3, n4, n5 = _powers(n)
     return (
         n5.shift(4)
@@ -197,45 +196,26 @@ def quintic_residual(n: TruncSeries) -> TruncSeries:
         - 2 * n3.shift(2)
         + 2 * (n2 * y).shift(2)
         + n
-        - TruncSeries.from_poly(y, order)
-        - TruncSeries.from_poly(w * x, order).shift(1)
+        - TruncSeries([y], order)
+        - TruncSeries([w * x], order).shift(1)
         + (n3 * (w * z - z * z)).shift(4)
         + (n2 * (w * x - 2 * x * z)).shift(3)
         - (n_2 * (w * z + x * x)).shift(2)
     )
 
 
-def quintic_residual_w_eq_z(nz: TruncSeries) -> TruncSeries:
-    """Residual of the specialised quintic for N with w set to z."""
-    order = nz.order
-    x, y, z = (MPoly.var(SERIES_VARS, s) for s in "xyz")
-    nz_2, n2, n3, n4, n5 = _powers(nz)
-    return (
-        n5.shift(4)
-        - (n4 * y).shift(4)
-        - 2 * n3.shift(2)
-        + 2 * (n2 * y).shift(2)
-        - (n2 * (x * z)).shift(3)
-        + nz
-        - (nz_2 * (z * z + x * x)).shift(2)
-        - TruncSeries.from_poly(y, order)
-        - TruncSeries.from_poly(z * x, order).shift(1)
-    )
-
-
-def check_algebraic_eq(order: int) -> dict:
-    """Verify both algebraic relations and the x/z symmetry at w = z.
+def algebraic_report(n: TruncSeries) -> dict:
+    """Check both algebraic relations on n and its x/z symmetry at w = z.
 
     Returns a report dict; zero residuals and a symmetric specialisation
     are the pass condition, with the first offending t-power on failure.
     """
-    n = plane_gf(order)
     res1 = quintic_residual(n)
     nz = n.rename_vars({"w": "z"})
-    res2 = quintic_residual_w_eq_z(nz)
+    res2 = quintic_residual(nz, "z")
     sym = nz.rename_vars({"x": "z", "z": "x"})
     report = {
-        "order": order,
+        "order": n.order,
         "quintic_residual_zero": res1.is_zero(),
         "quintic_residual_first_power": res1.first_nonzero(),
         "w_eq_z_residual_zero": res2.is_zero(),
@@ -250,11 +230,14 @@ def check_algebraic_eq(order: int) -> dict:
     return report
 
 
+def check_algebraic_eq(order: int) -> dict:
+    """`algebraic_report` of the plane-tree series N mod t^(order+1)."""
+    return algebraic_report(plane_gf(order))
+
+
 # ---------------------------------------------------------------------------
 # coefficient extraction from the two-variable inversion kernel
 # ---------------------------------------------------------------------------
-
-SERIES5_VARS = ("w", "x", "y", "z", "t")
 
 # kernel terms: (coefficient, a-deg, b-deg, t-deg, w, x, y, z)
 _KERNEL = (
@@ -267,19 +250,10 @@ _KERNEL = (
 )
 
 
-def lagrange_coeff(n: int, m: int, order: int) -> MPoly:
-    """Coefficient of a^n b^(m+1) in K (t^2 a b^2 + t w b + y)^n
-    (t^2 b a^2 + t z a + x)^m, truncated at t^order, over (w,x,y,z,t).
-
-    Summed over all n, m >= 0 this reproduces the plane-tree series N except
-    for its constant term y (the root-only tree), which the kernel cannot
-    produce; see `lagrange_series`.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
-    from math import comb
-
-    terms: dict[tuple[int, int, int, int, int], int] = {}
+def _add_kernel_terms(acc: list[dict], n: int, m: int) -> None:
+    """Add `lagrange_coeff(n, m, len(acc) - 1)` into acc, whose k-th dict
+    holds the (w,x,y,z)-terms at t^k."""
+    order = len(acc) - 1
     for kc, ka, kb, kt, kw, kx, ky, kz in _KERNEL:
         for j1 in range(n + 1):
             for k1 in range(m + 1):
@@ -299,34 +273,36 @@ def lagrange_coeff(n: int, m: int, order: int) -> MPoly:
                     * comb(n, j1) * comb(n - j1, j2)
                     * comb(m, k1) * comb(m - k1, k2)
                 )
-                key = (j2 + kw, k3 + kx, j3 + ky, k2 + kz, tpow)
-                nc = terms.get(key, 0) + coeff
+                key = (j2 + kw, k3 + kx, j3 + ky, k2 + kz)
+                nc = acc[tpow].get(key, 0) + coeff
                 if nc:
-                    terms[key] = nc
+                    acc[tpow][key] = nc
                 else:
-                    del terms[key]
-    return MPoly(SERIES5_VARS, terms)
+                    del acc[tpow][key]
 
 
-def lagrange_series(order: int) -> MPoly:
-    """Sum of lagrange_coeff over every (n, m) that can reach t^order."""
+def lagrange_coeff(n: int, m: int, order: int) -> TruncSeries:
+    """Coefficient of a^n b^(m+1) in K (t^2 a b^2 + t w b + y)^n
+    (t^2 b a^2 + t z a + x)^m, truncated at t^order, as a series in t.
+
+    Summed over all n, m >= 0 this reproduces the plane-tree series N except
+    for its constant term y (the root-only tree), which the kernel cannot
+    produce; see `lagrange_series`.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("indices must be >= 0")
+    acc: list[dict] = [{} for _ in range(order + 1)]
+    _add_kernel_terms(acc, n, m)
+    return TruncSeries([MPoly(SERIES_VARS, terms) for terms in acc], order)
+
+
+def lagrange_series(order: int) -> TruncSeries:
+    """N mod t^(order+1) by Lagrange inversion: the root-only tree y plus
+    `lagrange_coeff` over every (n, m) that can reach t^order."""
+    acc: list[dict] = [{} for _ in range(order + 1)]
+    acc[0][(0, 0, 1, 0)] = 1  # y
     nmax = (5 * order) // 2 + 4
-    total: dict[tuple[int, ...], int] = {}
     for n in range(nmax + 1):
         for m in range(nmax + 1):
-            for e, c in lagrange_coeff(n, m, order).terms.items():
-                nc = total.get(e, 0) + c
-                if nc:
-                    total[e] = nc
-                else:
-                    del total[e]
-    return MPoly(SERIES5_VARS, total)
-
-
-def series_to_poly5(s: TruncSeries) -> MPoly:
-    """Flatten a truncated series into a single (w,x,y,z,t) polynomial."""
-    terms: dict[tuple[int, ...], int] = {}
-    for n, c in enumerate(s.coeffs):
-        for e, coeff in c.terms.items():
-            terms[e + (n,)] = coeff
-    return MPoly(SERIES5_VARS, terms)
+            _add_kernel_terms(acc, n, m)
+    return TruncSeries([MPoly(SERIES_VARS, terms) for terms in acc], order)

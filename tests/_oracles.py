@@ -256,7 +256,7 @@ def _geometric(u: TruncSeries) -> TruncSeries:
     """1 / (1 - u) for a series with zero constant term."""
     if u.coeffs[0].terms:
         raise ValueError("geometric inverse needs zero constant term")
-    total = TruncSeries.from_poly(MPoly.const(SERIES_VARS, 1), u.order)
+    total = TruncSeries([MPoly.const(SERIES_VARS, 1)], u.order)
     power = total
     for _ in range(u.order):
         power = power * u
@@ -270,8 +270,8 @@ def oracle_plane_gf(order: int) -> TruncSeries:
     """N mod t^(order+1) by fixpoint iteration of N = (y + w t N*) /
     (1 - (t N*)^2) and N* = (x + z t N) / (1 - (t N)^2): round k pins the
     coefficient of t^k, so order+1 rounds reach it."""
-    y = TruncSeries.from_poly(MPoly.var(SERIES_VARS, "y"), order)
-    x = TruncSeries.from_poly(MPoly.var(SERIES_VARS, "x"), order)
+    y = TruncSeries([MPoly.var(SERIES_VARS, "y")], order)
+    x = TruncSeries([MPoly.var(SERIES_VARS, "x")], order)
     w = MPoly.var(SERIES_VARS, "w")
     z = MPoly.var(SERIES_VARS, "z")
     n_cur, n_star = TruncSeries([], order), TruncSeries([], order)
@@ -306,7 +306,7 @@ def oracle_derive(rules: dict[str, MPoly], poly: MPoly) -> MPoly:
             if rule is None:
                 raise ValueError(f"no substitution rule for variable {variables[i]!r}")
             lowered = e[:i] + (power - 1,) + e[i + 1 :]
-            pieces.append(MPoly.monomial(variables, lowered, c * power) * rule)
+            pieces.append(MPoly(variables, {lowered: c * power}) * rule)
     return poly_sum(variables, pieces)
 
 
@@ -325,9 +325,9 @@ def oracle_gamma(schett: MPoly, p: int) -> dict[tuple[int, int], int]:
     repeated products."""
     reduced = MPoly(schett.vars, {})
     for e, c in schett.terms.items():
-        reduced = reduced + MPoly.monomial(schett.vars, tuple(v // 2 for v in e), c)
-    yz = MPoly.monomial(schett.vars, (0, 1, 1))
-    y_plus_z = MPoly.monomial(schett.vars, (0, 1, 0)) + MPoly.monomial(schett.vars, (0, 0, 1))
+        reduced = reduced + MPoly(schett.vars, {tuple(v // 2 for v in e): c})
+    yz = MPoly(schett.vars, {(0, 1, 1): 1})
+    y_plus_z = MPoly(schett.vars, {(0, 1, 0): 1, (0, 0, 1): 1})
     table = {}
     for i in sorted({e[0] for e in reduced.terms}):
         d = p // 2 - i

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -307,3 +308,28 @@ def test_series_golden_output(argv, golden):
     res = run_cli(*argv)
     assert res.returncode == 0
     assert res.stdout == (GOLDEN / golden).read_text()
+
+
+def _workload_constants(*names):
+    """Literal module constants of the benchmark's workload definitions."""
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "workloads.py").read_text())
+    values = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in names
+    }
+    return [values[n] for n in names]
+
+
+@pytest.mark.parametrize("sweep, suites_name", [("sweep-plane", "PLANE_SUITES"), ("sweep-action", "ACTION_SUITES")],
+                         ids=["plane", "action"])
+def test_benchmark_sweep_output(sweep, suites_name):
+    """The benchmark's sweep passes print exactly its recorded lines."""
+    max_size, suites = _workload_constants("MAX_SIZE", suites_name)
+    argv = ["verify", "--max-size", str(max_size)]
+    for suite in suites:
+        argv += ["--suite", suite]
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    assert res.stdout == (Path(__file__).parent.parent / "perfbench" / "expected" / f"{sweep}.txt").read_text()

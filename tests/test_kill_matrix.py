@@ -1,14 +1,21 @@
-"""Planted faults in the binary-tree kernels: each mutant must turn both
-the `binary` and the `action` check FAIL at p <= 5, naming a tree.
+"""Planted faults in the kernels.
 
-A mutant replaces one kernel in both `witrees.binary` (where `orbit` reads
-it) and `witrees.verify` (where the `binary` check reads it).  Every mutant
-keeps the dynamic pairs disjoint, so the checks report a counterexample
-rather than an internal error."""
+Each binary-tree mutant must turn both the `binary` and the `action` check
+FAIL at p <= 5, naming a tree.  It replaces one kernel in both
+`witrees.binary` (where `orbit` reads it) and `witrees.verify` (where the
+`binary` check reads it).  Every mutant keeps the dynamic pairs disjoint,
+so the checks report a counterexample rather than an internal error.
+
+Each series mutant edits one expression in the source of a `witrees.series`
+function and must turn the `series` check FAIL at p <= 5 with the detail
+that names the broken route."""
+
+import inspect
 
 import pytest
 
 import witrees.binary
+import witrees.series
 import witrees.verify
 from witrees.verify import run_suites
 
@@ -65,3 +72,42 @@ def test_binary_mutant_is_caught(monkeypatch, mutant, suite):
     for module in (witrees.binary, witrees.verify):
         monkeypatch.setattr(module, kernel, fake)
     assert run_suites([suite], max_size=5)[0].line() == EXPECTED[suite] + witness
+
+
+def _mutant(name, old, new):
+    """`witrees.series.<name>` recompiled with `old` replaced by `new`."""
+    source = inspect.getsource(getattr(witrees.series, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(witrees.series))
+    exec(compile(source.replace(old, new), witrees.series.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+SERIES_FAIL = "FAIL  generating function: functional and algebraic equations: "
+# mutant: (module whose global the check reads, function, old text, new
+# text, expected FAIL detail)
+SERIES_MUTANTS = {
+    # the factor w x - 2 x z of n^2 t^3 loses its 2; at w = z the factor
+    # must be -xz, so both residuals go nonzero at t^3
+    "quintic-factor": (
+        witrees.series, "quintic_residual", "w * x - 2 * x * z", "w * x - x * z",
+        "algebraic residuals: {'order': 5, 'quintic_residual_zero': False, "
+        "'quintic_residual_first_power': 3, 'w_eq_z_residual_zero': False, "
+        "'w_eq_z_residual_first_power': 3, 'x_z_symmetric_at_w_eq_z': True, 'ok': False}",
+    ),
+    "lagrange-drops-root": (
+        witrees.verify, "lagrange_series", "acc[0][(0, 0, 1, 0)] = 1", "pass",
+        "kernel extraction does not rebuild the series",
+    ),
+    "plane-gf-edge": (
+        witrees.verify, "plane_gf", "w * s[k - 1]", "z * s[k - 1]",
+        "plane_gf: the coefficient recursion does not solve its functional equation",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SERIES_MUTANTS))
+def test_series_mutant_is_caught(monkeypatch, mutant):
+    module, name, old, new, detail = SERIES_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, _mutant(name, old, new))
+    assert run_suites(["series"], max_size=5)[0].line() == SERIES_FAIL + detail

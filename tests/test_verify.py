@@ -68,6 +68,11 @@ def test_series_and_closed_forms():
     assert check_closed_forms(max_edges=6).passed
 
 
+def test_closed_forms_enumerate_past_the_default_size_bound():
+    result = check_closed_forms(max_edges=11)
+    assert result.passed, result.detail
+
+
 def test_conjecture_small():
     result = check_conjecture(max_nodes=7)
     assert result.passed, result.detail
