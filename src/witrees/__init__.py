@@ -28,7 +28,7 @@ from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .realroots import RootReport, real_rooted
 from .sequences import euler_numbers
-from .series import TruncSeries, check_algebraic_eq, lagrange_coeff, plane_gf
+from .series import TruncSeries, check_algebraic_eq, plane_gf
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
 from .trees import StatVector, WTree, format_tree, parse_tree, stats
 from .verify import CheckResult, run_suites
@@ -66,7 +66,6 @@ __all__ = [
     "iter_trees",
     "jaco2_count",
     "jacobi_taylor",
-    "lagrange_coeff",
     "modified_preorder",
     "orbit",
     "parse_btree",

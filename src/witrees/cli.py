@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
-from .enumeration import enumerate_trees, iter_trees
+from .enumeration import DEFAULT_SIZE_BOUND, SizeBoundError, enumerate_trees, iter_trees
 from .errors import InternalError
 from .gamma import gamma_expand, reduced_table, schett_of
 from .grammar import XYZ, four_var_poly, schett_poly
@@ -49,11 +49,18 @@ def _bound(text: str) -> int:
 
 
 def _multiset_from(args: argparse.Namespace) -> Multiset:
+    """The multiset of --multiset/--set/--uniform, refused when its size
+    exceeds --max-size (default DEFAULT_SIZE_BOUND)."""
     if args.multiset is not None:
-        return parse_multiset(args.multiset)
-    if args.set is not None:
-        return set_multiset(args.set)
-    return uniform_multiset(args.uniform)
+        m = parse_multiset(args.multiset)
+    elif args.set is not None:
+        m = set_multiset(args.set)
+    else:
+        m = uniform_multiset(args.uniform)
+    bound = DEFAULT_SIZE_BOUND if args.max_size is None else args.max_size
+    if m.size > bound:
+        raise SizeBoundError(f"multiset size {m.size} exceeds bound {bound}; raise it with --max-size")
+    return m
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -66,7 +73,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     m = _multiset_from(args)
-    trees = enumerate_trees(m, size_bound=args.max_size)
+    trees = enumerate_trees(m)
     if args.binary:
         texts = [format_btree(rho(t)) for t in trees]
     else:
@@ -135,7 +142,7 @@ def cmd_schett(args: argparse.Namespace) -> int:
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     m = _multiset_from(args)
-    reduced = reduced_table(schett_of(iter_trees(m, args.max_size)), m.size)
+    reduced = reduced_table(schett_of(iter_trees(m)), m.size)
     table = gamma_expand(reduced, m.size)
     text = MPoly(XYZ, {(i, j, m.size // 2 - i - j): c for (i, j), c in reduced.items()}).canonical_str("grouped")
     entries = [

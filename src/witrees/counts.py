@@ -2,11 +2,13 @@
 
 `plane_tree_count(i, j, k, l)` counts plane trees with i even-degree nodes
 on odd levels, j on even levels, k odd-degree nodes on odd levels and l on
-even levels.  The six-multinomial form comes from extracting one
-coefficient of the inversion kernel at t = 1; the closed form is its
-simplification.  Both vanish on the root-only tree (i, j, k, l) =
-(0, 1, 0, 0), which is counted separately, exactly as the kernel misses the
-constant term of the generating function.
+even levels.  The six-multinomial form `six_term_count` is the one
+extraction of the Lagrange-inversion kernel, taken at t = 1; a class fixes
+its t-power (a tree with i+j+k+l nodes has i+j+k+l-1 edges), so
+`series.lagrange_series` regrades it into the generating function.  The
+closed form is its simplification.  Both vanish on the root-only tree
+(i, j, k, l) = (0, 1, 0, 0), which is counted separately, exactly as the
+kernel misses the constant term of the generating function.
 """
 
 from __future__ import annotations

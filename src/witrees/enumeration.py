@@ -10,6 +10,9 @@ decomposition is a bijection.)
 `iter_trees` streams trees in a deterministic generation order with O(one
 multiset) memory; `enumerate_trees` materialises the list sorted by the
 canonical text form, which is the library's ordering contract.
+Both take any multiset they are given.  `DEFAULT_SIZE_BOUND` and
+`SizeBoundError` are the bound that the command line alone puts on the
+multisets it is asked to enumerate (`--max-size`).
 """
 
 from __future__ import annotations
@@ -56,18 +59,8 @@ def _weak_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _check_bound(m: Multiset, size_bound: int | None) -> None:
-    bound = DEFAULT_SIZE_BOUND if size_bound is None else size_bound
-    if m.size > bound:
-        raise SizeBoundError(
-            f"multiset size {m.size} exceeds bound {bound}; "
-            "raise size_bound explicitly for larger runs"
-        )
-
-
-def iter_trees(m: Multiset, size_bound: int | None = None) -> Iterator[WTree]:
+def iter_trees(m: Multiset) -> Iterator[WTree]:
     """Stream all weakly increasing trees on m in generation order."""
-    _check_bound(m, size_bound)
     trees: list[WTree] = [WTree(0, ())]
     for label, mult in enumerate(m.multiplicities, start=1):
         cache: dict[tuple[WTree, int], tuple[WTree, ...]] = {}
@@ -99,9 +92,9 @@ def iter_trees(m: Multiset, size_bound: int | None = None) -> Iterator[WTree]:
     yield from trees
 
 
-def enumerate_trees(m: Multiset, size_bound: int | None = None) -> list[WTree]:
+def enumerate_trees(m: Multiset) -> list[WTree]:
     """All trees on m, sorted lexicographically by canonical text form."""
-    out = sorted(iter_trees(m, size_bound), key=format_tree)
+    out = sorted(iter_trees(m), key=format_tree)
     if len(out) != count_trees(m):
         raise InternalError(
             f"enumeration of {m} produced {len(out)} trees, "

@@ -13,13 +13,13 @@ optional last one, and eliminating N* gives one quintic polynomial relation
 for N; setting w = z in it shows N(x,y,z,z;t) is symmetric in x and z.
 One residual function checks both relations exactly; Lagrange inversion
 of a kernel (Flajolet-Sedgewick, Analytic Combinatorics, A.6) rebuilds N
-as a second `TruncSeries`.
+as a second `TruncSeries`, graded by edge count from the kernel's t = 1
+extraction `counts.six_term_count`.
 """
 
 from __future__ import annotations
 
-from math import comb
-
+from .counts import six_term_count
 from .errors import InternalError
 from .mpoly import MPoly, poly_sum
 
@@ -235,74 +235,18 @@ def check_algebraic_eq(order: int) -> dict:
     return algebraic_report(plane_gf(order))
 
 
-# ---------------------------------------------------------------------------
-# coefficient extraction from the two-variable inversion kernel
-# ---------------------------------------------------------------------------
-
-# kernel terms: (coefficient, a-deg, b-deg, t-deg, w, x, y, z)
-_KERNEL = (
-    (1, 0, 0, 0, 0, 1, 1, 0),   # xy
-    (1, 1, 0, 1, 0, 0, 1, 1),   # a t y z
-    (1, 0, 1, 1, 1, 1, 0, 0),   # b t w x
-    (-2, 2, 2, 3, 0, 0, 0, 1),  # -2 a^2 b^2 t^3 z
-    (-2, 2, 2, 3, 1, 0, 0, 0),  # -2 a^2 b^2 t^3 w
-    (-4, 3, 3, 4, 0, 0, 0, 0),  # -4 a^3 b^3 t^4
-)
-
-
-def _add_kernel_terms(acc: list[dict], n: int, m: int) -> None:
-    """Add `lagrange_coeff(n, m, len(acc) - 1)` into acc, whose k-th dict
-    holds the (w,x,y,z)-terms at t^k."""
-    order = len(acc) - 1
-    for kc, ka, kb, kt, kw, kx, ky, kz in _KERNEL:
-        for j1 in range(n + 1):
-            for k1 in range(m + 1):
-                j2 = m + 1 - kb - 2 * j1 - k1
-                k2 = n - ka - j1 - 2 * k1
-                if j2 < 0 or k2 < 0:
-                    continue
-                j3 = n - j1 - j2
-                k3 = m - k1 - k2
-                if j3 < 0 or k3 < 0:
-                    continue
-                tpow = 2 * j1 + j2 + 2 * k1 + k2 + kt
-                if tpow > order:
-                    continue
-                coeff = (
-                    kc
-                    * comb(n, j1) * comb(n - j1, j2)
-                    * comb(m, k1) * comb(m - k1, k2)
-                )
-                key = (j2 + kw, k3 + kx, j3 + ky, k2 + kz)
-                nc = acc[tpow].get(key, 0) + coeff
-                if nc:
-                    acc[tpow][key] = nc
-                else:
-                    del acc[tpow][key]
-
-
-def lagrange_coeff(n: int, m: int, order: int) -> TruncSeries:
-    """Coefficient of a^n b^(m+1) in K (t^2 a b^2 + t w b + y)^n
-    (t^2 b a^2 + t z a + x)^m, truncated at t^order, as a series in t.
-
-    Summed over all n, m >= 0 this reproduces the plane-tree series N except
-    for its constant term y (the root-only tree), which the kernel cannot
-    produce; see `lagrange_series`.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be >= 0")
-    acc: list[dict] = [{} for _ in range(order + 1)]
-    _add_kernel_terms(acc, n, m)
-    return TruncSeries([MPoly(SERIES_VARS, terms) for terms in acc], order)
-
-
 def lagrange_series(order: int) -> TruncSeries:
-    """N mod t^(order+1) by Lagrange inversion: the root-only tree y plus
-    `lagrange_coeff` over every (n, m) that can reach t^order."""
-    acc: list[dict] = [{} for _ in range(order + 1)]
-    acc[0][(0, 0, 1, 0)] = 1  # y
-    nmax = (5 * order) // 2 + 4
-    for n in range(nmax + 1):
-        for m in range(nmax + 1):
-            _add_kernel_terms(acc, n, m)
-    return TruncSeries([MPoly(SERIES_VARS, terms) for terms in acc], order)
+    """N mod t^(order+1) read off the Lagrange-inversion kernel: a plane
+    tree with i+j+k+l nodes has i+j+k+l-1 edges, so each parity class
+    (i, j, k, l) = (oe, ee, oo, eo) fills one term w^l x^i y^j z^k of
+    t^(i+j+k+l-1) with `six_term_count(i, j, k, l)`."""
+    coeffs = []
+    for t in range(order + 1):
+        terms = {}
+        for i in range(t + 2):
+            for j in range(t + 2 - i):
+                for k in range(t + 2 - i - j):
+                    l = t + 1 - i - j - k
+                    terms[(l, i, j, k)] = six_term_count(i, j, k, l)
+        coeffs.append(MPoly(SERIES_VARS, terms))
+    return TruncSeries(coeffs, order)

@@ -130,15 +130,14 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
     top = max((bound for _, bound in jobs), default=-1)
     multisets = list(iter_multisets(top))
     shards = _shards([count_trees(m) for m in multisets], _cpus())
-    per_job = zip(*_fork_map(lambda shard: _run_shard(jobs, multisets, shard, top), shards))
+    per_job = zip(*_fork_map(lambda shard: _run_shard(jobs, multisets, shard), shards))
     return [_merge(check, bound, outcomes) for (check, bound), outcomes in zip(jobs, per_job)]
 
 
 Outcome = tuple[int | None, str | int]  # (first failing multiset, detail) or (None, trees covered)
 
 
-def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], shard: Iterable[int],
-               top: int) -> list[Outcome]:
+def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], shard: Iterable[int]) -> list[Outcome]:
     """Feed the multisets at the indices of `shard`, in order, to the jobs;
     each job stops at its first failure."""
     out: list[Outcome] = [(None, 0)] * len(jobs)
@@ -147,7 +146,7 @@ def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], sh
         live = [k for k, (_, bound) in enumerate(jobs) if out[k][0] is None and m.size <= bound]
         if not live:
             continue
-        facts = Facts(m, list(iter_trees(m, size_bound=top)))
+        facts = Facts(m, list(iter_trees(m)))
         for k in live:
             detail = jobs[k][0].body(facts)
             out[k] = (i, detail) if detail is not None else (None, out[k][1] + len(facts.trees))
@@ -724,8 +723,7 @@ def check_series(order: int = 8) -> CheckResult:
     rep = algebraic_report(TruncSeries(n.coeffs, order))
     if not rep["ok"]:
         return _fail(name, f"algebraic residuals: {rep}")
-    k = min(order, 6)
-    if lagrange_series(k) != TruncSeries(n.coeffs, k):
+    if lagrange_series(order) != TruncSeries(n.coeffs, order):
         return _fail(name, "kernel extraction does not rebuild the series")
     return _ok(name, f"display, zero residuals and symmetry to t^{order}, enumeration to t^{min(order, SERIES_ENUM_MAX)}")
 
@@ -735,7 +733,7 @@ def check_closed_forms(max_edges: int = 9) -> CheckResult:
     name = "closed forms: parity-class counts"
     hist: Counter = Counter()
     for k in range(max_edges + 1):
-        for (eo, oe, ee, oo), c in parity_poly(iter_trees(uniform_multiset(k), size_bound=k)).terms.items():
+        for (eo, oe, ee, oo), c in parity_poly(iter_trees(uniform_multiset(k))).terms.items():
             hist[(oe, ee, oo, eo)] += c
     top = max_edges + 1
     for i in range(top + 1):
@@ -851,7 +849,7 @@ def scan_real_rootedness(m: Multiset):
     if m.multiplicities == (1,) * m.n:
         schett = schett_poly(m.n)
     else:
-        schett = schett_of(iter_trees(m, size_bound=m.size))
+        schett = schett_of(iter_trees(m))
     for i, coeffs in enumerate(slice_poly_coeffs(reduced_table(schett, m.size))):
         yield i, coeffs, real_rooted(coeffs)
 

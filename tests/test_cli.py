@@ -87,6 +87,15 @@ def test_gamma_json():
     ]
 
 
+def test_size_bound(capsys):
+    """enumerate and gamma refuse p > 10 unless --max-size raises the bound."""
+    assert main(["enumerate", "--uniform", "11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: multiset size 11 exceeds bound 10; ")
+    assert main(["gamma", "--uniform", "11", "--max-size", "11", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 58786
+
+
 def test_verify_suite_exit_code():
     res = run_cli("verify", "--suite", "counting", "--max-size", "4")
     assert res.returncode == 0

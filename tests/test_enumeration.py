@@ -1,12 +1,5 @@
-import pytest
-
 from _oracles import oracle_tree_texts
-from witrees.enumeration import (
-    SizeBoundError,
-    enumerate_trees,
-    iter_multisets,
-    iter_trees,
-)
+from witrees.enumeration import enumerate_trees, iter_multisets, iter_trees
 from witrees.multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from witrees.trees import format_tree
 
@@ -38,10 +31,3 @@ def test_no_duplicates():
     for m in iter_multisets(6):
         trees = list(iter_trees(m))
         assert len(set(trees)) == len(trees)
-
-
-def test_size_bound():
-    with pytest.raises(SizeBoundError):
-        enumerate_trees(uniform_multiset(11))
-    # explicit override allows it
-    assert len(enumerate_trees(uniform_multiset(11), size_bound=11)) == 58786

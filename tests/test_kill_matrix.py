@@ -7,14 +7,16 @@ FAIL at p <= 5, naming a tree.  It replaces one kernel in both
 so the checks report a counterexample rather than an internal error.
 
 Each series mutant edits one expression in the source of a `witrees.series`
-function and must turn the `series` check FAIL at p <= 5 with the detail
-that names the broken route."""
+or `witrees.counts` function and must turn the `series` check FAIL at
+p <= 5 with the detail that names the broken route; the six-term mutant
+must also turn the `closed-forms` check FAIL."""
 
 import inspect
 
 import pytest
 
 import witrees.binary
+import witrees.counts
 import witrees.series
 import witrees.verify
 from witrees.verify import run_suites
@@ -74,40 +76,54 @@ def test_binary_mutant_is_caught(monkeypatch, mutant, suite):
     assert run_suites([suite], max_size=5)[0].line() == EXPECTED[suite] + witness
 
 
-def _mutant(name, old, new):
-    """`witrees.series.<name>` recompiled with `old` replaced by `new`."""
-    source = inspect.getsource(getattr(witrees.series, name))
+def _mutant(module, name, old, new):
+    """`module.<name>` recompiled with `old` replaced by `new`."""
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1, (name, old)
-    namespace = dict(vars(witrees.series))
-    exec(compile(source.replace(old, new), witrees.series.__file__, "exec"), namespace)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
 
 
 SERIES_FAIL = "FAIL  generating function: functional and algebraic equations: "
-# mutant: (module whose global the check reads, function, old text, new
-# text, expected FAIL detail)
+CLOSED_FAIL = "FAIL  closed forms: parity-class counts: "
+# mutant: (module holding the source, function, old text, new text,
+# modules whose global the checks read, {suite: expected FAIL line})
 SERIES_MUTANTS = {
     # the factor w x - 2 x z of n^2 t^3 loses its 2; at w = z the factor
     # must be -xz, so both residuals go nonzero at t^3
     "quintic-factor": (
-        witrees.series, "quintic_residual", "w * x - 2 * x * z", "w * x - x * z",
-        "algebraic residuals: {'order': 5, 'quintic_residual_zero': False, "
-        "'quintic_residual_first_power': 3, 'w_eq_z_residual_zero': False, "
-        "'w_eq_z_residual_first_power': 3, 'x_z_symmetric_at_w_eq_z': True, 'ok': False}",
+        witrees.series, "quintic_residual", "w * x - 2 * x * z", "w * x - x * z", (witrees.series,),
+        {"series": SERIES_FAIL + "algebraic residuals: {'order': 5, 'quintic_residual_zero': False, "
+         "'quintic_residual_first_power': 3, 'w_eq_z_residual_zero': False, "
+         "'w_eq_z_residual_first_power': 3, 'x_z_symmetric_at_w_eq_z': True, 'ok': False}"},
     ),
     "lagrange-drops-root": (
-        witrees.verify, "lagrange_series", "acc[0][(0, 0, 1, 0)] = 1", "pass",
-        "kernel extraction does not rebuild the series",
+        witrees.series, "lagrange_series", "terms[(l, i, j, k)] = six_term_count(i, j, k, l)",
+        "terms[(l, i, j, k)] = six_term_count(i, j, k, l) if (i, j, k, l) != (0, 1, 0, 0) else 0",
+        (witrees.verify,),
+        {"series": SERIES_FAIL + "kernel extraction does not rebuild the series"},
     ),
     "plane-gf-edge": (
-        witrees.verify, "plane_gf", "w * s[k - 1]", "z * s[k - 1]",
-        "plane_gf: the coefficient recursion does not solve its functional equation",
+        witrees.series, "plane_gf", "w * s[k - 1]", "z * s[k - 1]", (witrees.verify,),
+        {"series": SERIES_FAIL + "plane_gf: the coefficient recursion does not solve its functional equation"},
+    ),
+    # the last of the six kernel terms at half weight: the one kernel that
+    # both the series check and the closed-form check read
+    "six-term-coefficient": (
+        witrees.counts, "six_term_count", "- 4 * _multinomial(a - 1, l, j)", "- 2 * _multinomial(a - 1, l, j)",
+        (witrees.series, witrees.verify),
+        {"series": SERIES_FAIL + "kernel extraction does not rebuild the series",
+         "closed-forms": CLOSED_FAIL + "six-term form wrong at (0, 5, 2, 0)"},
     ),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(SERIES_MUTANTS))
 def test_series_mutant_is_caught(monkeypatch, mutant):
-    module, name, old, new, detail = SERIES_MUTANTS[mutant]
-    monkeypatch.setattr(module, name, _mutant(name, old, new))
-    assert run_suites(["series"], max_size=5)[0].line() == SERIES_FAIL + detail
+    source, name, old, new, targets, expected = SERIES_MUTANTS[mutant]
+    fake = _mutant(source, name, old, new)
+    for module in targets:
+        monkeypatch.setattr(module, name, fake)
+    for suite, line in expected.items():
+        assert run_suites([suite], max_size=5)[0].line() == line, suite

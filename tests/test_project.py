@@ -1,6 +1,6 @@
 """Checks on the project's own files: the README's library example runs,
-and the package keeps its invariants out of `assert` statements, which
-`python -O` strips."""
+the package keeps its invariants out of `assert` statements, which
+`python -O` strips, and every exported name is used inside the package."""
 
 import ast
 import re
@@ -28,3 +28,18 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    """A name in `witrees.__all__` that no other package module reads is a
+    helper only the tests call."""
+    import witrees
+
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in sorted((ROOT / "src" / "witrees").glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(set(witrees.__all__) - used) == []

@@ -10,7 +10,6 @@ from witrees.series import (
     algebraic_report,
     check_algebraic_eq,
     format_series,
-    lagrange_coeff,
     lagrange_series,
     plane_gf,
     quintic_residual,
@@ -115,12 +114,6 @@ def test_shift_orders():
     assert len(shifted.coeffs) == 4
 
 
-def test_kernel_extraction_by_endpoint():
-    # (n, m) = (0, 0) picks exactly the t w x term of the kernel
-    c00 = lagrange_coeff(0, 0, 4)
-    assert c00 == TruncSeries([MPoly(SERIES_VARS), MPoly(SERIES_VARS, {(1, 1, 0, 0): 1})], 4)
-
-
 def test_kernel_sum_rebuilds_series():
-    for k in range(9):
+    for k in range(15):
         assert lagrange_series(k) == plane_gf(k), k
