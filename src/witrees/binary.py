@@ -89,7 +89,7 @@ def parse_btree(text: str) -> WBTree:
             pos += 1
             return None
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and "0" <= s[pos] <= "9":
             pos += 1
         if pos == start:
             raise BTreeSyntaxError("expected a label or '_'", pos)

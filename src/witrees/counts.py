@@ -6,9 +6,10 @@ even levels.  The six-multinomial form `six_term_count` is the one
 extraction of the Lagrange-inversion kernel, taken at t = 1; a class fixes
 its t-power (a tree with i+j+k+l nodes has i+j+k+l-1 edges), so
 `series.lagrange_series` regrades it into the generating function.  The
-closed form is its simplification.  Both vanish on the root-only tree
-(i, j, k, l) = (0, 1, 0, 0), which is counted separately, exactly as the
-kernel misses the constant term of the generating function.
+closed form is its simplification.  Both return 1 on the root-only tree
+(i, j, k, l) = (0, 1, 0, 0) through a special case: the kernel extraction
+misses the constant term of the generating function, so the formulas
+alone would give 0 there.
 """
 
 from __future__ import annotations

@@ -85,10 +85,7 @@ def derive(rules: GrammarRules, poly: MPoly) -> MPoly:
                     terms[key] = nc
                 else:
                     del terms[key]
-    out = MPoly.__new__(MPoly)
-    out.vars = variables
-    out.terms = terms
-    return out
+    return MPoly._raw(variables, terms)
 
 
 def grammar_derive(rules: GrammarRules, start: MPoly, n: int) -> MPoly:

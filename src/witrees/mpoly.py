@@ -31,9 +31,14 @@ class MPoly:
                     self.terms[tuple(exps)] = coeff
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def const(cls, variables: tuple[str, ...], value: int) -> "MPoly":
-        return cls(variables, {(0,) * len(variables): value} if value else {})
+    @staticmethod
+    def _raw(variables: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> "MPoly":
+        """Wrap terms that are already keyed by exponent tuples of the right
+        length and free of zero coefficients; nothing is checked or copied."""
+        out = MPoly.__new__(MPoly)
+        out.vars = variables
+        out.terms = terms
+        return out
 
     @classmethod
     def var(cls, variables: tuple[str, ...], name: str) -> "MPoly":
@@ -48,16 +53,12 @@ class MPoly:
             if other.vars != self.vars:
                 raise ValueError(f"variable contexts differ: {self.vars} vs {other.vars}")
             return other
-        if isinstance(other, int):
-            return MPoly.const(self.vars, other)
         return NotImplemented  # type: ignore[return-value]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = MPoly.const(self.vars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -74,18 +75,10 @@ class MPoly:
                 terms[e] = nc
             else:
                 terms.pop(e, None)
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
+        return MPoly._raw(self.vars, terms)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         other = self._coerce(other)
@@ -95,10 +88,8 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, int):
-            out = MPoly.__new__(MPoly)
-            out.vars = self.vars
-            out.terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return out
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return MPoly._raw(self.vars, terms)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -111,10 +102,7 @@ class MPoly:
                     terms[e] = nc
                 else:
                     del terms[e]
-        out = MPoly.__new__(MPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return MPoly._raw(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -136,18 +124,6 @@ class MPoly:
             else:
                 del terms[key]
         return MPoly(self.vars, terms)
-
-    def evaluate(self, values: Mapping[str, int]) -> int:
-        """Exact integer evaluation; every variable must be assigned."""
-        total = 0
-        vals = [values[v] for v in self.vars]
-        for e, c in self.terms.items():
-            prod = c
-            for v, p in zip(vals, e):
-                if p:
-                    prod *= v**p
-            total += prod
-        return total
 
     def sorted_terms(self, style: str = "grouped") -> list[tuple[tuple[int, ...], int]]:
         if style == "grouped":
@@ -199,7 +175,4 @@ def poly_sum(variables: tuple[str, ...], items: Iterable[MPoly]) -> MPoly:
                 terms[e] = nc
             else:
                 del terms[e]
-    out = MPoly.__new__(MPoly)
-    out.vars = tuple(variables)
-    out.terms = terms
-    return out
+    return MPoly._raw(tuple(variables), terms)

@@ -88,8 +88,11 @@ def parse_multiset(text: str) -> Multiset:
             lab_s, mult_s = piece.split(":", 1)
         else:
             lab_s, mult_s = piece, "1"
+        digits = lab_s.strip(), mult_s.strip()
         try:
-            lab, mult = int(lab_s), int(mult_s)
+            if not all(d.isascii() and d.isdigit() for d in digits):
+                raise ValueError
+            lab, mult = map(int, digits)
         except ValueError:
             raise ValueError(f"bad multiset entry {piece!r}") from None
         if lab != i:

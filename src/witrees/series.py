@@ -128,7 +128,8 @@ _SWAP_STAR = {"x": "y", "y": "x", "z": "w", "w": "z"}
 def _square_coeff(a: list[MPoly], m: int) -> MPoly:
     """[t^m] of the square of the series with coefficients a[0..m]."""
     cross = poly_sum(SERIES_VARS, (a[i] * a[m - i] for i in range((m + 1) // 2)))
-    return cross + cross + (a[m // 2] * a[m // 2] if m % 2 == 0 else 0)
+    square = [a[m // 2] * a[m // 2]] if m % 2 == 0 else []
+    return poly_sum(SERIES_VARS, [cross, cross, *square])
 
 
 def plane_gf(order: int) -> TruncSeries:

@@ -57,7 +57,7 @@ def parse_tree(text: str) -> WTree:
     def parse_label() -> int:
         nonlocal pos
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        while pos < len(s) and "0" <= s[pos] <= "9":
             pos += 1
         if pos == start:
             raise TreeSyntaxError("expected a label", pos)

@@ -256,7 +256,7 @@ def _geometric(u: TruncSeries) -> TruncSeries:
     """1 / (1 - u) for a series with zero constant term."""
     if u.coeffs[0].terms:
         raise ValueError("geometric inverse needs zero constant term")
-    total = TruncSeries([MPoly.const(SERIES_VARS, 1)], u.order)
+    total = TruncSeries([MPoly(SERIES_VARS, {(0, 0, 0, 0): 1})], u.order)
     power = total
     for _ in range(u.order):
         power = power * u
@@ -311,7 +311,7 @@ def oracle_derive(rules: dict[str, MPoly], poly: MPoly) -> MPoly:
 
 
 def _power(base: MPoly, k: int) -> MPoly:
-    out = MPoly.const(base.vars, 1)
+    out = MPoly(base.vars, {(0,) * len(base.vars): 1})
     for _ in range(k):
         out = out * base
     return out

@@ -36,6 +36,9 @@ def test_parse_rejects_invalid():
         parse_btree("0[1[_|_]")
     with pytest.raises(BTreeSyntaxError):
         parse_btree("_")
+    with pytest.raises(BTreeSyntaxError, match="expected a label or '_'") as err:
+        parse_btree("0[²[_|_]|_]")  # a digit to str.isdigit, not to int()
+    assert err.value.position == 2
 
 
 def test_single_edge_stats():

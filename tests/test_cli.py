@@ -184,6 +184,8 @@ def test_usage_error_exit_code():
     bad = run_cli("transform", "--map", "tilde", "--tree", "0(2,1)")
     assert bad.returncode == 2
     assert "error" in bad.stderr
+    digit = run_cli("transform", "--map", "hat", "--tree", "0(²)")
+    assert (digit.returncode, digit.stderr) == (2, "error: expected a label (at position 2)\n")
 
 
 def test_verify_json():

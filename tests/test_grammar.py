@@ -48,14 +48,14 @@ def test_derive_zero_times():
 
 def test_undeclared_variable_rejected():
     with pytest.raises(ValueError, match="undeclared"):
-        derive({"q": MPoly.const(XYZ, 1)}, MPoly.var(XYZ, "x"))
+        derive({"q": MPoly(XYZ, {(0, 0, 0): 1})}, MPoly.var(XYZ, "x"))
     with pytest.raises(ValueError, match="no substitution rule"):
         derive({"x": MPoly.var(XYZ, "y")}, MPoly.var(XYZ, "z"))
 
 
 def test_factorial_evaluation():
     for n in range(9):
-        assert schett_poly(n).evaluate({"x": 1, "y": 1, "z": 1}) == factorial(n)
+        assert sum(schett_poly(n).terms.values()) == factorial(n)
 
 
 def test_symmetry_and_parity_shape():

@@ -9,7 +9,13 @@ so the checks report a counterexample rather than an internal error.
 Each series mutant edits one expression in the source of a `witrees.series`
 or `witrees.counts` function and must turn the `series` check FAIL at
 p <= 5 with the detail that names the broken route; the six-term mutant
-must also turn the `closed-forms` check FAIL."""
+must also turn the `closed-forms` check FAIL.
+
+Each kernel mutant edits the grammar derivative, the parity census or the
+Sturm chain the same way and must turn every suite that reads the kernel
+FAIL with the named detail; the census mutant swaps two classes that the
+Schett polynomial merges, so the suites that read only that polynomial
+must still PASS."""
 
 import inspect
 
@@ -17,6 +23,9 @@ import pytest
 
 import witrees.binary
 import witrees.counts
+import witrees.gamma
+import witrees.grammar
+import witrees.realroots
 import witrees.series
 import witrees.verify
 from witrees.verify import run_suites
@@ -119,11 +128,52 @@ SERIES_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(SERIES_MUTANTS))
-def test_series_mutant_is_caught(monkeypatch, mutant):
-    source, name, old, new, targets, expected = SERIES_MUTANTS[mutant]
+# the same layout as SERIES_MUTANTS
+KERNEL_MUTANTS = {
+    # D(c v^e) loses the exponent factor e_i, so x^2 y z in S_3 counts 2
+    # instead of 4
+    "derive-drops-power": (
+        witrees.grammar, "derive", "cp = c * power", "cp = c", (witrees.grammar, witrees.verify),
+        {"schett": "FAIL  Schett polynomials: grammar identities: "
+         "S_3 prints 'y^3z+yz^3+2x^2yz', want 'y^3z+yz^3+4x^2yz'",
+         "jacobi": "FAIL  elliptic coefficients: displays and boundary identities: sn boundary fails at n=2, j=1"},
+    ),
+    # eo and oo trade places; the Schett polynomial adds them, so only the
+    # routes that read the four-class census can see it
+    "parity-poly-classes": (
+        witrees.gamma, "parity_poly", "key = (eo, oe, ee, oo)", "key = (oo, oe, ee, eo)",
+        (witrees.gamma, witrees.verify),
+        {"series": SERIES_FAIL + "coefficient of t^1 differs from enumeration",
+         "closed-forms": CLOSED_FAIL + "closed form wrong at (0, 3, 0, 2): want 1",
+         "gamma": "PASS  gamma expansion: nonnegativity and active-node counts: "
+         "exact nonnegative tables matching active-node counts, p <= 5",
+         "action": "PASS  group action: branch swaps and orbit structure: "
+         "swap laws, orbits and gamma cross-check, p <= 5"},
+    ),
+    # remainders kept with their own sign: the sign changes no longer count
+    # the real roots, and the negative control passes as real-rooted
+    "sturm-chain-sign": (
+        witrees.realroots, "sturm_chain", "chain.append([-c for c in _rem(chain[-2], chain[-1])])",
+        "chain.append(_rem(chain[-2], chain[-1]))", (witrees.realroots,),
+        {"conjecture": "FAIL  real-rootedness: plane and increasing tree slices: "
+         "negative control: t^2+1 reported real-rooted"},
+    ),
+}
+
+
+def _assert_caught(monkeypatch, source, name, old, new, targets, expected):
     fake = _mutant(source, name, old, new)
     for module in targets:
         monkeypatch.setattr(module, name, fake)
     for suite, line in expected.items():
         assert run_suites([suite], max_size=5)[0].line() == line, suite
+
+
+@pytest.mark.parametrize("mutant", sorted(SERIES_MUTANTS))
+def test_series_mutant_is_caught(monkeypatch, mutant):
+    _assert_caught(monkeypatch, *SERIES_MUTANTS[mutant])
+
+
+@pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
+def test_kernel_mutant_is_caught(monkeypatch, mutant):
+    _assert_caught(monkeypatch, *KERNEL_MUTANTS[mutant])

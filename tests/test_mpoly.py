@@ -66,17 +66,12 @@ def test_rename_swap_and_merge():
     assert merged == MPoly(XYZ, {(1, 2, 0): 3, (0, 1, 0): 1})
 
 
-def test_evaluate():
-    p = MPoly(XYZ, {(2, 1, 0): 1})  # x^2 y
-    assert p.evaluate({"x": 3, "y": 5, "z": 7}) == 45
-
-
 def test_canonical_strings():
     p = MPoly(XYZ, {(0, 3, 1): 1, (0, 1, 3): 1, (2, 1, 1): 4})
     assert p.canonical_str("grouped") == "y^3z+yz^3+4x^2yz"
     assert p.canonical_str("desclex") == "4x^2yz+y^3z+yz^3"
     assert MPoly(XYZ).canonical_str() == "0"
-    assert MPoly.const(XYZ, -2).canonical_str() == "-2"
+    assert MPoly(XYZ, {(0, 0, 0): -2}).canonical_str() == "-2"
     q = MPoly(XYZ, {(1, 0, 0): -1, (0, 1, 0): 1})
     assert q.canonical_str("desclex") == "-x+y"
 

@@ -42,6 +42,10 @@ def test_parse_rejects_gaps_and_bad_values():
         parse_multiset("1:0")
     with pytest.raises(ValueError):
         parse_multiset("1:x")
+    # int() reads these as 20, 2 and -1; only ASCII decimal digits are entries
+    for text in ("1:2_0", "1:+2", "1:-1", "²:1"):
+        with pytest.raises(ValueError, match="bad multiset entry"):
+            parse_multiset(text)
     with pytest.raises(ValueError):
         Multiset((1, 0))
 

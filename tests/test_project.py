@@ -1,6 +1,7 @@
 """Checks on the project's own files: the README's library example runs,
 the package keeps its invariants out of `assert` statements, which
-`python -O` strips, and every exported name is used inside the package."""
+`python -O` strips, every exported name is used inside the package, and
+polynomials skip validation only through `MPoly`'s one trusted constructor."""
 
 import ast
 import re
@@ -43,3 +44,26 @@ def test_every_exported_name_is_used_inside_the_package():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     assert sorted(set(witrees.__all__) - used) == []
+
+
+def test_mpoly_new_is_called_only_by_the_trusted_constructor():
+    """`MPoly.__new__` skips the checks of `MPoly.__init__`, so only
+    `MPoly._raw` may call it and every other fast path goes through there."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "MPoly"
+        ):
+            sites.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src" / "witrees").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert sites == ["mpoly.MPoly._raw"]

@@ -48,6 +48,9 @@ def test_syntax_errors_carry_position():
         parse_tree("0(1))")
     with pytest.raises(TreeSyntaxError):
         parse_tree("(1)")
+    with pytest.raises(TreeSyntaxError, match="expected a label") as err:
+        parse_tree("0(²)")  # a digit to str.isdigit, not to int()
+    assert err.value.position == 2
 
 
 def test_single_node_stats():
