@@ -14,7 +14,7 @@ from .binary import (
     swap_branches,
 )
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
-from .enumeration import SizeBoundError, enumerate_trees, iter_multisets, iter_trees
+from .enumeration import enumerate_trees, iter_multisets, iter_trees
 from .gamma import GammaTable, ReducedTable, gamma_expand, reduced_table, schett_of
 from .grammar import (
     GrammarRules,
@@ -44,7 +44,6 @@ __all__ = [
     "Multiset",
     "ReducedTable",
     "RootReport",
-    "SizeBoundError",
     "StatVector",
     "TruncSeries",
     "WBTree",

@@ -41,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import InternalError
+from .errors import InternalError, InvalidTreeError, TreeSyntaxError
+from .trees import read_label
 
 Path = tuple[int, ...]  # 0 = left step, 1 = right step
 
@@ -57,16 +58,6 @@ class WBTree(NamedTuple):
         return format_btree(self)
 
 
-class BTreeSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class InvalidBTreeError(ValueError):
-    """Well-formed text violating a weakly-increasing-binary-tree invariant."""
-
-
 def format_btree(b: WBTree) -> str:
     left = format_btree(b.left) if b.left is not None else "_"
     right = format_btree(b.right) if b.right is not None else "_"
@@ -80,7 +71,7 @@ def parse_btree(text: str) -> WBTree:
     def expect(ch: str) -> None:
         nonlocal pos
         if pos >= len(s) or s[pos] != ch:
-            raise BTreeSyntaxError(f"expected {ch!r}", pos)
+            raise TreeSyntaxError(f"expected {ch!r}", pos)
         pos += 1
 
     def parse_node() -> WBTree | None:
@@ -88,12 +79,7 @@ def parse_btree(text: str) -> WBTree:
         if pos < len(s) and s[pos] == "_":
             pos += 1
             return None
-        start = pos
-        while pos < len(s) and "0" <= s[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise BTreeSyntaxError("expected a label or '_'", pos)
-        label = int(s[start:pos])
+        label, pos = read_label(s, pos, "expected a label or '_'")
         expect("[")
         left = parse_node()
         expect("|")
@@ -103,18 +89,18 @@ def parse_btree(text: str) -> WBTree:
 
     tree = parse_node()
     if tree is None:
-        raise BTreeSyntaxError("tree must have a root node", 0)
+        raise TreeSyntaxError("tree must have a root node", 0)
     if pos != len(s):
-        raise BTreeSyntaxError("trailing input after tree", pos)
+        raise TreeSyntaxError("trailing input after tree", pos)
     validate_btree(tree)
     return tree
 
 
 def validate_btree(b: WBTree) -> None:
     if b.label != 0:
-        raise InvalidBTreeError(f"root must be labeled 0, got {b.label}")
+        raise InvalidTreeError(f"root must be labeled 0, got {b.label}")
     if b.right is not None:
-        raise InvalidBTreeError("node 0 must not have a right child")
+        raise InvalidTreeError("node 0 must not have a right child")
     stack = [b]
     while stack:
         node = stack.pop()
@@ -123,7 +109,7 @@ def validate_btree(b: WBTree) -> None:
             if child is None:
                 continue
             if child.label < floor:
-                raise InvalidBTreeError(
+                raise InvalidTreeError(
                     "labels must weakly increase along root-to-leaf paths: "
                     f"node {node.label} has child {child.label}"
                 )

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
-from .enumeration import DEFAULT_SIZE_BOUND, SizeBoundError, enumerate_trees, iter_trees
+from .enumeration import enumerate_trees, iter_trees
 from .errors import InternalError
 from .gamma import gamma_expand, reduced_table, schett_of
 from .grammar import XYZ, four_var_poly, schett_poly
@@ -43,23 +43,22 @@ def _add_multiset_args(p: argparse.ArgumentParser) -> None:
 def _bound(text: str) -> int:
     """A size or node bound: a nonnegative integer (a negative one would
     make a check pass vacuously)."""
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
 
 
 def _multiset_from(args: argparse.Namespace) -> Multiset:
     """The multiset of --multiset/--set/--uniform, refused when its size
-    exceeds --max-size (default DEFAULT_SIZE_BOUND)."""
+    exceeds --max-size."""
     if args.multiset is not None:
         m = parse_multiset(args.multiset)
     elif args.set is not None:
         m = set_multiset(args.set)
     else:
         m = uniform_multiset(args.uniform)
-    bound = DEFAULT_SIZE_BOUND if args.max_size is None else args.max_size
-    if m.size > bound:
-        raise SizeBoundError(f"multiset size {m.size} exceeds bound {bound}; raise it with --max-size")
+    if m.size > args.max_size:
+        raise ValueError(f"multiset size {m.size} exceeds bound {args.max_size}; raise it with --max-size")
     return m
 
 
@@ -212,8 +211,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
         lhs, rhs = ternary_identity(args.ternary)
         payload["ternary"] = {"n": args.ternary, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
     if not payload:
-        print("nothing to compute: pass --stats, --zero-odd, --zero-ee or --ternary", file=sys.stderr)
-        return 2
+        raise ValueError("nothing to compute: pass --stats, --zero-odd, --zero-ee or --ternary")
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_multiset_args(p)
     p.add_argument("--binary", action="store_true", help="emit the binary-tree images")
     p.add_argument("--stats", action="store_true", help="attach the statistic vector of each tree")
-    p.add_argument("--max-size", type=int, default=None, help="size bound override (default 10)")
+    p.add_argument("--max-size", type=int, default=10, help="size bound override (default 10)")
     common(p)
     p.set_defaults(fn=cmd_enumerate)
 
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="gamma expansion of the reduced polynomial")
     _add_multiset_args(p)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=int, default=10)
     common(p)
     p.set_defaults(fn=cmd_gamma)
 

@@ -10,9 +10,8 @@ decomposition is a bijection.)
 `iter_trees` streams trees in a deterministic generation order with O(one
 multiset) memory; `enumerate_trees` materialises the list sorted by the
 canonical text form, which is the library's ordering contract.
-Both take any multiset they are given.  `DEFAULT_SIZE_BOUND` and
-`SizeBoundError` are the bound that the command line alone puts on the
-multisets it is asked to enumerate (`--max-size`).
+Both take any multiset they are given; the command line alone bounds the
+size it enumerates (`--max-size`).
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ from typing import Iterator
 from .errors import InternalError
 from .multiset import Multiset, count_trees
 from .trees import WTree, format_tree
-
-DEFAULT_SIZE_BOUND = 10
-
-
-class SizeBoundError(ValueError):
-    """Refusing an enumeration that would exceed the configured size bound."""
-
 
 @lru_cache(maxsize=None)
 def plane_forests(size: int, label: int) -> tuple[tuple[WTree, ...], ...]:

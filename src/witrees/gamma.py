@@ -60,22 +60,18 @@ def schett_of(trees: Iterable[WTree]) -> MPoly:
     return MPoly(XYZ, terms)
 
 
-class GammaResidualError(InternalError):
-    """A Schett polynomial term off the degree its size fixes, or a nonzero
-    residual after the gamma peel: an implementation bug, since a Schett
-    polynomial reduces to homogeneous symmetric slices."""
-
-
 def reduced_table(schett: MPoly, p: int) -> ReducedTable:
     """The reduced polynomial of a Schett polynomial on p letters, as the
     table {(i, j): c} of c x^i y^j z^(floor(p/2)-i-j): every exponent
-    floor-halved, the only place the reduction happens."""
+    floor-halved, the only place the reduction happens.  A term off that
+    degree, like a nonzero residual in `gamma_expand`, is an internal
+    error: a Schett polynomial reduces to homogeneous symmetric slices."""
     half = p // 2
     table: ReducedTable = {}
     for (ee, oe, odd), c in schett.terms.items():
         key = (ee // 2, oe // 2)
         if key[0] + key[1] + odd // 2 != half:
-            raise GammaResidualError(
+            raise InternalError(
                 f"x^{ee}y^{oe}z^{odd} does not reduce to degree {half}"
             )
         table[key] = table.get(key, 0) + c
@@ -112,7 +108,7 @@ def gamma_expand(reduced: ReducedTable, p: int) -> GammaTable:
                     residual[j + k] -= g * comb(d - 2 * j, k)
         if any(residual):
             rest = MPoly(XYZ, {(0, e, d - e): c for e, c in enumerate(residual)})
-            raise GammaResidualError(f"nonzero residual in x^{i} slice: {rest.canonical_str()}")
+            raise InternalError(f"nonzero residual in x^{i} slice: {rest.canonical_str()}")
     return table
 
 

@@ -68,7 +68,6 @@ def _sign_changes(positive: list[bool]) -> int:
 class RootReport:
     """Evidence for an all-real-roots verdict."""
 
-    coeffs: tuple[int, ...]
     degree: int  # after stripping the power of t dividing the polynomial
     stripped_power: int
     squarefree_degree: int
@@ -98,26 +97,18 @@ def real_rooted(coeffs: list[int]) -> RootReport:
     """
     coeffs = list(coeffs)
     if not any(coeffs):
-        return RootReport((), 0, 0, 0, 0, True, True)
+        return RootReport(0, 0, 0, 0, True, True)
     stripped = 0
     while coeffs[0] == 0:
         coeffs.pop(0)
         stripped += 1
-    p = _trim(list(coeffs))
+    p = _trim(coeffs)
     degree = len(p) - 1
     if degree == 0:
-        return RootReport(tuple(coeffs), 0, stripped, 0, 0, True, False)
+        return RootReport(0, stripped, 0, 0, True, False)
     chain = sturm_chain(p)
     sq_deg = degree - (len(chain[-1]) - 1)
     at_pos = [c[-1] > 0 for c in chain]
     at_neg = [(c[-1] > 0) != (len(c) % 2 == 0) for c in chain]  # odd degree flips the sign
     count = _sign_changes(at_neg) - _sign_changes(at_pos)
-    return RootReport(
-        tuple(int(c) for c in coeffs),
-        degree,
-        stripped,
-        sq_deg,
-        count,
-        count == sq_deg,
-        False,
-    )
+    return RootReport(degree, stripped, sq_deg, count, count == sq_deg, False)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .errors import InvalidTreeError, TreeSyntaxError
+
 
 class WTree(NamedTuple):
     """A labeled plane tree node; children are ordered left to right."""
@@ -31,22 +33,24 @@ class WTree(NamedTuple):
         return format_tree(self)
 
 
-class TreeSyntaxError(ValueError):
-    """Malformed tree text; carries the offending position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class InvalidTreeError(ValueError):
-    """Structurally well-formed text that violates a tree invariant."""
-
-
 def format_tree(t: WTree) -> str:
     if not t.children:
         return str(t.label)
     return f"{t.label}({','.join(format_tree(c) for c in t.children)})"
+
+
+def read_label(s: str, pos: int, missing: str) -> tuple[int, int]:
+    """The label of ASCII digits at s[pos:] and the position after it, for
+    both tree parsers; `missing` is the message when no digit is there."""
+    end = pos
+    while end < len(s) and "0" <= s[end] <= "9":
+        end += 1
+    if end == pos:
+        raise TreeSyntaxError(missing, pos)
+    try:
+        return int(s[pos:end]), end
+    except ValueError:  # past int()'s limit on decimal digits
+        raise TreeSyntaxError(f"label of {end - pos} digits is too long", pos) from None
 
 
 def parse_tree(text: str) -> WTree:
@@ -54,18 +58,9 @@ def parse_tree(text: str) -> WTree:
     pos = 0
     s = text.strip()
 
-    def parse_label() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(s) and "0" <= s[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise TreeSyntaxError("expected a label", pos)
-        return int(s[start:pos])
-
     def parse_node() -> WTree:
         nonlocal pos
-        label = parse_label()
+        label, pos = read_label(s, pos, "expected a label")
         children: list[WTree] = []
         if pos < len(s) and s[pos] == "(":
             pos += 1

@@ -363,7 +363,7 @@ def oracle_real_rooted(coeffs: list[int]) -> RootReport:
     chain over the rationals."""
     coeffs = list(coeffs)
     if not any(coeffs):
-        return RootReport((), 0, 0, 0, 0, True, True)
+        return RootReport(0, 0, 0, 0, True, True)
     stripped = 0
     while coeffs[0] == 0:
         coeffs.pop(0)
@@ -373,7 +373,7 @@ def oracle_real_rooted(coeffs: list[int]) -> RootReport:
         p.pop()
     degree = len(p) - 1
     if degree == 0:
-        return RootReport(tuple(coeffs), 0, stripped, 0, 0, True, False)
+        return RootReport(0, stripped, 0, 0, True, False)
     chain = [p, [i * c for i, c in enumerate(p)][1:]]
     while True:
         r = _sturm_rem(chain[-2], chain[-1])
@@ -386,4 +386,4 @@ def oracle_real_rooted(coeffs: list[int]) -> RootReport:
 
     count = changes([(c[-1] > 0) != (len(c) % 2 == 0) for c in chain]) - changes([c[-1] > 0 for c in chain])
     sq_deg = degree - (len(chain[-1]) - 1)
-    return RootReport(tuple(coeffs), degree, stripped, sq_deg, count, count == sq_deg, False)
+    return RootReport(degree, stripped, sq_deg, count, count == sq_deg, False)

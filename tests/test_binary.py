@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from _oracles import oracle_annotation, oracle_bstats, subtree_at
 from _strategies import weakly_increasing_trees
 from witrees.binary import (
-    BTreeSyntaxError,
-    InvalidBTreeError,
     WBTree,
     annotate,
     bstats,
@@ -16,6 +14,7 @@ from witrees.binary import (
     swap_branches,
 )
 from witrees.enumeration import iter_multisets, iter_trees
+from witrees.errors import InvalidTreeError, TreeSyntaxError
 from witrees.transforms import rho
 from witrees.trees import parse_tree, stats
 
@@ -26,18 +25,21 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_invalid():
-    with pytest.raises(InvalidBTreeError):
+    with pytest.raises(InvalidTreeError):
         parse_btree("0[1[_|_]|2[_|_]]")  # right child at the root
-    with pytest.raises(InvalidBTreeError):
+    with pytest.raises(InvalidTreeError):
         parse_btree("1[2[_|_]|_]")  # root not 0
-    with pytest.raises(InvalidBTreeError):
+    with pytest.raises(InvalidTreeError):
         parse_btree("0[2[1[_|_]|_]|_]")  # decreasing path
-    with pytest.raises(BTreeSyntaxError):
+    with pytest.raises(TreeSyntaxError):
         parse_btree("0[1[_|_]")
-    with pytest.raises(BTreeSyntaxError):
+    with pytest.raises(TreeSyntaxError):
         parse_btree("_")
-    with pytest.raises(BTreeSyntaxError, match="expected a label or '_'") as err:
+    with pytest.raises(TreeSyntaxError, match="expected a label or '_'") as err:
         parse_btree("0[²[_|_]|_]")  # a digit to str.isdigit, not to int()
+    assert err.value.position == 2
+    with pytest.raises(TreeSyntaxError, match="label of 5000 digits is too long") as err:
+        parse_btree("0[" + "1" * 5000 + "[_|_]|_]")  # past int()'s digit limit
     assert err.value.position == 2
 
 

@@ -10,7 +10,7 @@ import pytest
 import witrees
 import witrees.cli
 from witrees.cli import main
-from witrees.gamma import GammaResidualError
+from witrees.errors import InternalError
 
 RUN = [sys.executable, "-m", "witrees.cli"]
 # the subprocesses import the same witrees as this process
@@ -108,8 +108,9 @@ def test_verify_suite_exit_code():
         ["verify", "--suite", "counting", "--max-size", "-1"],
         ["verify", "--suite", "conjecture", "--max-nodes", "-3"],
         ["conjecture", "--max-nodes", "-1"],
+        ["verify", "--suite", "counting", "--max-size", "٣"],  # a decimal digit, not an ASCII one
     ],
-    ids=["verify-max-size", "verify-max-nodes", "conjecture-max-nodes"],
+    ids=["verify-max-size", "verify-max-nodes", "conjecture-max-nodes", "verify-max-size-arabic-digit"],
 )
 def test_negative_bound_is_a_usage_error(argv):
     """A negative bound would cover nothing and pass vacuously."""
@@ -130,7 +131,8 @@ def test_closed_form():
     res = run_cli("closed-form", "--stats", "1,0,0,1", "--format", "json")
     assert json.loads(res.stdout)["count"] == 1
     bad = run_cli("closed-form")
-    assert bad.returncode == 2
+    _assert_usage_error(bad)
+    assert bad.stderr == "error: nothing to compute: pass --stats, --zero-odd, --zero-ee or --ternary\n"
 
 
 @pytest.mark.parametrize("argv", [["--ternary", "0"], ["--ternary", "0", "--stats", "1,1,1,1"]])
@@ -186,6 +188,11 @@ def test_usage_error_exit_code():
     assert "error" in bad.stderr
     digit = run_cli("transform", "--map", "hat", "--tree", "0(²)")
     assert (digit.returncode, digit.stderr) == (2, "error: expected a label (at position 2)\n")
+    long_label = "1" * 5000  # past int()'s digit limit
+    for argv in (["transform", "--map", "hat", "--tree", f"0({long_label})"],
+                 ["orbit", "--tree", f"0[{long_label}[_|_]|_]"]):
+        res = run_cli(*argv)
+        assert (res.returncode, res.stderr) == (2, "error: label of 5000 digits is too long (at position 2)\n")
 
 
 def test_verify_json():
@@ -213,7 +220,7 @@ def test_conjecture_json():
 
 def test_internal_error_exit_code(monkeypatch, capsys):
     def broken(reduced, p):
-        raise GammaResidualError("injected residual")
+        raise InternalError("injected residual")
 
     monkeypatch.setattr(witrees.cli, "gamma_expand", broken)
     assert main(["gamma", "--multiset", "1:2,2:2"]) == 3

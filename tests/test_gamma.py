@@ -2,8 +2,8 @@ import pytest
 
 from _oracles import oracle_gamma, parity_counts
 from witrees.enumeration import iter_multisets, iter_trees
+from witrees.errors import InternalError
 from witrees.gamma import (
-    GammaResidualError,
     gamma_expand,
     gamma_from_table,
     is_palindromic,
@@ -94,9 +94,9 @@ def test_gamma_counts_active_nodes():
 
 def test_gamma_rejects_inhomogeneous():
     bogus = MPoly(XYZ, {(1, 2, 0): 1, (1, 0, 0): 1})  # xy^2 + x: x is off degree for p = 2
-    with pytest.raises(GammaResidualError, match="does not reduce to degree 1"):
+    with pytest.raises(InternalError, match="does not reduce to degree 1"):
         reduced_table(bogus, 2)
-    with pytest.raises(GammaResidualError, match="nonzero residual in x\\^0 slice"):
+    with pytest.raises(InternalError, match="nonzero residual in x\\^0 slice"):
         gamma_expand({(0, 1): 1}, 2)  # y alone is not symmetric in y, z
 
 

@@ -15,7 +15,12 @@ Each kernel mutant edits the grammar derivative, the parity census or the
 Sturm chain the same way and must turn every suite that reads the kernel
 FAIL with the named detail; the census mutant swaps two classes that the
 Schett polynomial merges, so the suites that read only that polynomial
-must still PASS."""
+must still PASS.
+
+Each check mutant does the same to the code behind the checks that no
+other planted fault reaches: the enumeration, the statistics walker, psi,
+the Euler numbers, the four-variable grammar and the gamma basis
+expansion."""
 
 import inspect
 
@@ -23,10 +28,14 @@ import pytest
 
 import witrees.binary
 import witrees.counts
+import witrees.enumeration
 import witrees.gamma
 import witrees.grammar
 import witrees.realroots
+import witrees.sequences
 import witrees.series
+import witrees.transforms
+import witrees.trees
 import witrees.verify
 from witrees.verify import run_suites
 
@@ -97,7 +106,8 @@ def _mutant(module, name, old, new):
 SERIES_FAIL = "FAIL  generating function: functional and algebraic equations: "
 CLOSED_FAIL = "FAIL  closed forms: parity-class counts: "
 # mutant: (module holding the source, function, old text, new text,
-# modules whose global the checks read, {suite: expected FAIL line})
+# modules whose global the checks read, {suite: expected line of its first
+# result, or a tuple of the lines of its first results})
 SERIES_MUTANTS = {
     # the factor w x - 2 x z of n^2 t^3 loses its 2; at w = z the factor
     # must be -xz, so both residuals go nonzero at t^3
@@ -161,12 +171,63 @@ KERNEL_MUTANTS = {
 }
 
 
+# the same layout as SERIES_MUTANTS
+CHECK_MUTANTS = {
+    # no composition puts all remaining letters under the first child
+    "weak-compositions-short": (
+        witrees.enumeration, "_weak_compositions", "range(total + 1)", "range(total)", (witrees.enumeration,),
+        {"counting": "FAIL  counting: product formula vs enumeration: {1,2,3}: formula 6, enumerated 4 (4 distinct)"},
+    ),
+    # the full-degree parity forgets the edge to the parent
+    "stats-oddf-degree": (
+        witrees.trees, "stats", "if (d + (lvl > 0)) & 1:", "if d & 1:", (witrees.trees, witrees.verify),
+        {"stats": "FAIL  statistics: internal identities: tree 0(1) fails identity #10",
+         "full-degree": "FAIL  full-degree doubling: totals per multiset: {1}: oddf total 1 != 2 * 1"},
+    ),
+    # odd-level odd-degree nodes are counted as even-level ones
+    "stats-oo-as-eo": (
+        witrees.trees, "stats", "oo += 1", "eo += 1", (witrees.trees, witrees.verify),
+        {"symmetry": "FAIL  symmetry: joint parity distributions: {1,2}: "
+         "even-degree vs oo+el distribution not symmetric"},
+    ),
+    # psi leaves the first root subtree untouched
+    "psi-skips-first-subtree": (
+        witrees.transforms, "psi", "tuple(tilde(c) for c in t.children)",
+        "t.children[:1] + tuple(tilde(c) for c in t.children[1:])", (witrees.transforms, witrees.verify),
+        {"psi-theta": "FAIL  psi/theta: root-excluded transports: psi transport fails on 0(1(2(3)))"},
+    ),
+    # E_1 seeded as 2
+    "euler-seed": (
+        witrees.sequences, "euler_numbers", "es = [1, 1]", "es = [1, 2]", (witrees.sequences, witrees.verify),
+        {"euler": "FAIL  Euler numbers: zero-ee* and zero-odd* increasing trees: "
+         "n=1: ee*=0 count 1, odd*=0 count 1, E_n 2"},
+    ),
+    # D(w) = wy becomes wz: the Schett grammar is untouched, so only the
+    # four-variable s/t tables, the schett suite's second result, can see it
+    "four-var-w-rule": (
+        witrees.grammar, "four_var_rules", "(1, 0, 1, 0): 1", "(1, 0, 0, 1): 1", (witrees.grammar,),
+        {"schett": ("PASS  Schett polynomials: grammar identities: displays, n!, symmetry, "
+                    "parity shape (n <= 8), dual path (n <= 7), Leibniz",
+                    "FAIL  s/t tables: grammar relations and tree interpretation: n=2, (i,j)=(0,1): s=1, t-sum=0")},
+    ),
+    # the basis element (yz)^j (y+z)^(d-2j) takes the power d-j of (y+z)
+    "gamma-basis-degree": (
+        witrees.gamma, "gamma_from_table", "d = p // 2 - i - 2 * j", "d = p // 2 - i - j",
+        (witrees.gamma, witrees.verify),
+        {"gamma": "FAIL  gamma expansion: nonnegativity and active-node counts: "
+         "{1,2,3,4}: expansion does not rebuild the polynomial"},
+    ),
+}
+
+
 def _assert_caught(monkeypatch, source, name, old, new, targets, expected):
     fake = _mutant(source, name, old, new)
     for module in targets:
         monkeypatch.setattr(module, name, fake)
-    for suite, line in expected.items():
-        assert run_suites([suite], max_size=5)[0].line() == line, suite
+    for suite, want in expected.items():
+        want = (want,) if isinstance(want, str) else want
+        lines = tuple(r.line() for r in run_suites([suite], max_size=5))
+        assert lines[: len(want)] == want, suite
 
 
 @pytest.mark.parametrize("mutant", sorted(SERIES_MUTANTS))
@@ -177,3 +238,8 @@ def test_series_mutant_is_caught(monkeypatch, mutant):
 @pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
 def test_kernel_mutant_is_caught(monkeypatch, mutant):
     _assert_caught(monkeypatch, *KERNEL_MUTANTS[mutant])
+
+
+@pytest.mark.parametrize("mutant", sorted(CHECK_MUTANTS))
+def test_check_mutant_is_caught(monkeypatch, mutant):
+    _assert_caught(monkeypatch, *CHECK_MUTANTS[mutant])

@@ -1,7 +1,9 @@
 """Checks on the project's own files: the README's library example runs,
 the package keeps its invariants out of `assert` statements, which
-`python -O` strips, every exported name is used inside the package, and
-polynomials skip validation only through `MPoly`'s one trusted constructor."""
+`python -O` strips, every exported name is used inside the package,
+polynomials skip validation only through `MPoly`'s one trusted constructor,
+the three error types of `errors.py` are the only ones, and only the CLI's
+`main` writes to stderr."""
 
 import ast
 import re
@@ -67,3 +69,30 @@ def test_mpoly_new_is_called_only_by_the_trusted_constructor():
     for path in sorted((ROOT / "src" / "witrees").glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
     assert sites == ["mpoly.MPoly._raw"]
+
+
+
+def test_errors_py_defines_the_only_exception_classes():
+    """A bug, malformed tree text and an invalid tree each have one type;
+    every other usage error is a plain `ValueError`."""
+    found = sorted(
+        f"{path.stem}.{node.name}"
+        for path in sorted((ROOT / "src" / "witrees").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)
+    )
+    assert found == ["errors.InternalError", "errors.InvalidTreeError", "errors.TreeSyntaxError"]
+
+
+def test_only_cli_main_writes_to_stderr():
+    """Usage errors leave through the one handler in `main`, which prints
+    them after `error:` and exits 2."""
+    tree = ast.parse((ROOT / "src" / "witrees" / "cli.py").read_text())
+    writers = {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"
+    }
+    assert writers == {"main"}

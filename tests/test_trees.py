@@ -51,6 +51,9 @@ def test_syntax_errors_carry_position():
     with pytest.raises(TreeSyntaxError, match="expected a label") as err:
         parse_tree("0(²)")  # a digit to str.isdigit, not to int()
     assert err.value.position == 2
+    with pytest.raises(TreeSyntaxError, match="label of 5000 digits is too long") as err:
+        parse_tree("0(" + "1" * 5000 + ")")  # past int()'s digit limit
+    assert err.value.position == 2
 
 
 def test_single_node_stats():
