@@ -16,7 +16,10 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import asdict
+from typing import NamedTuple
 
 from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
@@ -48,6 +51,21 @@ def _bound(text: str) -> int:
     return int(text)
 
 
+def _ints(count: int) -> Callable[[str], tuple[int, ...]]:
+    """The parser of an option value of `count` comma-separated integers."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(x) for x in text.split(","))
+            if len(values) == count:
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {count} comma-separated integers, got {text!r}")
+
+    return parse
+
+
 def _multiset_from(args: argparse.Namespace) -> Multiset:
     """The multiset of --multiset/--set/--uniform, refused when its size
     exceeds --max-size."""
@@ -62,40 +80,30 @@ def _multiset_from(args: argparse.Namespace) -> Multiset:
     return m
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+class Output(NamedTuple):
+    """What a subcommand prints: `payload` builds its JSON value and `lines`
+    its text lines, and `main` calls only the one that --format asks for;
+    `code` is the exit code."""
+
+    payload: Callable[[], object]
+    lines: Callable[[], Iterable[str]]
+    code: int = 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> Output:
     m = _multiset_from(args)
     trees = enumerate_trees(m)
-    if args.binary:
-        texts = [format_btree(rho(t)) for t in trees]
-    else:
-        texts = [format_tree(t) for t in trees]
-    if args.format == "json":
-        payload: dict = {"multiset": list(m.multiplicities), "count": len(trees)}
-        if args.stats:
-            payload["trees"] = [
-                {"tree": txt, **stats(t).as_dict()} for txt, t in zip(texts, trees)
-            ]
-        else:
-            payload["trees"] = texts
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = []
-        for txt, t in zip(texts, trees):
-            if args.stats:
-                sv = stats(t)
-                lines.append(f"{txt}\t{json.dumps(sv.as_dict(), sort_keys=True)}")
-            else:
-                lines.append(txt)
-        _emit("\n".join(lines), args.out)
-    return 0
+    show = (lambda t: format_btree(rho(t))) if args.binary else format_tree
+
+    def payload() -> dict:
+        rows = [{"tree": show(t), **stats(t).as_dict()} if args.stats else show(t) for t in trees]
+        return {"multiset": list(m.multiplicities), "count": len(trees), "trees": rows}
+
+    def lines() -> Iterator[str]:
+        for t in trees:
+            yield f"{show(t)}\t{json.dumps(stats(t).as_dict(), sort_keys=True)}" if args.stats else show(t)
+
+    return Output(payload, lines)
 
 
 _MAPS = {
@@ -108,7 +116,7 @@ _MAPS = {
 }
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
+def cmd_transform(args: argparse.Namespace) -> Output:
     fn, fmt, parse = _MAPS[args.map]
     if args.tree is not None:
         sources = [args.tree]
@@ -118,180 +126,133 @@ def cmd_transform(args: argparse.Namespace) -> int:
         if stream is not sys.stdin:
             stream.close()
     outputs = [fmt(fn(parse(s))) for s in sources]
-    if args.format == "json":
-        _emit(json.dumps([{"input": s, "output": o} for s, o in zip(sources, outputs)], indent=2), args.out)
-    else:
-        _emit("\n".join(outputs), args.out)
-    return 0
+    return Output(lambda: [{"input": s, "output": o} for s, o in zip(sources, outputs)], lambda: outputs)
 
 
-def cmd_schett(args: argparse.Namespace) -> int:
+def cmd_schett(args: argparse.Namespace) -> Output:
     poly = four_var_poly(args.n) if args.four_var else schett_poly(args.n)
     text = poly.canonical_str("grouped")
-    if args.format == "json":
+
+    def payload() -> dict:
         terms = {
             "".join(f"{v}^{p}" for v, p in zip(poly.vars, e) if p) or "1": c
             for e, c in poly.sorted_terms("grouped")
         }
-        _emit(json.dumps({"n": args.n, "polynomial": text, "terms": terms}, indent=2), args.out)
-    else:
-        _emit(text, args.out)
-    return 0
+        return {"n": args.n, "polynomial": text, "terms": terms}
+
+    return Output(payload, lambda: [text])
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
+def cmd_gamma(args: argparse.Namespace) -> Output:
     m = _multiset_from(args)
     reduced = reduced_table(schett_of(iter_trees(m)), m.size)
-    table = gamma_expand(reduced, m.size)
+    table = sorted(gamma_expand(reduced, m.size).items())
     text = MPoly(XYZ, {(i, j, m.size // 2 - i - j): c for (i, j), c in reduced.items()}).canonical_str("grouped")
-    entries = [
-        {"i": i, "j": j, "value": v} for (i, j), v in sorted(table.items())
-    ]
-    if args.format == "json":
-        payload = {
-            "multiset": list(m.multiplicities),
-            "count": count_trees(m),
-            "reduced_polynomial": text,
-            "gamma": entries,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"reduced polynomial: {text}"]
-        lines += [f"gamma[{e['i']},{e['j']}] = {e['value']}" for e in entries]
-        _emit("\n".join(lines), args.out)
-    return 0
+
+    def payload() -> dict:
+        entries = [{"i": i, "j": j, "value": v} for (i, j), v in table]
+        return {"multiset": list(m.multiplicities), "count": count_trees(m), "reduced_polynomial": text,
+                "gamma": entries}
+
+    return Output(payload,
+                  lambda: [f"reduced polynomial: {text}"] + [f"gamma[{i},{j}] = {v}" for (i, j), v in table])
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Output:
     names = args.suite if args.suite and "all" not in args.suite else None
     results = run_suites(names, max_size=args.max_size, max_nodes=args.max_nodes)
     n_pass = sum(1 for r in results if r.passed)
-    if args.format == "json":
-        payload = {"checks": [asdict(r) for r in results], "passed": n_pass, "total": len(results)}
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [r.line() for r in results] + [f"{n_pass}/{len(results)} checks passed"]
-        _emit("\n".join(lines), args.out)
-    return 0 if n_pass == len(results) else 1
+    return Output(
+        lambda: {"checks": [asdict(r) for r in results], "passed": n_pass, "total": len(results)},
+        lambda: [r.line() for r in results] + [f"{n_pass}/{len(results)} checks passed"],
+        0 if n_pass == len(results) else 1,
+    )
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace) -> Output:
     if args.check == "alg":
         rep = check_algebraic_eq(args.order)
-        _emit(json.dumps(rep, indent=2), args.out)
-        return 0 if rep["ok"] else 1
+        # the report is JSON under either format
+        return Output(lambda: rep, lambda: [json.dumps(rep, indent=2)], 0 if rep["ok"] else 1)
     n = plane_gf(args.order)
-    if args.format == "json":
+
+    def payload() -> dict:
         tables = {
             str(k): {
                 ",".join(map(str, e)): c for e, c in coeff.sorted_terms("desclex")
             }
             for k, coeff in enumerate(n.coeffs)
         }
-        _emit(json.dumps({"order": args.order, "coefficients": tables}, indent=2), args.out)
-    else:
-        _emit(format_series(n), args.out)
-    return 0
+        return {"order": args.order, "coefficients": tables}
+
+    return Output(payload, lambda: [format_series(n)])
 
 
-def cmd_closed_form(args: argparse.Namespace) -> int:
-    payload: dict = {}
+def cmd_closed_form(args: argparse.Namespace) -> Output:
+    parts = []  # per option, in output order: its JSON entries and its text line
     if args.stats is not None:
-        i, j, k, l = (int(x) for x in args.stats.split(","))
-        payload["stats"] = [i, j, k, l]
-        payload["count"] = plane_tree_count(i, j, k, l)
-        payload["six_term_count"] = six_term_count(i, j, k, l)
+        count, six = plane_tree_count(*args.stats), six_term_count(*args.stats)
+        parts.append((lambda: {"stats": list(args.stats), "count": count, "six_term_count": six},
+                      lambda: f"count{args.stats} = {count} (six-term form: {six})"))
     if args.zero_odd is not None:
-        i, j = (int(x) for x in args.zero_odd.split(","))
-        payload["zero_odd"] = {"i": i, "j": j, "count": jaco2_count(i, j)}
+        odd = jaco2_count(*args.zero_odd)
+        parts.append((lambda: {"zero_odd": dict(zip("ij", args.zero_odd), count=odd)},
+                      lambda: "zero-odd count({},{}) = {}".format(*args.zero_odd, odd)))
     if args.zero_ee is not None:
-        i, j = (int(x) for x in args.zero_ee.split(","))
-        payload["zero_ee"] = {"i": i, "j": j, "count": fish_count(i, j)}
+        ee = fish_count(*args.zero_ee)
+        parts.append((lambda: {"zero_ee": dict(zip("ij", args.zero_ee), count=ee)},
+                      lambda: "zero-ee count({},{}) = {}".format(*args.zero_ee, ee)))
     if args.ternary is not None:
         lhs, rhs = ternary_identity(args.ternary)
-        payload["ternary"] = {"n": args.ternary, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
-    if not payload:
+        parts.append((lambda: {"ternary": {"n": args.ternary, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}},
+                      lambda: f"ternary identity n={args.ternary}: {lhs} == {rhs} -> {lhs == rhs}"))
+    if not parts:
         raise ValueError("nothing to compute: pass --stats, --zero-odd, --zero-ee or --ternary")
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = []
-        if "count" in payload:
-            lines.append(f"count{tuple(payload['stats'])} = {payload['count']} (six-term form: {payload['six_term_count']})")
-        if "zero_odd" in payload:
-            z = payload["zero_odd"]
-            lines.append(f"zero-odd count({z['i']},{z['j']}) = {z['count']}")
-        if "zero_ee" in payload:
-            z = payload["zero_ee"]
-            lines.append(f"zero-ee count({z['i']},{z['j']}) = {z['count']}")
-        if "ternary" in payload:
-            z = payload["ternary"]
-            lines.append(f"ternary identity n={z['n']}: {z['lhs']} == {z['rhs']} -> {z['equal']}")
-        _emit("\n".join(lines), args.out)
-    return 0
+    return Output(lambda: {k: v for entries, _ in parts for k, v in entries().items()},
+                  lambda: [line() for _, line in parts])
 
 
-def cmd_jacobi(args: argparse.Namespace) -> int:
-    sn, cn, dn = jacobi_taylor(args.order)
+def cmd_jacobi(args: argparse.Namespace) -> Output:
+    tables = dict(zip(("sn", "cn", "dn"), jacobi_taylor(args.order)))
 
-    def table(rows):
-        return {str(k): list(poly) for k, poly in enumerate(rows)}
+    def payload() -> dict:
+        return {"order": args.order,
+                **{name: {str(k): list(poly) for k, poly in enumerate(rows)} for name, rows in tables.items()}}
 
-    payload = {"order": args.order, "sn": table(sn), "cn": table(cn), "dn": table(dn)}
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = []
-        for fname, rows in (("sn", sn), ("cn", cn), ("dn", dn)):
+    def lines() -> Iterator[str]:
+        for name, rows in tables.items():
             for k, poly in enumerate(rows):
                 if poly:
-                    lines.append(f"{fname} u^{k}/{k}!: {list(poly)}")
-        _emit("\n".join(lines), args.out)
-    return 0
+                    yield f"{name} u^{k}/{k}!: {list(poly)}"
+
+    return Output(payload, lines)
 
 
-def cmd_orbit(args: argparse.Namespace) -> int:
+def cmd_orbit(args: argparse.Namespace) -> Output:
     members = orbit(parse_btree(args.tree))
-    orb = sorted(members, key=format_btree)
-    rows = []
-    for member in orb:
-        v = members[member].stats
-        rows.append(
-            {
-                "tree": format_btree(member),
-                "eler": v.eler,
-                "oler": v.oler,
-                "ord": v.ord,
-                "act": v.act,
-                "eact": v.eact,
-            }
-        )
-    if args.format == "json":
-        _emit(json.dumps({"size": len(orb), "members": rows}, indent=2), args.out)
-    else:
-        lines = [f"orbit size {len(orb)}"]
-        lines += [
-            f"{r['tree']}\teler={r['eler']} oler={r['oler']} ord={r['ord']} act={r['act']} eact={r['eact']}"
-            for r in rows
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+    rows = sorted(((format_btree(b), member.stats) for b, member in members.items()), key=lambda row: row[0])
+    shown = ("eler", "oler", "ord", "act", "eact")
+    return Output(
+        lambda: {"size": len(rows),
+                 "members": [{"tree": tree, **{s: getattr(v, s) for s in shown}} for tree, v in rows]},
+        lambda: [f"orbit size {len(rows)}"]
+        + [tree + "\t" + " ".join(f"{s}={getattr(v, s)}" for s in shown) for tree, v in rows],
+    )
 
 
-def cmd_preorder(args: argparse.Namespace) -> int:
+def cmd_preorder(args: argparse.Namespace) -> Output:
     ann = annotate(parse_btree(args.tree))
     rows = [
-        {"index": i, "label": ann.nodes[i].label, "path": "".join("LR"[s] for s in path)}
+        (i, ann.nodes[i].label, "".join("LR"[s] for s in path))
         for i, path in enumerate(modified_preorder(ann))
     ]
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2), args.out)
-    else:
-        _emit("\n".join(f"{r['index']}: label {r['label']} at {r['path'] or 'root'}" for r in rows), args.out)
-    return 0
+    return Output(
+        lambda: [{"index": i, "label": label, "path": path} for i, label, path in rows],
+        lambda: [f"{i}: label {label} at {path or 'root'}" for i, label, path in rows],
+    )
 
 
-def cmd_conjecture(args: argparse.Namespace) -> int:
+def cmd_conjecture(args: argparse.Namespace) -> Output:
     targets = [parse_multiset(args.multiset)] if args.multiset else conjecture_families(args.max_nodes)
     slices = [
         (m, i, coeffs, "vacuous" if rep.vacuous else ("real-rooted" if rep.all_real else "NOT REAL-ROOTED"))
@@ -299,17 +260,14 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         for i, coeffs, rep in scan_real_rootedness(m)
     ]
     failed = sum(1 for *_, status in slices if status == "NOT REAL-ROOTED")
-    if args.format == "json":
-        rows = [
-            {"multiset": list(m.multiplicities), "i": i, "coefficients": coeffs, "status": status}
-            for m, i, coeffs, status in slices
-        ]
-        _emit(json.dumps({"slices": rows, "failed": failed}, indent=2), args.out)
-    else:
-        lines = [f"{m} slice {i}: {coeffs} -> {status}" for m, i, coeffs, status in slices]
-        lines.append(f"{'FAIL' if failed else 'PASS'}: {failed} non-real-rooted slices")
-        _emit("\n".join(lines), args.out)
-    return 1 if failed else 0
+    return Output(
+        lambda: {"slices": [{"multiset": list(m.multiplicities), "i": i, "coefficients": coeffs, "status": status}
+                            for m, i, coeffs, status in slices],
+                 "failed": failed},
+        lambda: [f"{m} slice {i}: {coeffs} -> {status}" for m, i, coeffs, status in slices]
+        + [f"{'FAIL' if failed else 'PASS'}: {failed} non-real-rooted slices"],
+        1 if failed else 0,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_multiset_args(p)
     p.add_argument("--binary", action="store_true", help="emit the binary-tree images")
     p.add_argument("--stats", action="store_true", help="attach the statistic vector of each tree")
-    p.add_argument("--max-size", type=int, default=10, help="size bound override (default 10)")
+    p.add_argument("--max-size", type=_bound, default=10, help="size bound override (default 10)")
     common(p)
     p.set_defaults(fn=cmd_enumerate)
 
@@ -349,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="gamma expansion of the reduced polynomial")
     _add_multiset_args(p)
-    p.add_argument("--max-size", type=int, default=10)
+    p.add_argument("--max-size", type=_bound, default=10)
     common(p)
     p.set_defaults(fn=cmd_gamma)
 
@@ -368,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("closed-form", help="closed-form plane-tree counts")
-    p.add_argument("--stats", metavar="i,j,k,l", help="count by (oe, ee, oo, eo)")
-    p.add_argument("--zero-odd", metavar="i,j", help="trees with no odd-degree node")
-    p.add_argument("--zero-ee", metavar="i,j", help="trees with no even-degree node on even levels")
+    p.add_argument("--stats", type=_ints(4), metavar="i,j,k,l", help="count by (oe, ee, oo, eo)")
+    p.add_argument("--zero-odd", type=_ints(2), metavar="i,j", help="trees with no odd-degree node")
+    p.add_argument("--zero-ee", type=_ints(2), metavar="i,j",
+                   help="trees with no even-degree node on even levels")
     p.add_argument("--ternary", type=int, metavar="N", help="check the ternary-tree identity at N")
     common(p)
     p.set_defaults(fn=cmd_closed_form)
@@ -402,9 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        result = args.fn(args)
+        text = json.dumps(result.payload(), indent=2) if args.format == "json" else "\n".join(result.lines())
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            print(text, file=fh)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-        return code
+        return result.code
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -7,9 +7,10 @@ plane trees whose nodes all carry the new letter n.  (New letters can only
 hang at the right end of a child list and below one another, so this
 decomposition is a bijection.)
 
-`iter_trees` streams trees in a deterministic generation order with O(one
-multiset) memory; `enumerate_trees` materialises the list sorted by the
-canonical text form, which is the library's ordering contract.
+`iter_trees` yields the trees in a deterministic generation order, but it
+builds the whole list of the multiset's trees, letter by letter, before its
+first yield; `enumerate_trees` returns that list sorted by the canonical
+text form, which is the library's ordering contract.
 Both take any multiset they are given; the command line alone bounds the
 size it enumerates (`--max-size`).
 """
@@ -52,7 +53,8 @@ def _weak_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 
 def iter_trees(m: Multiset) -> Iterator[WTree]:
-    """Stream all weakly increasing trees on m in generation order."""
+    """All weakly increasing trees on m in generation order, yielded from
+    the full list once the last letter is attached."""
     trees: list[WTree] = [WTree(0, ())]
     for label, mult in enumerate(m.multiplicities, start=1):
         cache: dict[tuple[WTree, int], tuple[WTree, ...]] = {}

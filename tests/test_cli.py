@@ -109,8 +109,11 @@ def test_verify_suite_exit_code():
         ["verify", "--suite", "conjecture", "--max-nodes", "-3"],
         ["conjecture", "--max-nodes", "-1"],
         ["verify", "--suite", "counting", "--max-size", "٣"],  # a decimal digit, not an ASCII one
+        ["gamma", "--set", "3", "--max-size", "٣"],
+        ["enumerate", "--uniform", "0", "--max-size", "-1"],
     ],
-    ids=["verify-max-size", "verify-max-nodes", "conjecture-max-nodes", "verify-max-size-arabic-digit"],
+    ids=["verify-max-size", "verify-max-nodes", "conjecture-max-nodes", "verify-max-size-arabic-digit",
+         "gamma-max-size-arabic-digit", "enumerate-max-size"],
 )
 def test_negative_bound_is_a_usage_error(argv):
     """A negative bound would cover nothing and pass vacuously."""
@@ -133,6 +136,16 @@ def test_closed_form():
     bad = run_cli("closed-form")
     _assert_usage_error(bad)
     assert bad.stderr == "error: nothing to compute: pass --stats, --zero-odd, --zero-ee or --ternary\n"
+    negative = run_cli("closed-form", "--zero-ee=-1,2")
+    assert (negative.returncode, negative.stdout) == (0, "zero-ee count(-1,2) = 0\n")
+
+
+@pytest.mark.parametrize("option, value, count", [("--stats", "1,2", 4), ("--stats", "a,b,c,d", 4),
+                                                  ("--zero-odd", "1,2,3", 2), ("--zero-ee", "1", 2)])
+def test_closed_form_malformed_list_is_a_usage_error(option, value, count):
+    res = run_cli("closed-form", option, value)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.endswith(f"error: argument {option}: expected {count} comma-separated integers, got {value!r}\n")
 
 
 @pytest.mark.parametrize("argv", [["--ternary", "0"], ["--ternary", "0", "--stats", "1,1,1,1"]])
@@ -174,10 +187,37 @@ def test_determinism():
     assert a.stdout == b.stdout
 
 
-def test_out_flag(tmp_path):
+# one small passing invocation of each subcommand
+OUT_CASES = {
+    "enumerate": ["enumerate", "--set", "3", "--stats"],
+    "transform": ["transform", "--map", "psi", "--tree", "0(1(2),1)"],
+    "schett": ["schett", "--n", "2"],
+    "gamma": ["gamma", "--multiset", "1:2,2:2"],
+    "verify": ["verify", "--suite", "counting", "--max-size", "3"],
+    "series": ["series", "--order", "3"],
+    "series-check-alg": ["series", "--check", "alg", "--order", "4"],
+    "closed-form": ["closed-form", "--stats", "1,2,1,0", "--zero-odd", "1,1", "--zero-ee", "1,2", "--ternary", "5"],
+    "jacobi": ["jacobi", "--order", "5"],
+    "orbit": ["orbit", "--tree", GOLDEN_TREES[1]],
+    "preorder": ["preorder", "--tree", GOLDEN_TREES[1]],
+    "conjecture": ["conjecture", "--max-nodes", "5"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(OUT_CASES))
+def test_out_flag(tmp_path, capsys, command, fmt):
+    """Every subcommand prints JSON under --format json, and --out FILE
+    receives exactly the bytes it would print."""
+    argv = OUT_CASES[command] + ["--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    if fmt == "json" or command == "series-check-alg":
+        json.loads(printed)
     target = tmp_path / "out.txt"
-    assert main(["schett", "--n", "2", "--out", str(target)]) == 0
-    assert target.read_text().strip() == "xy^2+xz^2"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
 
 
 def test_usage_error_exit_code():

@@ -18,9 +18,11 @@ Schett polynomial merges, so the suites that read only that polynomial
 must still PASS.
 
 Each check mutant does the same to the code behind the checks that no
-other planted fault reaches: the enumeration, the statistics walker, psi,
-the Euler numbers, the four-variable grammar and the gamma basis
-expansion."""
+other planted fault reaches: the enumeration, the statistics walker and
+its activity counters, psi, theta, the Euler numbers, the four-variable
+grammar, the fighting-fish count, the gamma peel and the gamma basis
+expansion.  A gamma-peel fault that leaves a residual trips an internal
+error rather than a check, so the peel's mutant misfiles exact values."""
 
 import inspect
 
@@ -190,11 +192,39 @@ CHECK_MUTANTS = {
         {"symmetry": "FAIL  symmetry: joint parity distributions: {1,2}: "
          "even-degree vs oo+el distribution not symmetric"},
     ),
+    # a lone last child is active when its degree is even, not odd
+    "stats-lone-child-parity": (
+        witrees.trees, "stats", "else cd:", "else not cd:", (witrees.trees, witrees.verify),
+        {"binary": "FAIL  binary correspondence: statistic transport and bookkeeping: "
+         "active-node counts disagree on 0(1)",
+         "gamma": "FAIL  gamma expansion: nonnegativity and active-node counts: {1}: gamma table != active-node counts"},
+    ),
+    # active odd nodes are counted as active even ones; act = eact + oact
+    # still holds
+    "stats-oact-as-eact": (
+        witrees.trees, "stats", "oact += 1", "eact += 1", (witrees.trees, witrees.verify),
+        {"binary": "FAIL  binary correspondence: statistic transport and bookkeeping: "
+         "active-node counts disagree on 0(1(2))",
+         "gamma": "FAIL  gamma expansion: nonnegativity and active-node counts: "
+         "{1,2}: gamma table != active-node counts"},
+    ),
     # psi leaves the first root subtree untouched
     "psi-skips-first-subtree": (
         witrees.transforms, "psi", "tuple(tilde(c) for c in t.children)",
         "t.children[:1] + tuple(tilde(c) for c in t.children[1:])", (witrees.transforms, witrees.verify),
         {"psi-theta": "FAIL  psi/theta: root-excluded transports: psi transport fails on 0(1(2(3)))"},
+    ),
+    # theta leaves the first root subtree untouched
+    "theta-skips-first-subtree": (
+        witrees.transforms, "theta", "tuple(hat(c) for c in t.children)",
+        "t.children[:1] + tuple(hat(c) for c in t.children[1:])", (witrees.transforms, witrees.verify),
+        {"psi-theta": "FAIL  psi/theta: root-excluded transports: theta transport fails on 0(1(2(3))) at d=0"},
+    ),
+    # the fighting-fish count loses the factor 2j+1 of its denominator; the
+    # division stays exact, so no internal error masks the wrong value
+    "fish-count-denominator": (
+        witrees.counts, "fish_count", "(2 * i + 1) * (2 * j + 1)", "(2 * i + 1)", (witrees.verify,),
+        {"closed-forms": CLOSED_FAIL + "zero-ee count wrong at (0, 1)"},
     ),
     # E_1 seeded as 2
     "euler-seed": (
@@ -209,6 +239,16 @@ CHECK_MUTANTS = {
         {"schett": ("PASS  Schett polynomials: grammar identities: displays, n!, symmetry, "
                     "parity shape (n <= 8), dual path (n <= 7), Leibniz",
                     "FAIL  s/t tables: grammar relations and tree interpretation: n=2, (i,j)=(0,1): s=1, t-sum=0")},
+    ),
+    # the peel files g_{i,j} under j' = floor(d/2) - j; it subtracts the
+    # right rows, so the residual still vanishes
+    "gamma-peel-index": (
+        witrees.gamma, "gamma_expand", "table[(i, j)] = g", "table[(i, d // 2 - j)] = g",
+        (witrees.gamma, witrees.verify),
+        {"gamma": "FAIL  gamma expansion: nonnegativity and active-node counts: "
+         "{1,2,3,4}: gamma table != active-node counts",
+         "action": "FAIL  group action: branch swaps and orbit structure: "
+         "{1,2,3,4}: gamma table differs from orbit representatives"},
     ),
     # the basis element (yz)^j (y+z)^(d-2j) takes the power d-j of (y+z)
     "gamma-basis-degree": (

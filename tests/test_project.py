@@ -3,7 +3,7 @@ the package keeps its invariants out of `assert` statements, which
 `python -O` strips, every exported name is used inside the package,
 polynomials skip validation only through `MPoly`'s one trusted constructor,
 the three error types of `errors.py` are the only ones, and only the CLI's
-`main` writes to stderr."""
+`main` writes to stderr and reads --format and --out."""
 
 import ast
 import re
@@ -85,14 +85,24 @@ def test_errors_py_defines_the_only_exception_classes():
     assert found == ["errors.InternalError", "errors.InvalidTreeError", "errors.TreeSyntaxError"]
 
 
-def test_only_cli_main_writes_to_stderr():
-    """Usage errors leave through the one handler in `main`, which prints
-    them after `error:` and exits 2."""
+def _cli_functions_using(attribute):
+    """The top-level definitions of `cli.py` that mention `attribute`."""
     tree = ast.parse((ROOT / "src" / "witrees" / "cli.py").read_text())
-    writers = {
+    return {
         getattr(top, "name", "<module>")
         for top in tree.body
         for node in ast.walk(top)
-        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == attribute
     }
-    assert writers == {"main"}
+
+
+def test_only_cli_main_writes_to_stderr():
+    """Usage errors leave through the one handler in `main`, which prints
+    them after `error:` and exits 2."""
+    assert _cli_functions_using("sys.stderr") == {"main"}
+
+
+def test_only_cli_main_reads_format_and_out():
+    """Each subcommand returns its output in both forms, unbuilt, and `main`
+    alone renders the one --format asks for and writes it to --out."""
+    assert _cli_functions_using("args.format") == _cli_functions_using("args.out") == {"main"}
