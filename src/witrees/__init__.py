@@ -23,11 +23,10 @@ from .grammar import (
     grammar_derive,
     schett_poly,
 )
-from .jacobi import jacobi_taylor
+from .jacobi import euler_numbers, jacobi_taylor
 from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .realroots import RootReport, real_rooted
-from .sequences import euler_numbers
 from .series import TruncSeries, check_algebraic_eq, plane_gf
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
 from .trees import StatVector, WTree, format_tree, parse_tree, stats

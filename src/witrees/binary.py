@@ -2,7 +2,10 @@
 modified preorder, and the branch-swapping group action.
 
 Text form: `label[left|right]` with `_` for an absent child, so the plane
-tree 0(1,2) reads `0[1[_|2[_|_]]|_]`.
+tree 0(1,2) reads `0[1[_|2[_|_]]|_]`.  A binary tree is valid exactly when
+its plane tree under `transforms.rho_inv` is: the root has no right child,
+and `trees.validate_tree` holds for the image, so both tree forms share one
+set of invariants and one set of messages.
 
 Terminology (all label-independent):
 
@@ -41,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import InternalError, InvalidTreeError, TreeSyntaxError
-from .trees import read_label
+from .errors import InternalError, TreeSyntaxError
+from .trees import read_label, validate_tree
 
 Path = tuple[int, ...]  # 0 = left step, 1 = right step
 
@@ -65,6 +68,7 @@ def format_btree(b: WBTree) -> str:
 
 
 def parse_btree(text: str) -> WBTree:
+    """Parse binary tree text and validate it through its plane tree."""
     s = text.strip()
     pos = 0
 
@@ -92,28 +96,12 @@ def parse_btree(text: str) -> WBTree:
         raise TreeSyntaxError("tree must have a root node", 0)
     if pos != len(s):
         raise TreeSyntaxError("trailing input after tree", pos)
-    validate_btree(tree)
+    # transforms imports WBTree from here, so rho_inv cannot be imported at
+    # module level
+    from .transforms import rho_inv
+
+    validate_tree(rho_inv(tree))
     return tree
-
-
-def validate_btree(b: WBTree) -> None:
-    if b.label != 0:
-        raise InvalidTreeError(f"root must be labeled 0, got {b.label}")
-    if b.right is not None:
-        raise InvalidTreeError("node 0 must not have a right child")
-    stack = [b]
-    while stack:
-        node = stack.pop()
-        floor = max(node.label, 1)
-        for child in (node.left, node.right):
-            if child is None:
-                continue
-            if child.label < floor:
-                raise InvalidTreeError(
-                    "labels must weakly increase along root-to-leaf paths: "
-                    f"node {node.label} has child {child.label}"
-                )
-            stack.append(child)
 
 
 class BAnnotation(NamedTuple):

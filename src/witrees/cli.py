@@ -121,10 +121,8 @@ def cmd_transform(args: argparse.Namespace) -> Output:
     if args.tree is not None:
         sources = [args.tree]
     else:
-        stream = open(args.batch) if args.batch and args.batch != "-" else sys.stdin
-        sources = [line.strip() for line in stream if line.strip()]
-        if stream is not sys.stdin:
-            stream.close()
+        with open(args.batch) if args.batch and args.batch != "-" else nullcontext(sys.stdin) as stream:
+            sources = [line.strip() for line in stream if line.strip()]
     outputs = [fmt(fn(parse(s))) for s in sources]
     return Output(lambda: [{"input": s, "output": o} for s, o in zip(sources, outputs)], lambda: outputs)
 

@@ -16,6 +16,10 @@ s_{n,i,j} (checked in the verification suites):
     |[m^(n-i)] dn_{2n}| = s_{2n-1,i,0} = s_{2n,i,0},
 
 with signs (-1)^n throughout, sn odd in u and cn, dn even.
+
+At m = 1 the functions degenerate to sn = tanh and cn = sech, so the same
+tables give the Euler numbers: E_k = |sn_k(1)| for odd k and |cn_k(1)| for
+even k, the coefficients of sec + tan.
 """
 
 from __future__ import annotations
@@ -66,3 +70,10 @@ def jacobi_taylor(order: int) -> tuple[list[MPolyInM], list[MPolyInM], list[MPol
         cn.append(tuple(-c for c in _conv(k, sn, dn)))
         dn.append(_shift_m(_conv(k, sn, cn)))
     return sn[: order + 1], cn[: order + 1], dn[: order + 1]
+
+
+def euler_numbers(n: int) -> list[int]:
+    """E_0..E_n, the coefficients of n!-normalized sec(x) + tan(x), read off
+    the sn (odd k) and cn (even k) tables at m = 1."""
+    sn, cn, _ = jacobi_taylor(n)
+    return [abs(sum(cn[k] if k % 2 == 0 else sn[k])) for k in range(n + 1)]

@@ -19,6 +19,7 @@ increasing binary trees.
 from __future__ import annotations
 
 from .binary import WBTree
+from .errors import InvalidTreeError
 from .trees import WTree
 
 
@@ -100,7 +101,7 @@ def rho(t: WTree) -> WBTree:
 def rho_inv(b: WBTree) -> WTree:
     """Binary to plane; rejects trees whose node 0 has a right child."""
     if b.right is not None:
-        raise ValueError("node 0 of a weakly increasing binary tree has no right child")
+        raise InvalidTreeError("node 0 of a weakly increasing binary tree has no right child")
 
     def unchain(node: WBTree | None) -> tuple[WTree, ...]:
         children = []

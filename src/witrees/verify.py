@@ -58,11 +58,10 @@ from .gamma import (
     slice_poly_coeffs,
 )
 from .grammar import XYZ, derive, four_var_coeffs, schett_poly, schett_rules
-from .jacobi import jacobi_taylor
+from .jacobi import euler_numbers, jacobi_taylor
 from .mpoly import MPoly
 from .multiset import Multiset, count_trees, set_multiset, uniform_multiset
 from .realroots import real_rooted
-from .sequences import euler_numbers
 from .series import TruncSeries, algebraic_report, format_series, lagrange_series, plane_gf
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
 from .trees import WTree, format_tree, parse_tree, stats
@@ -445,7 +444,7 @@ def _full_degree(f: Facts) -> str | None:
 
 def check_euler(max_n: int = 8) -> CheckResult:
     """Increasing trees with no root-excluded ee (resp. odd) nodes are
-    counted by the Euler numbers from the sec+tan recurrence."""
+    counted by the Euler numbers, read off the elliptic tables at m = 1."""
     name = "Euler numbers: zero-ee* and zero-odd* increasing trees"
     es = euler_numbers(max_n)
     for n in range(max_n + 1):
@@ -747,8 +746,10 @@ def check_closed_forms(max_edges: int = 9) -> CheckResult:
                         return _fail(name, f"closed form wrong at {(i, j, k, l)}: want {want}")
                     if six_term_count(i, j, k, l) != want:
                         return _fail(name, f"six-term form wrong at {(i, j, k, l)}")
-    for i in range(5):
-        for j in range(5):
+    # every (i, j) the edge bound admits, and the fish symmetry on at least 5 x 5
+    side = max(5, max_edges // 2 + 1)
+    for i in range(side):
+        for j in range(side):
             if 2 * (i + j) <= max_edges:
                 want = sum(
                     c for (oe, ee, oo, eo), c in hist.items()

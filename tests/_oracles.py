@@ -12,12 +12,15 @@ series oracle iterates the functional equations to a fixpoint, the
 real-rootedness oracle runs its Sturm chain over the rationals, the
 grammar derivative oracle multiplies out each Leibniz term as a polynomial
 product, and the gamma oracle peels each basis element off a reduced
-polynomial by polynomial products.  Slow but obviously correct; sized for
+polynomial by polynomial products.  The Euler numbers come from the sec+tan
+convolution recurrence, and binary trees are validated on the binary tree
+itself, without the plane tree.  Slow but obviously correct; sized for
 small inputs.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 from witrees.binary import BAnnotation, BStatVector, WBTree
 from witrees.mpoly import MPoly, poly_sum
@@ -73,6 +76,33 @@ def _valid(t: WTree) -> bool:
             prev = c.label
             stack.append(c)
     return True
+
+
+def oracle_btree_valid(b: WBTree) -> bool:
+    """The binary invariants read on the binary tree: the root is labeled 0
+    and has no right child, and each child is at least its parent and 1."""
+    if b.label != 0 or b.right is not None:
+        return False
+    stack = [b]
+    while stack:
+        node = stack.pop()
+        for child in (node.left, node.right):
+            if child is not None:
+                if child.label < max(node.label, 1):
+                    return False
+                stack.append(child)
+    return True
+
+
+def oracle_euler_numbers(n: int) -> list[int]:
+    """E_0..E_n from 2 E_{k+1} = sum_i C(k,i) E_i E_{k-i}, E_0 = E_1 = 1."""
+    es = [1, 1]
+    while len(es) <= n:
+        k = len(es) - 1
+        q, r = divmod(sum(comb(k, i) * es[i] * es[k - i] for i in range(k + 1)), 2)
+        assert r == 0, k
+        es.append(q)
+    return es[: n + 1]
 
 
 def oracle_tree_texts(multiplicities: tuple[int, ...]) -> set[str]:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from _oracles import oracle_annotation, oracle_bstats, subtree_at
+from _oracles import oracle_annotation, oracle_bstats, oracle_btree_valid, subtree_at
 from _strategies import weakly_increasing_trees
 from witrees.binary import (
     WBTree,
@@ -25,12 +25,14 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_invalid():
-    with pytest.raises(InvalidTreeError):
+    with pytest.raises(InvalidTreeError, match="node 0 of a weakly increasing binary tree has no right child"):
         parse_btree("0[1[_|_]|2[_|_]]")  # right child at the root
     with pytest.raises(InvalidTreeError):
         parse_btree("1[2[_|_]|_]")  # root not 0
     with pytest.raises(InvalidTreeError):
         parse_btree("0[2[1[_|_]|_]|_]")  # decreasing path
+    with pytest.raises(InvalidTreeError, match="2 precedes 1 under node 0"):
+        parse_btree("0[2[_|1[_|_]]|_]")  # right sibling below its left one
     with pytest.raises(TreeSyntaxError):
         parse_btree("0[1[_|_]")
     with pytest.raises(TreeSyntaxError):
@@ -41,6 +43,32 @@ def test_parse_rejects_invalid():
     with pytest.raises(TreeSyntaxError, match="label of 5000 digits is too long") as err:
         parse_btree("0[" + "1" * 5000 + "[_|_]|_]")  # past int()'s digit limit
     assert err.value.position == 2
+
+
+def _labelled_btrees(n, labels):
+    """Every binary tree with n nodes, each node carrying any of `labels`."""
+    if n == 0:
+        yield None
+        return
+    for k in range(n):
+        for left in _labelled_btrees(k, labels):
+            for right in _labelled_btrees(n - 1 - k, labels):
+                for label in labels:
+                    yield WBTree(label, left, right)
+
+
+def test_parse_validates_like_the_binary_oracle():
+    """Validation through the plane tree accepts exactly the trees that the
+    binary invariants accept, over every labelled binary tree with at most
+    5 nodes and labels 0..3."""
+    trees = [b for n in range(1, 6) for b in _labelled_btrees(n, range(4))]
+    assert len(trees) == 46948
+    for b in trees:
+        try:
+            accepted = parse_btree(format_btree(b)) == b
+        except InvalidTreeError:
+            accepted = False
+        assert accepted == oracle_btree_valid(b), format_btree(b)
 
 
 def test_single_edge_stats():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,16 @@ def _assert_usage_error(res):
 
 def test_unreadable_batch_file_is_a_usage_error(tmp_path):
     _assert_usage_error(run_cli("transform", "--map", "hat", "--batch", str(tmp_path / "missing.txt")))
+
+
+def test_undecodable_batch_file_is_closed(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"0(1)\n\xff\xfe\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["transform", "--map", "hat", "--batch", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path):

@@ -1,6 +1,9 @@
+import pytest
+
+from _oracles import oracle_euler_numbers
 from witrees.gamma import reduced_table
 from witrees.grammar import schett_poly
-from witrees.jacobi import jacobi_taylor
+from witrees.jacobi import euler_numbers, jacobi_taylor
 
 
 def test_classical_expansions():
@@ -63,3 +66,18 @@ def test_dn_is_cn_with_reversed_modulus():
         rev = tuple(reversed(d))
         padded = c + (0,) * (len(rev) - len(c))
         assert rev == padded, (n, c, d)
+
+
+def test_euler_numbers_match_classical_values():
+    assert euler_numbers(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
+
+
+def test_euler_numbers_prefix_stability():
+    assert euler_numbers(3) == euler_numbers(8)[:4]
+    with pytest.raises(ValueError):
+        euler_numbers(-1)
+
+
+def test_euler_numbers_match_the_sec_tan_recurrence():
+    # sn(u|1) = tanh u and cn(u|1) = sech u
+    assert euler_numbers(30) == oracle_euler_numbers(30)

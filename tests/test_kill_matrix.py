@@ -1,5 +1,11 @@
 """Planted faults in the kernels.
 
+Every entry lists the exact line of every suite that does not PASS at
+p <= 5 under its fault, and the test runs all suites to hold it to that
+list: a suite left out must PASS.  A suite that raises `InternalError` is
+listed with that error; it is no kill, so each mutant also turns some
+suite FAIL.
+
 Each binary-tree mutant must turn both the `binary` and the `action` check
 FAIL at p <= 5, naming a tree.  It replaces one kernel in both
 `witrees.binary` (where `orbit` reads it) and `witrees.verify` (where the
@@ -11,15 +17,16 @@ or `witrees.counts` function and must turn the `series` check FAIL at
 p <= 5 with the detail that names the broken route; the six-term mutant
 must also turn the `closed-forms` check FAIL.
 
-Each kernel mutant edits the grammar derivative, the parity census or the
-Sturm chain the same way and must turn every suite that reads the kernel
-FAIL with the named detail; the census mutant swaps two classes that the
-Schett polynomial merges, so the suites that read only that polynomial
-must still PASS.
+Each kernel mutant edits the grammar derivative, the parity census, the
+Sturm chain, the branch swap or the plane-to-binary map the same way and
+must turn every suite that reads the kernel FAIL with the named detail; the
+census mutant swaps two classes that the Schett polynomial merges, so the
+suites that read only that polynomial still PASS.
 
 Each check mutant does the same to the code behind the checks that no
 other planted fault reaches: the enumeration, the statistics walker and
-its activity counters, psi, theta, the Euler numbers, the four-variable
+its activity counters, psi, theta, the elliptic tables behind the Euler
+numbers, the four-variable
 grammar, the fighting-fish count, the gamma peel and the gamma basis
 expansion.  A gamma-peel fault that leaves a residual trips an internal
 error rather than a check, so the peel's mutant misfiles exact values."""
@@ -33,13 +40,14 @@ import witrees.counts
 import witrees.enumeration
 import witrees.gamma
 import witrees.grammar
+import witrees.jacobi
 import witrees.realroots
-import witrees.sequences
 import witrees.series
 import witrees.transforms
 import witrees.trees
 import witrees.verify
-from witrees.verify import run_suites
+from witrees.errors import InternalError
+from witrees.verify import run_suites, suite_checks
 
 REAL_ANNOTATE = witrees.binary.annotate
 REAL_BSTATS = witrees.binary.bstats
@@ -87,13 +95,30 @@ EXPECTED = {
 }
 
 
+def _failures():
+    """suite -> its line at p <= 5, for every suite that does not PASS: the
+    line of its failing result (a tuple when several fail), or the internal
+    error it raises, as the CLI prints it."""
+    out = {}
+    for suite in suite_checks():
+        try:
+            lines = tuple(r.line() for r in run_suites([suite], max_size=5) if not r.passed)
+        except InternalError as exc:
+            lines = (f"internal error: {exc}",)
+        if lines:
+            out[suite] = lines[0] if len(lines) == 1 else lines
+    return out
+
+
 @pytest.mark.parametrize("suite", sorted(EXPECTED))
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_binary_mutant_is_caught(monkeypatch, mutant, suite):
     kernel, fake, witness = MUTANTS[mutant]
     for module in (witrees.binary, witrees.verify):
         monkeypatch.setattr(module, kernel, fake)
-    assert run_suites([suite], max_size=5)[0].line() == EXPECTED[suite] + witness
+    failures = _failures()
+    assert failures.keys() == EXPECTED.keys()
+    assert failures[suite] == EXPECTED[suite] + witness
 
 
 def _mutant(module, name, old, new):
@@ -108,8 +133,8 @@ def _mutant(module, name, old, new):
 SERIES_FAIL = "FAIL  generating function: functional and algebraic equations: "
 CLOSED_FAIL = "FAIL  closed forms: parity-class counts: "
 # mutant: (module holding the source, function, old text, new text,
-# modules whose global the checks read, {suite: expected line of its first
-# result, or a tuple of the lines of its first results})
+# modules whose global the checks read, {suite: its line, as `_failures`
+# gives it, for every suite that does not PASS})
 SERIES_MUTANTS = {
     # the factor w x - 2 x z of n^2 t^3 loses its 2; at w = z the factor
     # must be -xz, so both residuals go nonzero at t^3
@@ -146,21 +171,21 @@ KERNEL_MUTANTS = {
     # instead of 4
     "derive-drops-power": (
         witrees.grammar, "derive", "cp = c * power", "cp = c", (witrees.grammar, witrees.verify),
-        {"schett": "FAIL  Schett polynomials: grammar identities: "
-         "S_3 prints 'y^3z+yz^3+2x^2yz', want 'y^3z+yz^3+4x^2yz'",
-         "jacobi": "FAIL  elliptic coefficients: displays and boundary identities: sn boundary fails at n=2, j=1"},
+        {"schett": ("FAIL  Schett polynomials: grammar identities: "
+                    "S_3 prints 'y^3z+yz^3+2x^2yz', want 'y^3z+yz^3+4x^2yz'",
+                    "FAIL  s/t tables: grammar relations and tree interpretation: n=3, (i,j)=(1,0): s=2, t-sum=3"),
+         "jacobi": "FAIL  elliptic coefficients: displays and boundary identities: sn boundary fails at n=2, j=1",
+         "conjecture": "FAIL  real-rootedness: plane and increasing tree slices: {1,2,3,4,5,6,7,8,9}, slice i=2: "
+         "degree 2 (t^0 stripped), squarefree degree 2, 0 distinct real roots: NOT real-rooted"},
     ),
     # eo and oo trade places; the Schett polynomial adds them, so only the
-    # routes that read the four-class census can see it
+    # routes that read the four-class census can see it, and gamma and
+    # action, which read only that polynomial, PASS
     "parity-poly-classes": (
         witrees.gamma, "parity_poly", "key = (eo, oe, ee, oo)", "key = (oo, oe, ee, eo)",
         (witrees.gamma, witrees.verify),
         {"series": SERIES_FAIL + "coefficient of t^1 differs from enumeration",
-         "closed-forms": CLOSED_FAIL + "closed form wrong at (0, 3, 0, 2): want 1",
-         "gamma": "PASS  gamma expansion: nonnegativity and active-node counts: "
-         "exact nonnegative tables matching active-node counts, p <= 5",
-         "action": "PASS  group action: branch swaps and orbit structure: "
-         "swap laws, orbits and gamma cross-check, p <= 5"},
+         "closed-forms": CLOSED_FAIL + "closed form wrong at (0, 3, 0, 2): want 1"},
     ),
     # remainders kept with their own sign: the sign changes no longer count
     # the real roots, and the negative control passes as real-rooted
@@ -170,15 +195,41 @@ KERNEL_MUTANTS = {
         {"conjecture": "FAIL  real-rootedness: plane and increasing tree slices: "
          "negative control: t^2+1 reported real-rooted"},
     ),
+    # the spine above the swapped node is rebuilt on the wrong side: the
+    # swapped subtree hangs right where it hung left, and left where right
+    "swap-spine-side": (
+        witrees.binary, "swap_branches", "if left[par] == k else", "if left[par] != k else", (witrees.binary,),
+        {"action": "FAIL  group action: branch swaps and orbit structure: swap 1 not an involution on 0[1[2[_|_]|_]|_]"},
+    ),
+    # the first child becomes the right child and the next sibling the left
+    # one: still a bijection onto binary trees, but not the inverse of rho_inv
+    "rho-swaps-roles": (
+        witrees.transforms, "rho", "WBTree(first.label, chain(first.children), chain(children[1:]))",
+        "WBTree(first.label, chain(children[1:]), chain(first.children))", (witrees.transforms, witrees.verify),
+        {"binary": "FAIL  binary correspondence: statistic transport and bookkeeping: round trip fails on 0(1(2))"},
+    ),
 }
 
 
 # the same layout as SERIES_MUTANTS
 CHECK_MUTANTS = {
-    # no composition puts all remaining letters under the first child
+    # no composition puts all remaining letters under the first child; every
+    # suite that enumerates sees it, and the gamma peel of the then
+    # asymmetric polynomial trips its residual guard
     "weak-compositions-short": (
         witrees.enumeration, "_weak_compositions", "range(total + 1)", "range(total)", (witrees.enumeration,),
-        {"counting": "FAIL  counting: product formula vs enumeration: {1,2,3}: formula 6, enumerated 4 (4 distinct)"},
+        {"counting": "FAIL  counting: product formula vs enumeration: {1,2,3}: formula 6, enumerated 4 (4 distinct)",
+         "stats": "FAIL  statistics: internal identities: {1,2,3}: leaf and even-level distributions differ",
+         "hat": "FAIL  hat bijection: degree/odd-level transport: {1,2,3}: hat is not a bijection",
+         "symmetry": "FAIL  symmetry: joint parity distributions: {1,2,3}: x^ee y^oe z^odd is not symmetric in y, z",
+         "psi-theta": "FAIL  psi/theta: root-excluded transports: {1,2,3,4}: theta is not a bijection",
+         "full-degree": "FAIL  full-degree doubling: totals per multiset: {1,2,3}: oddf total 10 != 2 * 6",
+         "euler": "FAIL  Euler numbers: zero-ee* and zero-odd* increasing trees: "
+         "n=3: ee*=0 count 1, odd*=0 count 1, E_n 2",
+         "action": "internal error: nonzero residual in x^0 slice: z",
+         "schett": ("FAIL  Schett polynomials: grammar identities: grammar and enumeration disagree at n=3",
+                    "FAIL  s/t tables: grammar relations and tree interpretation: t-table at n=3 differs from enumeration"),
+         "gamma": "internal error: nonzero residual in x^0 slice: z"},
     ),
     # the full-degree parity forgets the edge to the parent
     "stats-oddf-degree": (
@@ -189,7 +240,8 @@ CHECK_MUTANTS = {
     # odd-level odd-degree nodes are counted as even-level ones
     "stats-oo-as-eo": (
         witrees.trees, "stats", "oo += 1", "eo += 1", (witrees.trees, witrees.verify),
-        {"symmetry": "FAIL  symmetry: joint parity distributions: {1,2}: "
+        {"stats": "FAIL  statistics: internal identities: tree 0(1(2)) fails identity #12",
+         "symmetry": "FAIL  symmetry: joint parity distributions: {1,2}: "
          "even-degree vs oo+el distribution not symmetric"},
     ),
     # a lone last child is active when its degree is even, not odd
@@ -226,19 +278,19 @@ CHECK_MUTANTS = {
         witrees.counts, "fish_count", "(2 * i + 1) * (2 * j + 1)", "(2 * i + 1)", (witrees.verify,),
         {"closed-forms": CLOSED_FAIL + "zero-ee count wrong at (0, 1)"},
     ),
-    # E_1 seeded as 2
+    # dn(0) seeded as 2: sn_1 = cn_0 dn_0 reads 2, so E_1 = |sn_1(1)| = 2
     "euler-seed": (
-        witrees.sequences, "euler_numbers", "es = [1, 1]", "es = [1, 2]", (witrees.sequences, witrees.verify),
+        witrees.jacobi, "jacobi_taylor", "dn: list[MPolyInM] = [(1,)]", "dn: list[MPolyInM] = [(2,)]",
+        (witrees.jacobi, witrees.verify),
         {"euler": "FAIL  Euler numbers: zero-ee* and zero-odd* increasing trees: "
-         "n=1: ee*=0 count 1, odd*=0 count 1, E_n 2"},
+         "n=1: ee*=0 count 1, odd*=0 count 1, E_n 2",
+         "jacobi": "FAIL  elliptic coefficients: displays and boundary identities: sn u^1 coefficient is (2,)"},
     ),
     # D(w) = wy becomes wz: the Schett grammar is untouched, so only the
     # four-variable s/t tables, the schett suite's second result, can see it
     "four-var-w-rule": (
         witrees.grammar, "four_var_rules", "(1, 0, 1, 0): 1", "(1, 0, 0, 1): 1", (witrees.grammar,),
-        {"schett": ("PASS  Schett polynomials: grammar identities: displays, n!, symmetry, "
-                    "parity shape (n <= 8), dual path (n <= 7), Leibniz",
-                    "FAIL  s/t tables: grammar relations and tree interpretation: n=2, (i,j)=(0,1): s=1, t-sum=0")},
+        {"schett": "FAIL  s/t tables: grammar relations and tree interpretation: n=2, (i,j)=(0,1): s=1, t-sum=0"},
     ),
     # the peel files g_{i,j} under j' = floor(d/2) - j; it subtracts the
     # right rows, so the residual still vanishes
@@ -264,10 +316,7 @@ def _assert_caught(monkeypatch, source, name, old, new, targets, expected):
     fake = _mutant(source, name, old, new)
     for module in targets:
         monkeypatch.setattr(module, name, fake)
-    for suite, want in expected.items():
-        want = (want,) if isinstance(want, str) else want
-        lines = tuple(r.line() for r in run_suites([suite], max_size=5))
-        assert lines[: len(want)] == want, suite
+    assert _failures() == expected
 
 
 @pytest.mark.parametrize("mutant", sorted(SERIES_MUTANTS))

@@ -2,8 +2,9 @@
 the package keeps its invariants out of `assert` statements, which
 `python -O` strips, every exported name is used inside the package,
 polynomials skip validation only through `MPoly`'s one trusted constructor,
-the three error types of `errors.py` are the only ones, and only the CLI's
-`main` writes to stderr and reads --format and --out."""
+the three error types of `errors.py` are the only ones, the tree invariants
+are stated once, and only the CLI's `main` writes to stderr and reads
+--format and --out."""
 
 import ast
 import re
@@ -48,27 +49,46 @@ def test_every_exported_name_is_used_inside_the_package():
     assert sorted(set(witrees.__all__) - used) == []
 
 
-def test_mpoly_new_is_called_only_by_the_trusted_constructor():
-    """`MPoly.__new__` skips the checks of `MPoly.__init__`, so only
-    `MPoly._raw` may call it and every other fast path goes through there."""
+def _scopes_where(match):
+    """`module.Class.function` of each node of the package that `match`
+    accepts, in file order."""
     sites = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "__new__"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "MPoly"
-        ):
+        if match(node):
             sites.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     for path in sorted((ROOT / "src" / "witrees").glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return sites
+
+
+def test_mpoly_new_is_called_only_by_the_trusted_constructor():
+    """`MPoly.__new__` skips the checks of `MPoly.__init__`, so only
+    `MPoly._raw` may call it and every other fast path goes through there."""
+    sites = _scopes_where(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "MPoly"
+    )
     assert sites == ["mpoly.MPoly._raw"]
+
+
+def test_only_the_plane_tree_validator_and_rho_inv_raise_invalid_tree_error():
+    """A binary tree is valid exactly when its plane tree under `rho_inv` is,
+    so `trees.validate_tree` states the invariants for both tree forms and
+    `rho_inv` adds only the one a plane tree cannot break."""
+    sites = _scopes_where(
+        lambda node: isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(isinstance(n, ast.Name) and n.id == "InvalidTreeError" for n in ast.walk(node.exc))
+    )
+    assert set(sites) == {"trees.validate_tree", "transforms.rho_inv"}
 
 
 

@@ -73,6 +73,16 @@ def test_closed_forms_enumerate_past_the_default_size_bound():
     assert result.passed, result.detail
 
 
+def test_closed_forms_compare_every_pair_the_edge_bound_admits(monkeypatch):
+    """At 10 edges the zero-odd class (i, j) = (0, 5) has trees; a count
+    wrong only there and at (5, 0) must fail."""
+    real = witrees.verify.jaco2_count
+    monkeypatch.setattr(witrees.verify, "jaco2_count", lambda i, j: real(i, j) + ((i, j) in {(0, 5), (5, 0)}))
+    assert check_closed_forms(max_edges=10).line() == (
+        "FAIL  closed forms: parity-class counts: zero-odd count wrong at (0, 5)"
+    )
+
+
 def test_conjecture_small():
     result = check_conjecture(max_nodes=7)
     assert result.passed, result.detail
