@@ -26,9 +26,8 @@ suites that read only that polynomial still PASS.
 Each check mutant does the same to the code behind the checks that no
 other planted fault reaches: the enumeration, the statistics walker and
 its activity counters, psi, theta, the elliptic tables behind the Euler
-numbers, the four-variable
-grammar, the fighting-fish count, the gamma peel and the gamma basis
-expansion.  A gamma-peel fault that leaves a residual trips an internal
+numbers, the four-variable grammar, the fighting-fish count, the gamma
+peel and the gamma basis expansion.  A gamma-peel fault that leaves a residual trips an internal
 error rather than a check, so the peel's mutant misfiles exact values."""
 
 import inspect
