@@ -19,13 +19,14 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import asdict
+from functools import cache
 from typing import NamedTuple
 
 from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
-from .enumeration import enumerate_trees, iter_trees
+from .enumeration import enumerate_trees
 from .errors import InternalError
-from .gamma import gamma_expand, reduced_table, schett_of
+from .gamma import gamma_expand, multiset_schett, reduced_table
 from .grammar import XYZ, four_var_poly, schett_poly
 from .jacobi import jacobi_taylor
 from .mpoly import MPoly
@@ -92,16 +93,17 @@ class Output(NamedTuple):
 
 def cmd_enumerate(args: argparse.Namespace) -> Output:
     m = _multiset_from(args)
-    trees = enumerate_trees(m)
-    show = (lambda t: format_btree(rho(t))) if args.binary else format_tree
+    pairs = enumerate_trees(m)
+    if args.binary:
+        pairs = [(format_btree(rho(t)), t) for _, t in pairs]
 
     def payload() -> dict:
-        rows = [{"tree": show(t), **stats(t).as_dict()} if args.stats else show(t) for t in trees]
-        return {"multiset": list(m.multiplicities), "count": len(trees), "trees": rows}
+        rows = [{"tree": text, **stats(t).as_dict()} if args.stats else text for text, t in pairs]
+        return {"multiset": list(m.multiplicities), "count": len(pairs), "trees": rows}
 
     def lines() -> Iterator[str]:
-        for t in trees:
-            yield f"{show(t)}\t{json.dumps(stats(t).as_dict(), sort_keys=True)}" if args.stats else show(t)
+        for text, t in pairs:
+            yield f"{text}\t{json.dumps(stats(t).as_dict(), sort_keys=True)}" if args.stats else text
 
     return Output(payload, lines)
 
@@ -142,8 +144,10 @@ def cmd_schett(args: argparse.Namespace) -> Output:
 
 
 def cmd_gamma(args: argparse.Namespace) -> Output:
+    """The reduced polynomial and gamma table of the multiset's Schett
+    polynomial, whose route (grammar or trees) `gamma.multiset_schett` picks."""
     m = _multiset_from(args)
-    reduced = reduced_table(schett_of(iter_trees(m)), m.size)
+    reduced = reduced_table(multiset_schett(m), m.size)
     table = sorted(gamma_expand(reduced, m.size).items())
     text = MPoly(XYZ, {(i, j, m.size // 2 - i - j): c for (i, j), c in reduced.items()}).canonical_str("grouped")
 
@@ -268,7 +272,11 @@ def cmd_conjecture(args: argparse.Namespace) -> Output:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later `main`
+    call of the process: `parse_args` returns a fresh namespace each time
+    and copies the --suite list it appends to."""
     top = argparse.ArgumentParser(
         prog="witrees",
         description="Exact enumeration and verification engine for weakly increasing trees",

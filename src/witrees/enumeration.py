@@ -9,8 +9,10 @@ decomposition is a bijection.)
 
 `iter_trees` yields the trees in a deterministic generation order, but it
 builds the whole list of the multiset's trees, letter by letter, before its
-first yield; `enumerate_trees` returns that list sorted by the canonical
-text form, which is the library's ordering contract.
+first yield; `enumerate_trees` returns each of those trees with its
+canonical text form, as (text, tree) pairs sorted by the text, which is the
+library's ordering contract.  Each tree is formatted once, and the caller
+prints the text it was sorted by.
 Both take any multiset they are given; the command line alone bounds the
 size it enumerates (`--max-size`).
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import InternalError
@@ -86,9 +89,9 @@ def iter_trees(m: Multiset) -> Iterator[WTree]:
     yield from trees
 
 
-def enumerate_trees(m: Multiset) -> list[WTree]:
-    """All trees on m, sorted lexicographically by canonical text form."""
-    out = sorted(iter_trees(m), key=format_tree)
+def enumerate_trees(m: Multiset) -> list[tuple[str, WTree]]:
+    """All trees on m as (canonical text, tree) pairs, sorted by the text."""
+    out = sorted(((format_tree(t), t) for t in iter_trees(m)), key=itemgetter(0))
     if len(out) != count_trees(m):
         raise InternalError(
             f"enumeration of {m} produced {len(out)} trees, "

@@ -20,9 +20,11 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
+from .enumeration import iter_trees
 from .errors import InternalError
-from .grammar import XYZ
+from .grammar import XYZ, schett_poly
 from .mpoly import MPoly
+from .multiset import Multiset
 from .series import SERIES_VARS
 from .trees import WTree
 
@@ -58,6 +60,16 @@ def schett_of(trees: Iterable[WTree]) -> MPoly:
         key = (ee, oe, eo + oo)
         terms[key] = terms.get(key, 0) + c
     return MPoly(XYZ, terms)
+
+
+def multiset_schett(m: Multiset) -> MPoly:
+    """The Schett polynomial S_M, and the one place that picks its route:
+    the grammar's S_n = D^n(x) when m is the set [n] (the dual path of
+    `verify.check_schett` certifies it against enumeration), otherwise
+    `schett_of` over the trees on m."""
+    if m.multiplicities == (1,) * m.n:
+        return schett_poly(m.n)
+    return schett_of(iter_trees(m))
 
 
 def reduced_table(schett: MPoly, p: int) -> ReducedTable:

@@ -52,6 +52,7 @@ from .gamma import (
     gamma_from_table,
     is_palindromic,
     is_unimodal,
+    multiset_schett,
     parity_poly,
     reduced_table,
     schett_of,
@@ -841,17 +842,9 @@ def check_jacobi(order: int = 9) -> CheckResult:
 
 def scan_real_rootedness(m: Multiset):
     """Yield (i, coefficient list, RootReport) for every x-slice of the
-    reduced Schett polynomial of m.
-
-    Increasing-tree families use the grammar route (identical to the
-    enumeration route, which the dual-path check certifies); everything
-    else enumerates.
-    """
-    if m.multiplicities == (1,) * m.n:
-        schett = schett_poly(m.n)
-    else:
-        schett = schett_of(iter_trees(m))
-    for i, coeffs in enumerate(slice_poly_coeffs(reduced_table(schett, m.size))):
+    reduced Schett polynomial of m, which `gamma.multiset_schett` builds by
+    the route it picks for m."""
+    for i, coeffs in enumerate(slice_poly_coeffs(reduced_table(multiset_schett(m), m.size))):
         yield i, coeffs, real_rooted(coeffs)
 
 

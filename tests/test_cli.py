@@ -11,7 +11,9 @@ import pytest
 import witrees
 import witrees.cli
 from witrees.cli import main
+from witrees.enumeration import iter_trees
 from witrees.errors import InternalError
+from witrees.gamma import schett_of
 
 RUN = [sys.executable, "-m", "witrees.cli"]
 # the subprocesses import the same witrees as this process
@@ -323,13 +325,95 @@ def test_orbit_annotates_each_member_once(monkeypatch, capsys):
 def test_closed_stdout_exits_quietly():
     # 40,320 lines: far more than a pipe buffer holds, so the writer is
     # still writing when the reader closes its end
-    proc = subprocess.Popen(RUN + ["enumerate", "--set", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=ENV)
-    proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 141
+    with subprocess.Popen(RUN + ["enumerate", "--set", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=ENV) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 141
     assert "Traceback" not in err
+
+
+def _in_process(capsys, argv):
+    """Exit code, stdout and stderr of one `main` call in this process."""
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def test_same_call_twice_prints_the_same_bytes(capsys):
+    argv = ["enumerate", "--multiset", "1:2,2:2", "--stats", "--format", "json"]
+    first = _in_process(capsys, argv)
+    assert first[0] == 0 and first == _in_process(capsys, argv)
+
+
+def test_repeated_verify_calls_do_not_accumulate_suites(capsys):
+    """--suite appends to a list, which must start empty on every call of
+    the shared parser."""
+    for _ in range(2):
+        code, out, err = _in_process(capsys, ["verify", "--suite", "counting", "--max-size", "3"])
+        assert (code, err) == (0, "")
+        assert out == ("PASS  counting: product formula vs enumeration: all M with p <= 3 agree (28 trees)\n"
+                       "1/1 checks passed\n")
+
+
+def test_usage_error_between_calls_changes_nothing(capsys):
+    """A call that argparse refuses after it has appended a suite leaves
+    nothing behind for the next call."""
+    argv = ["verify", "--suite", "counting", "--max-size", "3"]
+    before = _in_process(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "counting", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert _in_process(capsys, argv) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--set", "4", "--stats"],
+        ["enumerate", "--multiset", "1:2,2:2", "--binary", "--format", "json"],
+        ["gamma", "--set", "6"],
+        ["gamma", "--multiset", "1:2,2:2", "--format", "json"],
+        ["schett", "--n", "5", "--format", "json"],
+    ],
+    ids=["enumerate", "enumerate-binary-json", "gamma-set", "gamma-multiset-json", "schett-json"],
+)
+def test_in_process_output_matches_a_fresh_process(capsys, argv):
+    res = run_cli(*argv)
+    assert _in_process(capsys, argv) == (res.returncode, res.stdout, res.stderr)
+
+
+def test_parser_is_built_on_the_first_call_only():
+    """Importing the CLI builds no parser (the benchmark imports it during
+    set-up); the first `main` call builds the top parser and its eleven
+    subparsers, and later calls reuse them."""
+    code = (
+        "import argparse, os\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import witrees.cli\n"
+        "print(len(built))\n"
+        "for _ in range(2):\n"
+        "    witrees.cli.main(['schett', '--n', '1', '--out', os.devnull])\n"
+        "    print(len(built))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "0\n12\n12\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gamma_of_a_set_prints_what_enumeration_gives(monkeypatch, capsys, fmt):
+    """`gamma --set n` takes S_n from the grammar; its output is the one the
+    enumeration route prints, byte for byte."""
+    argvs = [["gamma", "--set", str(n), "--format", fmt] for n in range(8)]
+    grammar = [_in_process(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(witrees.cli, "multiset_schett", lambda m: schett_of(iter_trees(m)))
+    assert [_in_process(capsys, argv) for argv in argvs] == grammar
 
 
 def test_optimized_interpreter_same_verify_output():

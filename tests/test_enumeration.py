@@ -4,16 +4,22 @@ from witrees.multiset import Multiset, count_trees, parse_multiset, set_multiset
 from witrees.trees import format_tree
 
 
+def _texts(m):
+    """The texts of `enumerate_trees(m)`, each checked to be its tree's."""
+    pairs = enumerate_trees(m)
+    assert all(text == format_tree(t) for text, t in pairs), str(m)
+    return [text for text, _ in pairs]
+
+
 def test_against_independent_oracle():
     for m in iter_multisets(5):
-        got = {format_tree(t) for t in enumerate_trees(m)}
-        assert got == oracle_tree_texts(m.multiplicities), str(m)
+        assert set(_texts(m)) == oracle_tree_texts(m.multiplicities), str(m)
 
 
 def test_small_exact_lists():
-    assert [format_tree(t) for t in enumerate_trees(set_multiset(2))] == ["0(1(2))", "0(1,2)"]
-    assert [format_tree(t) for t in enumerate_trees(uniform_multiset(1))] == ["0(1)"]
-    assert [format_tree(t) for t in enumerate_trees(Multiset(()))] == ["0"]
+    assert _texts(set_multiset(2)) == ["0(1(2))", "0(1,2)"]
+    assert _texts(uniform_multiset(1)) == ["0(1)"]
+    assert _texts(Multiset(())) == ["0"]
 
 
 def test_counts_match_formula():
@@ -22,7 +28,7 @@ def test_counts_match_formula():
 
 
 def test_sorted_order_contract():
-    texts = [format_tree(t) for t in enumerate_trees(parse_multiset("1:2,2:2"))]
+    texts = _texts(parse_multiset("1:2,2:2"))
     assert texts == sorted(texts)
     assert len(texts) == len(set(texts)) == 18
 

@@ -3,11 +3,13 @@ import pytest
 from _oracles import oracle_gamma, parity_counts
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InternalError
+import witrees.gamma
 from witrees.gamma import (
     gamma_expand,
     gamma_from_table,
     is_palindromic,
     is_unimodal,
+    multiset_schett,
     parity_poly,
     reduced_table,
     schett_of,
@@ -15,7 +17,7 @@ from witrees.gamma import (
 )
 from witrees.grammar import XYZ, schett_poly
 from witrees.mpoly import MPoly
-from witrees.multiset import Multiset, parse_multiset, uniform_multiset
+from witrees.multiset import Multiset, parse_multiset, set_multiset, uniform_multiset
 from witrees.series import SERIES_VARS, plane_gf
 from witrees.trees import stats
 
@@ -124,3 +126,23 @@ def test_palindromic_unimodal_helpers():
     assert is_palindromic([]) and is_unimodal([])
     assert is_palindromic([3, 1, 3]) and not is_palindromic([1, 2])
     assert is_unimodal([1, 2, 2, 1]) and not is_unimodal([2, 1, 2])
+
+
+def test_multiset_schett_of_a_set_is_the_enumeration():
+    for n in range(8):
+        m = set_multiset(n)
+        assert multiset_schett(m) == schett_of(iter_trees(m)), str(m)
+
+
+def test_multiset_schett_takes_a_set_from_the_grammar(monkeypatch):
+    def no_trees(m):
+        raise AssertionError(f"enumerated {m}")
+
+    monkeypatch.setattr(witrees.gamma, "iter_trees", no_trees)
+    assert multiset_schett(set_multiset(9)) == schett_poly(9)
+
+
+def test_multiset_schett_enumerates_any_other_multiset():
+    for text in ("1:2,2:2", "1:3", "1,2:2,3"):
+        m = parse_multiset(text)
+        assert multiset_schett(m) == schett_of(iter_trees(m)), text
