@@ -368,9 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
-        text = json.dumps(result.payload(), indent=2) if args.format == "json" else "\n".join(result.lines())
+        parts = [json.dumps(result.payload(), indent=2)] if args.format == "json" else list(result.lines())
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-            print(text, file=fh)
+            print(*parts, sep="\n", file=fh)  # line by line: no joined copy of a long output
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return result.code
     except InternalError as exc:
