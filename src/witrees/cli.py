@@ -20,6 +20,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import asdict
 from functools import cache
+from itertools import islice
 from typing import NamedTuple
 
 from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree
@@ -33,7 +34,7 @@ from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .series import check_algebraic_eq, format_series, plane_gf
 from .transforms import hat, psi, rho, rho_inv, theta, tilde
-from .trees import format_tree, parse_tree, stats
+from .trees import StatVector, WTree, format_tree, parse_tree, stats
 from .verify import conjecture_families, run_suites, scan_real_rootedness, suite_checks
 
 
@@ -91,19 +92,40 @@ class Output(NamedTuple):
     code: int = 0
 
 
+def _stat_rows(trees: Iterable[WTree], render: Callable[[StatVector], object]) -> Iterator[object]:
+    """`render(stats(t))` for each tree, rendered once per distinct statistics
+    vector of the call: the trees on a multiset take few distinct ones (74
+    for the 5,040 trees on [7]).  The key holds every field of the vector."""
+    rendered: dict[tuple, object] = {}
+    for t in trees:
+        sv = stats(t)
+        key = (sv.leaf, sv.el, sv.odd, sv.oe, sv.ee, sv.oo, sv.eo, sv.odd_star, sv.oe_star, sv.ee_star, sv.oddf,
+               tuple(sorted(sv.deg.items())), tuple(sorted(sv.od.items())), sv.act, sv.eact, sv.oact)
+        row = rendered.get(key)
+        if row is None:
+            row = rendered[key] = render(sv)
+        yield row
+
+
 def cmd_enumerate(args: argparse.Namespace) -> Output:
     m = _multiset_from(args)
     pairs = enumerate_trees(m)
     if args.binary:
         pairs = [(format_btree(rho(t)), t) for _, t in pairs]
+    trees = [t for _, t in pairs]
+    texts = [text for text, _ in pairs]
 
     def payload() -> dict:
-        rows = [{"tree": text, **stats(t).as_dict()} if args.stats else text for text, t in pairs]
+        rows: list = texts
+        if args.stats:  # the rows of equal vectors share one `as_dict()` result
+            rows = [{"tree": text, **row} for text, row in zip(texts, _stat_rows(trees, StatVector.as_dict))]
         return {"multiset": list(m.multiplicities), "count": len(pairs), "trees": rows}
 
-    def lines() -> Iterator[str]:
-        for text, t in pairs:
-            yield f"{text}\t{json.dumps(stats(t).as_dict(), sort_keys=True)}" if args.stats else text
+    def lines() -> Iterable[str]:
+        if not args.stats:
+            return texts
+        encoded = _stat_rows(trees, lambda sv: json.dumps(sv.as_dict(), sort_keys=True))
+        return (f"{text}\t{row}" for text, row in zip(texts, encoded))
 
     return Output(payload, lines)
 
@@ -368,9 +390,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
-        parts = [json.dumps(result.payload(), indent=2)] if args.format == "json" else list(result.lines())
+        # The output is built in full before --out is opened, so a command
+        # that fails (say, on an int past the str-conversion limit) writes
+        # nothing: text line by line, JSON as the chunks of
+        # json.dumps(payload, indent=2) joined in blocks, which gives its
+        # bytes without one string of the whole output.
+        if args.format == "json":
+            chunks = json.JSONEncoder(indent=2).iterencode(result.payload())
+            # no chunk is empty, so an empty block means the chunks ran out
+            parts, sep = list(iter(lambda: "".join(islice(chunks, 4096)), "")), ""
+        else:
+            parts, sep = list(result.lines()), "\n"
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-            print(*parts, sep="\n", file=fh)  # line by line: no joined copy of a long output
+            print(*parts, sep=sep, file=fh)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return result.code
     except InternalError as exc:

@@ -11,8 +11,9 @@ decomposition is a bijection.)
 builds the whole list of the multiset's trees, letter by letter, before its
 first yield; `enumerate_trees` returns each of those trees with its
 canonical text form, as (text, tree) pairs sorted by the text, which is the
-library's ordering contract.  Each tree is formatted once, and the caller
-prints the text it was sorted by.
+library's ordering contract.  The trees share their subtree objects, and
+`trees.format_trees` formats each distinct one once, not each tree node by
+node; the caller prints the text a tree was sorted by.
 Both take any multiset they are given; the command line alone bounds the
 size it enumerates (`--max-size`).
 """
@@ -26,7 +27,7 @@ from typing import Iterator
 
 from .errors import InternalError
 from .multiset import Multiset, count_trees
-from .trees import WTree, format_tree
+from .trees import WTree, format_trees
 
 @lru_cache(maxsize=None)
 def plane_forests(size: int, label: int) -> tuple[tuple[WTree, ...], ...]:
@@ -91,7 +92,8 @@ def iter_trees(m: Multiset) -> Iterator[WTree]:
 
 def enumerate_trees(m: Multiset) -> list[tuple[str, WTree]]:
     """All trees on m as (canonical text, tree) pairs, sorted by the text."""
-    out = sorted(((format_tree(t), t) for t in iter_trees(m)), key=itemgetter(0))
+    trees = list(iter_trees(m))
+    out = sorted(zip(format_trees(trees), trees), key=itemgetter(0))
     if len(out) != count_trees(m):
         raise InternalError(
             f"enumeration of {m} produced {len(out)} trees, "

@@ -18,7 +18,7 @@ degree is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidTreeError, TreeSyntaxError
 
@@ -37,6 +37,30 @@ def format_tree(t: WTree) -> str:
     if not t.children:
         return str(t.label)
     return f"{t.label}({','.join(format_tree(c) for c in t.children)})"
+
+
+def format_trees(trees: Iterable[WTree]) -> list[str]:
+    """The texts of trees built from shared subtree objects, as the
+    enumeration builds them: each distinct node object below a root is
+    formatted once.  The memo holds each node beside its text, so no `id`
+    is reused while it lives, and it lives for this call only.  Trees that
+    share nothing are faster through `format_tree`."""
+    memo: dict[int, tuple[WTree, str]] = {}
+    get = memo.get
+
+    def fmt(t: WTree) -> str:
+        label, children = t
+        if not children:
+            return str(label)
+        parts = []
+        for c in children:
+            hit = get(id(c))
+            if hit is None:
+                hit = memo[id(c)] = (c, fmt(c))
+            parts.append(hit[1])
+        return f"{label}({','.join(parts)})"
+
+    return [fmt(t) for t in trees]
 
 
 def read_label(s: str, pos: int, missing: str) -> tuple[int, int]:

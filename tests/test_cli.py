@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,11 @@ import pytest
 import witrees
 import witrees.cli
 from witrees.cli import main
-from witrees.enumeration import iter_trees
+from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InternalError
 from witrees.gamma import schett_of
+from witrees.multiset import parse_multiset
+from witrees.trees import StatVector, format_tree, parse_tree, stats
 
 RUN = [sys.executable, "-m", "witrees.cli"]
 # the subprocesses import the same witrees as this process
@@ -366,6 +369,72 @@ def test_usage_error_between_calls_changes_nothing(capsys):
     assert exc.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
     assert _in_process(capsys, argv) == before
+
+
+def _stats_lines_match(out, stats_of):
+    """Every `enumerate --stats` text line is its tree's text, a tab and
+    the sorted-key JSON of `stats_of` its tree."""
+    for line in out.splitlines():
+        text, row = line.split("\t")
+        assert row == json.dumps(stats_of(parse_tree(text)).as_dict(), sort_keys=True), text
+
+
+@pytest.mark.parametrize(
+    "argvs",
+    [[["--multiset", ",".join(f"{i}:{c}" for i, c in enumerate(m.multiplicities, 1))] if m.size
+      else ["--uniform", "0"] for m in iter_multisets(5)], [["--set", "7"]], [["--uniform", "10"]]],
+    ids=["p<=5", "set-7", "uniform-10"],
+)
+def test_enumerate_stats_rows_are_each_trees_own(capsys, argvs):
+    """`enumerate --stats` renders each distinct statistics vector once; every
+    line still carries its own tree's row ({1^10} has the root of degree 10,
+    whose `deg` key "10" sorts before "2")."""
+    for argv in argvs:
+        code, out, err = _in_process(capsys, ["enumerate", *argv, "--stats"])
+        assert (code, err) == (0, "")
+        _stats_lines_match(out, stats)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(StatVector)])
+def test_enumerate_stats_rows_are_keyed_on_every_field(monkeypatch, capsys, name):
+    """Shift one field of each vector by a bit of the tree that no statistic
+    holds (the parity of the root's last child's label): a row memo whose key
+    left that field out would give trees of equal true vectors one row."""
+
+    def shifted(t):
+        sv = stats(t)
+        bit = t.children[-1].label & 1
+        value = getattr(sv, name)
+        setattr(sv, name, {**value, 99: bit} if isinstance(value, dict) else value + bit)
+        return sv
+
+    monkeypatch.setattr(witrees.cli, "stats", shifted)
+    code, out, _ = _in_process(capsys, ["enumerate", "--set", "6", "--stats"])
+    assert code == 0
+    _stats_lines_match(out, shifted)
+
+
+def test_enumerate_stats_json_is_json_dumps_of_rows_built_per_tree(capsys):
+    """The shared row dicts and the block-wise writer give the bytes of one
+    `json.dumps(indent=2)` of rows built tree by tree."""
+    m = parse_multiset("1:2,2:2,3:2")
+    rows = [{"tree": format_tree(t), **stats(t).as_dict()} for t in sorted(iter_trees(m), key=format_tree)]
+    expected = json.dumps({"multiset": [2, 2, 2], "count": len(rows), "trees": rows}, indent=2) + "\n"
+    assert _in_process(capsys, ["enumerate", "--multiset", "1:2,2:2,3:2", "--stats", "--format", "json"]) \
+        == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_that_fails_to_encode_writes_nothing(monkeypatch, capsys, tmp_path, fmt):
+    """An int past the str-conversion limit fails the command with exit 2
+    before any byte of its output is written, to stdout or to --out."""
+    monkeypatch.setattr(witrees.cli, "ternary_identity", lambda n: (10**5000, 10**5000))
+    argv = ["closed-form", "--stats", "1,2,1,0", "--ternary", "5", "--format", fmt]
+    code, out, err = _in_process(capsys, argv)
+    assert (code, out) == (2, "") and "integer string conversion" in err
+    target = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 2
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(

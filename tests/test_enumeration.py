@@ -16,6 +16,15 @@ def test_against_independent_oracle():
         assert set(_texts(m)) == oracle_tree_texts(m.multiplicities), str(m)
 
 
+def test_texts_of_heavily_shared_subtrees():
+    """[7] has 40,320 tree nodes in 7,412 distinct node objects; {1^10} shares
+    its subtrees as much.  Each text is its tree's, in sorted order."""
+    for m, count in ((set_multiset(7), 5040), (uniform_multiset(10), 16796)):
+        texts = _texts(m)
+        assert texts == sorted(texts)
+        assert len(set(texts)) == count, str(m)
+
+
 def test_small_exact_lists():
     assert _texts(set_multiset(2)) == ["0(1(2))", "0(1,2)"]
     assert _texts(uniform_multiset(1)) == ["0(1)"]
