@@ -95,12 +95,11 @@ class Output(NamedTuple):
 def _stat_rows(trees: Iterable[WTree], render: Callable[[StatVector], object]) -> Iterator[object]:
     """`render(stats(t))` for each tree, rendered once per distinct statistics
     vector of the call: the trees on a multiset take few distinct ones (74
-    for the 5,040 trees on [7]).  The key holds every field of the vector."""
+    for the 5,040 trees on [7]), keyed by `StatVector.key`."""
     rendered: dict[tuple, object] = {}
     for t in trees:
         sv = stats(t)
-        key = (sv.leaf, sv.el, sv.odd, sv.oe, sv.ee, sv.oo, sv.eo, sv.odd_star, sv.oe_star, sv.ee_star, sv.oddf,
-               tuple(sorted(sv.deg.items())), tuple(sorted(sv.od.items())), sv.act, sv.eact, sv.oact)
+        key = sv.key()
         row = rendered.get(key)
         if row is None:
             row = rendered[key] = render(sv)

@@ -31,7 +31,7 @@ MPolyInM = tuple[int, ...]  # ascending coefficients in m = alpha^2
 
 def _conv(k: int, a: list[MPolyInM], b: list[MPolyInM]) -> MPolyInM:
     """k-th coefficient of the product of two k!-normalized series."""
-    out: dict[int, int] = {}
+    out = [0] * max(len(a[i]) + len(b[k - i]) for i in range(k + 1))
     for i in range(k + 1):
         pa, pb = a[i], b[k - i]
         if not pa or not pb:
@@ -42,15 +42,10 @@ def _conv(k: int, a: list[MPolyInM], b: list[MPolyInM]) -> MPolyInM:
                 continue
             for db, cb in enumerate(pb):
                 if cb:
-                    out[da + db] = out.get(da + db, 0) + c * ca * cb
-    if not out:
-        return ()
-    poly = [0] * (max(out) + 1)
-    for d, c in out.items():
-        poly[d] = c
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
+                    out[da + db] += c * ca * cb
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def _shift_m(poly: MPolyInM) -> MPolyInM:

@@ -13,7 +13,8 @@ and checked to be so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import InternalError
@@ -24,7 +25,6 @@ class Multiset:
     """The multiset {1^p1, ..., n^pn}, stored as its multiplicity vector."""
 
     multiplicities: tuple[int, ...]
-    prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for p in self.multiplicities:
@@ -32,12 +32,6 @@ class Multiset:
                 raise ValueError(
                     f"multiplicities must be positive integers, got {p!r}"
                 )
-        pref = []
-        total = 0
-        for p in self.multiplicities:
-            total += p
-            pref.append(total)
-        object.__setattr__(self, "prefix", tuple(pref))
 
     @property
     def n(self) -> int:
@@ -47,7 +41,7 @@ class Multiset:
     @property
     def size(self) -> int:
         """Total number of elements p = sum of multiplicities."""
-        return self.prefix[-1] if self.multiplicities else 0
+        return sum(self.multiplicities)
 
     def __str__(self) -> str:
         if not self.multiplicities:
@@ -107,10 +101,8 @@ def parse_multiset(text: str) -> Multiset:
 
 def count_trees(m: Multiset) -> int:
     """Number of weakly increasing trees on m, by the exact product formula."""
-    if not m.multiplicities:
-        return 1
     prod = 1
-    for n_i, p_i in zip(m.prefix, m.multiplicities):
+    for n_i, p_i in zip(accumulate(m.multiplicities), m.multiplicities):
         prod *= comb(n_i + p_i, p_i)
     q, r = divmod(prod, 1 + m.size)
     if r:

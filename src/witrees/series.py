@@ -1,4 +1,4 @@
-"""Truncated power series in t over four-variable polynomials, the plane
+"""Truncated power series in t over multivariate polynomials, the plane
 tree generating function, and its algebraic residual checks.
 
 The central series N(x,y,z,w;t) sums, over plane trees with n edges at t^n,
@@ -27,17 +27,23 @@ SERIES_VARS = ("w", "x", "y", "z")
 
 
 class TruncSeries:
-    """Power series in t modulo t^(order+1), coefficients in Z[w,x,y,z]."""
+    """Power series in t modulo t^(order+1), coefficients in the polynomial
+    ring of its first coefficient, which every coefficient shares."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: list[MPoly], order: int):
         if order < 0:
             raise ValueError("order must be >= 0")
+        if not coeffs:
+            raise ValueError("a series needs a coefficient to fix its variables")
+        variables = coeffs[0].vars
         self.order = order
         self.coeffs = list(coeffs[: order + 1])
+        if any(c.vars != variables for c in self.coeffs):
+            raise ValueError(f"coefficients over other variables than {variables}")
         while len(self.coeffs) < order + 1:
-            self.coeffs.append(MPoly(SERIES_VARS))
+            self.coeffs.append(MPoly(variables))
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other: "TruncSeries") -> None:
@@ -64,7 +70,7 @@ class TruncSeries:
         for n in range(self.order + 1):
             out.append(
                 poly_sum(
-                    SERIES_VARS,
+                    self.coeffs[0].vars,
                     (
                         self.coeffs[i] * other.coeffs[n - i]
                         for i in range(n + 1)
@@ -78,7 +84,7 @@ class TruncSeries:
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by t^k."""
-        return TruncSeries([MPoly(SERIES_VARS)] * k + self.coeffs, self.order)
+        return TruncSeries([MPoly(self.coeffs[0].vars)] * k + self.coeffs, self.order)
 
     def rename_vars(self, mapping: dict[str, str]) -> "TruncSeries":
         return TruncSeries([c.rename(mapping) for c in self.coeffs], self.order)

@@ -154,6 +154,12 @@ class StatVector:
     eact: int = 0
     oact: int = 0
 
+    def key(self) -> tuple:
+        """Every field above, hashable: equal keys exactly for equal vectors."""
+        return (self.leaf, self.el, self.odd, self.oe, self.ee, self.oo, self.eo, self.odd_star, self.oe_star,
+                self.ee_star, self.oddf, tuple(sorted(self.deg.items())), tuple(sorted(self.od.items())),
+                self.act, self.eact, self.oact)
+
     def as_dict(self) -> dict:
         d = self.__dict__.copy()
         d["deg"] = {str(q): c for q, c in sorted(self.deg.items())}

@@ -20,14 +20,15 @@ process's affinity set, balanced by tree count.  This process runs the
 first shard and a forked child each other one; per check, the failure
 earliest in multiset order wins and otherwise the coverage adds up, so the
 results are those of the serial run, which is the same code on one shard
-(one CPU, as under `taskset -c 0`, or no `os.fork`).  A shard that raises
-or dies is an InternalError, never a pass, and a forked shard whose parent
-has died stops before its next multiset.  The other checks run once,
-here.
+(one CPU, as under `taskset -c 0`, or no `os.fork`).  A check whose
+shards covered other than 2^n multisets, the compositions with p <= n,
+fails.  A shard that raises or dies is an InternalError, never a pass, and
+a forked shard whose parent has died stops before its next multiset.  The
+other checks run once, here.
 
 The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
-checks in one pass, 149 s on the two cores of a 2-core Xeon and about
-five minutes on one.
+checks in one pass, 106 s on the two cores of a 2-core Xeon and 239 s on
+one (Python 3.11, one run each).
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
     """Run (check, bound) pairs in one enumeration pass, in job order.
 
     The multisets are split into one shard per CPU; each shard reports, per
-    job, its first failing multiset or the trees it covered, and the merge
-    keeps the failure earliest in multiset order, else sums the coverage.
-    So the results equal those of the one-shard (serial) run."""
+    job, its first failing multiset or the trees and multisets it covered,
+    and the merge keeps the failure earliest in multiset order, else sums the
+    coverage.  So the results equal those of the one-shard (serial) run."""
     top = max((bound for _, bound in jobs), default=-1)
     multisets = list(iter_multisets(top))
     shards = _shards([count_trees(m) for m in multisets], _cpus())
@@ -134,13 +135,13 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
     return [_merge(check, bound, outcomes) for (check, bound), outcomes in zip(jobs, per_job)]
 
 
-Outcome = tuple[int | None, str | int]  # (first failing multiset, detail) or (None, trees covered)
+Outcome = tuple[int | None, str | int, int]  # (first failure, detail, _) or (None, trees, multisets covered)
 
 
 def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], shard: Iterable[int]) -> list[Outcome]:
     """Feed the multisets at the indices of `shard`, in order, to the jobs;
     each job stops at its first failure."""
-    out: list[Outcome] = [(None, 0)] * len(jobs)
+    out: list[Outcome] = [(None, 0, 0)] * len(jobs)
     for i in shard:
         m = multisets[i]
         live = [k for k, (_, bound) in enumerate(jobs) if out[k][0] is None and m.size <= bound]
@@ -149,17 +150,22 @@ def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], sh
         facts = Facts(m, list(iter_trees(m)))
         for k in live:
             detail = jobs[k][0].body(facts)
-            out[k] = (i, detail) if detail is not None else (None, out[k][1] + len(facts.trees))
+            _, trees, covered = out[k]
+            out[k] = (i, detail, covered) if detail is not None else (None, trees + len(facts.trees), covered + 1)
     return out
 
 
 def _merge(check: SizedCheck, bound: int, outcomes: tuple[Outcome, ...]) -> CheckResult:
     """One job's result from its per-shard outcomes: the failure earliest in
-    multiset order, else a pass over the trees of all shards."""
+    multiset order, else a pass over the trees of all shards if they covered
+    as many multisets as there are compositions with p <= bound, 2^bound."""
     failures = [o for o in outcomes if o[0] is not None]
     if failures:
         return _fail(check.name, min(failures)[1])
-    return _ok(check.name, check.summary.format(bound=bound, trees=sum(n for _, n in outcomes)))
+    covered = sum(o[2] for o in outcomes)
+    if covered != 2 ** bound:
+        return _fail(check.name, f"covered {covered} of {2 ** bound} multisets")
+    return _ok(check.name, check.summary.format(bound=bound, trees=sum(o[1] for o in outcomes)))
 
 
 def _cpus() -> int:
@@ -614,11 +620,9 @@ def check_schett() -> CheckResult:
             return _fail(name, f"S_{n}(1,1,1) != {n}!")
         if s != s.rename({"y": "z", "z": "y"}):
             return _fail(name, f"S_{n} not symmetric in y, z")
-        for (ex, ey, ez), _c in s.terms.items():
-            if n % 2 == 0 and not (ex % 2 == 1 and ey % 2 == 0 and ez % 2 == 0):
-                return _fail(name, f"S_{n} parity shape broken at {(ex, ey, ez)}")
-            if n % 2 == 1 and not (ex % 2 == 0 and ey % 2 == 1 and ez % 2 == 1):
-                return _fail(name, f"S_{n} parity shape broken at {(ex, ey, ez)}")
+        for exps in s.terms:  # the exponents of x, y and z have the parities of n + 1, n and n
+            if tuple(e % 2 for e in exps) != (1 - n % 2, n % 2, n % 2):
+                return _fail(name, f"S_{n} parity shape broken at {exps}")
     for n in range(SCHETT_DUAL_MAX + 1):
         if schett_of(iter_trees(set_multiset(n))) != schett_poly(n):
             return _fail(name, f"grammar and enumeration disagree at n={n}")
@@ -626,14 +630,8 @@ def check_schett() -> CheckResult:
     rng = random.Random(2024)
     rules = schett_rules()
     for _ in range(25):
-        u = MPoly(XYZ, {
-            (rng.randrange(3), rng.randrange(3), rng.randrange(3)): rng.randint(-4, 4)
-            for _ in range(4)
-        })
-        v = MPoly(XYZ, {
-            (rng.randrange(3), rng.randrange(3), rng.randrange(3)): rng.randint(-4, 4)
-            for _ in range(4)
-        })
+        u, v = (MPoly(XYZ, {(rng.randrange(3), rng.randrange(3), rng.randrange(3)): rng.randint(-4, 4)
+                            for _ in range(4)}) for _ in range(2))
         if derive(rules, u * v) != derive(rules, u) * v + u * derive(rules, v):
             return _fail(name, f"Leibniz law fails on {u}, {v}")
     return _ok(name, f"displays, n!, symmetry, parity shape (n <= {SCHETT_MAX_N}), dual path (n <= {SCHETT_DUAL_MAX}), Leibniz")
@@ -647,13 +645,10 @@ def check_st_relations() -> CheckResult:
         for n in (2 * mm - 1, 2 * mm):
             s = reduced_table(schett_poly(n), n)
             tt = four_var_coeffs(n)
-            support = set(s) | {((k[0] + 1) // 2, k[1]) for k in tt}
+            support = set(s) | {((a + n % 2) // 2, b) for a, b in tt}  # the i whose t-sum reads (a, b)
             for i, j in support:
                 sv = s.get((i, j), 0)
-                if n % 2 == 1:
-                    tv = tt.get((2 * i - 1, j), 0) + tt.get((2 * i, j), 0)
-                else:
-                    tv = tt.get((2 * i + 1, j), 0) + tt.get((2 * i, j), 0)
+                tv = tt.get((2 * i + (-1) ** n, j), 0) + tt.get((2 * i, j), 0)
                 if sv != tv:
                     return _fail(name, f"n={n}, (i,j)=({i},{j}): s={sv}, t-sum={tv}")
     for n in range(ST_TREES_MAX_N + 1):
@@ -751,20 +746,12 @@ def check_closed_forms(max_edges: int = 9) -> CheckResult:
     side = max(5, max_edges // 2 + 1)
     for i in range(side):
         for j in range(side):
-            if 2 * (i + j) <= max_edges:
-                want = sum(
-                    c for (oe, ee, oo, eo), c in hist.items()
-                    if oo + eo == 0 and oe == 2 * i and ee == 2 * j + 1
-                )
-                if jaco2_count(i, j) != want:
-                    return _fail(name, f"zero-odd count wrong at {(i, j)}")
-            if 2 * (i + j) + 2 <= max_edges:
-                want = sum(
-                    c for (oe, ee, oo, eo), c in hist.items()
-                    if ee == 0 and oe == 2 * i + 1 and oo + eo == 2 * j + 1
-                )
-                if fish_count(i, j) != want:
-                    return _fail(name, f"zero-ee count wrong at {(i, j)}")
+            if 2 * (i + j) <= max_edges and jaco2_count(i, j) != hist[(2 * i, 2 * j + 1, 0, 0)]:
+                return _fail(name, f"zero-odd count wrong at {(i, j)}")
+            if 2 * (i + j) + 2 <= max_edges and fish_count(i, j) != sum(
+                hist[(2 * i + 1, 0, oo, 2 * j + 1 - oo)] for oo in range(2 * j + 2)
+            ):
+                return _fail(name, f"zero-ee count wrong at {(i, j)}")
             if fish_count(i, j) != fish_count(j, i):
                 return _fail(name, f"fish count not symmetric at {(i, j)}")
     for nn in range(1, TERNARY_MAX + 1):
@@ -790,31 +777,26 @@ def check_jacobi(order: int = 9) -> CheckResult:
     boundary identities with the Schett coefficient tables."""
     name = "elliptic coefficients: displays and boundary identities"
     sn, cn, dn = jacobi_taylor(order)
+    tables = ((sn, "sn", 1), (cn, "cn", 0), (dn, "dn", 0))
     for k in range(order + 1):
         sign = -1 if (k // 2) % 2 else 1
-        for series, fname, parity in ((sn, "sn", 1), (cn, "cn", 0), (dn, "dn", 0)):
+        for series, fname, parity in tables:
             if k % 2 != parity:
                 if series[k]:
                     return _fail(name, f"{fname} has a nonzero u^{k} coefficient")
                 continue
             if any(sign * c < 0 for c in series[k]):
                 return _fail(name, f"{fname} breaks the alternating sign pattern at u^{k}")
-    for k, want in JACOBI_DISPLAYS["sn"].items():
-        if k <= order and tuple(abs(c) for c in sn[k]) != want:
-            return _fail(name, f"sn u^{k} coefficient is {sn[k]}")
-    for k, want in JACOBI_DISPLAYS["cn"].items():
-        if k <= order and tuple(abs(c) for c in cn[k]) != want:
-            return _fail(name, f"cn u^{k} coefficient is {cn[k]}")
-    for k, want in JACOBI_DISPLAYS["dn"].items():
-        if k > order:
-            continue
-        got = dn[k]
-        if k >= 4:
-            if got and got[0] != 0:
+    for series, fname, _ in tables:
+        for k, want in JACOBI_DISPLAYS[fname].items():
+            if k > order:
+                continue
+            got = series[k]
+            cut = int(fname == "dn" and k >= 4)  # the alpha^2 factor the dn display divides out
+            if cut and got and got[0] != 0:
                 return _fail(name, f"dn u^{k} coefficient misses its alpha^2 factor")
-            got = got[1:]
-        if tuple(abs(c) for c in got) != want:
-            return _fail(name, f"dn u^{k} cofactor is {dn[k]}")
+            if tuple(abs(c) for c in got[cut:]) != want:
+                return _fail(name, f"{fname} u^{k} {'cofactor' if fname == 'dn' else 'coefficient'} is {got}")
     for nb in range(JACOBI_BOUNDARY_MAX + 1):
         if 2 * nb + 1 <= order:
             se, so = (reduced_table(schett_poly(n), n) for n in (2 * nb, 2 * nb + 1))

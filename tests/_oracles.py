@@ -304,7 +304,8 @@ def oracle_plane_gf(order: int) -> TruncSeries:
     x = TruncSeries([MPoly.var(SERIES_VARS, "x")], order)
     w = MPoly.var(SERIES_VARS, "w")
     z = MPoly.var(SERIES_VARS, "z")
-    n_cur, n_star = TruncSeries([], order), TruncSeries([], order)
+    zero = MPoly(SERIES_VARS)
+    n_cur, n_star = TruncSeries([zero], order), TruncSeries([zero], order)
     for _ in range(order + 1):
         tn, tn_star = n_cur.shift(1), n_star.shift(1)
         n_cur, n_star = (

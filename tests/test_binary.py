@@ -43,6 +43,9 @@ def test_parse_rejects_invalid():
     with pytest.raises(TreeSyntaxError, match="label of 5000 digits is too long") as err:
         parse_btree("0[" + "1" * 5000 + "[_|_]|_]")  # past int()'s digit limit
     assert err.value.position == 2
+    with pytest.raises(TreeSyntaxError, match="expected a label or '_'") as err:
+        parse_btree("")
+    assert err.value.position == 0
 
 
 def _labelled_btrees(n, labels):

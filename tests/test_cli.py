@@ -241,6 +241,17 @@ def test_usage_error_exit_code():
         assert (res.returncode, res.stderr) == (2, "error: label of 5000 digits is too long (at position 2)\n")
 
 
+def test_jacobi_order_zero(capsys):
+    """At order 0 only u^0 is listed, and sn, zero there, prints no line."""
+    assert _in_process(capsys, ["jacobi", "--order", "0"]) == (0, "cn u^0/0!: [1]\ndn u^0/0!: [1]\n", "")
+    code, out, err = _in_process(capsys, ["jacobi", "--order", "0", "--format", "json"])
+    assert (code, json.loads(out), err) == (0, {"order": 0, "sn": {"0": []}, "cn": {"0": [1]}, "dn": {"0": [1]}}, "")
+
+
+def test_preorder_of_the_empty_text_is_a_usage_error(capsys):
+    assert _in_process(capsys, ["preorder", "--tree", ""]) == (2, "", "error: expected a label or '_' (at position 0)\n")
+
+
 def test_verify_json():
     res = run_cli("verify", "--suite", "counting", "--suite", "euler", "--max-size", "3", "--format", "json")
     assert res.returncode == 0

@@ -72,6 +72,12 @@ def test_euler_numbers_match_classical_values():
     assert euler_numbers(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
 
 
+def test_euler_numbers_at_order_zero():
+    """The tables at order 0 hold u^0 alone, and E_0 = cn_0(1) = 1."""
+    assert jacobi_taylor(0) == ([()], [(1,)], [(1,)])
+    assert euler_numbers(0) == [1]
+
+
 def test_euler_numbers_prefix_stability():
     assert euler_numbers(3) == euler_numbers(8)[:4]
     with pytest.raises(ValueError):

@@ -24,10 +24,11 @@ census mutant swaps two classes that the Schett polynomial merges, so the
 suites that read only that polynomial still PASS.
 
 Each check mutant does the same to the code behind the checks that no
-other planted fault reaches: the enumeration, the statistics walker and
-its activity counters, psi, theta, the elliptic tables behind the Euler
-numbers, the four-variable grammar, the fighting-fish count, the gamma
-peel and the gamma basis expansion.  A gamma-peel fault that leaves a residual trips an internal
+other planted fault reaches: the enumeration, the multiset iterator behind
+the sized runner, the statistics walker and its activity counters, psi,
+theta, the elliptic tables behind the Euler numbers, the four-variable
+grammar, the fighting-fish count, the gamma peel and the gamma basis
+expansion.  A gamma-peel fault that leaves a residual trips an internal
 error rather than a check, so the peel's mutant misfiles exact values."""
 
 import inspect
@@ -229,6 +230,24 @@ CHECK_MUTANTS = {
          "schett": ("FAIL  Schett polynomials: grammar identities: grammar and enumeration disagree at n=3",
                     "FAIL  s/t tables: grammar relations and tree interpretation: t-table at n=3 differs from enumeration"),
          "gamma": "internal error: nonzero residual in x^0 slice: z"},
+    ),
+    # the multiset iterator yields the empty multiset once per size and no
+    # other: every body passes on it, so only the sized runner's count of
+    # the multisets it covered, against 2^5 compositions, turns them FAIL
+    "multisets-only-empty": (
+        witrees.enumeration, "iter_multisets", "if p == 0:", "if p != 0:", (witrees.verify,),
+        {suite: f"FAIL  {name}: covered 5 of 32 multisets" for suite, name in (
+            ("counting", "counting: product formula vs enumeration"),
+            ("stats", "statistics: internal identities"),
+            ("hat", "hat bijection: degree/odd-level transport"),
+            ("tilde", "tilde involution: (odd, oe, ee) -> (oe, odd, ee)"),
+            ("symmetry", "symmetry: joint parity distributions"),
+            ("psi-theta", "psi/theta: root-excluded transports"),
+            ("full-degree", "full-degree doubling: totals per multiset"),
+            ("binary", "binary correspondence: statistic transport and bookkeeping"),
+            ("action", "group action: branch swaps and orbit structure"),
+            ("gamma", "gamma expansion: nonnegativity and active-node counts"),
+        )},
     ),
     # the full-degree parity forgets the edge to the parent
     "stats-oddf-degree": (

@@ -27,7 +27,6 @@ def test_uniform_gives_catalan():
 
 def test_prefix_sums():
     m = parse_multiset("1:2,2:1,3:3")
-    assert m.prefix == (2, 3, 6)
     assert m.size == 6
     assert m.n == 3
     assert str(m) == "{1^2,2,3^3}"

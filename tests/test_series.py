@@ -114,6 +114,22 @@ def test_shift_orders():
     assert len(shifted.coeffs) == 4
 
 
+def test_series_keep_the_variables_of_their_coefficients():
+    """Padding, products and shifts of a series over (a, b) stay in (a, b)."""
+    ab = ("a", "b")
+    a = TruncSeries([MPoly.var(ab, "a")], 2)
+    assert a.coeffs == [MPoly.var(ab, "a"), MPoly(ab), MPoly(ab)]
+    assert (a * a).coeffs == [MPoly(ab, {(2, 0): 1}), MPoly(ab), MPoly(ab)]
+    assert a.shift(1).coeffs == [MPoly(ab), MPoly.var(ab, "a"), MPoly(ab)]
+
+
+def test_series_refuse_no_coefficient_and_mixed_variables():
+    with pytest.raises(ValueError, match="fix its variables"):
+        TruncSeries([], 2)
+    with pytest.raises(ValueError, match="other variables"):
+        TruncSeries([MPoly(("a", "b")), MPoly(SERIES_VARS)], 2)
+
+
 def test_kernel_sum_rebuilds_series():
     for k in range(15):
         assert lagrange_series(k) == plane_gf(k), k

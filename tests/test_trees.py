@@ -91,3 +91,17 @@ def test_stats_as_dict_is_json_ready():
     d = stats(parse_tree("0(1(2),1)")).as_dict()
     assert d["deg"] == {"0": 2, "1": 1, "2": 1}
     assert set(d) >= {"leaf", "el", "odd", "oe", "ee", "act", "deg", "od"}
+
+
+def test_stats_key_is_equal_exactly_when_the_vectors_are():
+    """Over every tree with p <= 5, each vector equals the first one seen
+    with its key, and there are as many keys as distinct vectors."""
+    by_key = {}
+    distinct = []
+    for m in iter_multisets(5):
+        for t in iter_trees(m):
+            sv = stats(t)
+            assert by_key.setdefault(sv.key(), sv) == sv
+            if sv not in distinct:
+                distinct.append(sv)
+    assert len(by_key) == len(distinct)

@@ -83,6 +83,28 @@ def test_closed_forms_compare_every_pair_the_edge_bound_admits(monkeypatch):
     )
 
 
+def test_closed_forms_compare_every_zero_ee_pair_the_edge_bound_admits(monkeypatch):
+    """At 10 edges the zero-ee class (i, j) = (0, 4) has trees; a count
+    wrong only there and at (4, 0) is symmetric, so the fish symmetry
+    cannot see it, and the zero-ee comparison must fail."""
+    real = witrees.verify.fish_count
+    monkeypatch.setattr(witrees.verify, "fish_count", lambda i, j: real(i, j) + ((i, j) in {(0, 4), (4, 0)}))
+    assert check_closed_forms(max_edges=10).line() == (
+        "FAIL  closed forms: parity-class counts: zero-ee count wrong at (0, 4)"
+    )
+
+
+def test_st_relations_read_every_t_entry_of_an_even_n(monkeypatch):
+    """For even n the t-sum at i reads t(2i, j) and t(2i+1, j).  A stray
+    t(13, 0) at n = 8, past the enumerated n <= 7 and with no neighbour at
+    12 or 11, is read only at i = 6."""
+    real = witrees.verify.four_var_coeffs
+    monkeypatch.setattr(witrees.verify, "four_var_coeffs", lambda n: {**real(n), (13, 0): 1} if n == 8 else real(n))
+    assert check_st_relations().line() == (
+        "FAIL  s/t tables: grammar relations and tree interpretation: n=8, (i,j)=(6,0): s=0, t-sum=1"
+    )
+
+
 def test_conjecture_small():
     result = check_conjecture(max_nodes=7)
     assert result.passed, result.detail
