@@ -6,7 +6,7 @@ them together."""
 from .binary import (
     BStatVector,
     WBTree,
-    bstats,
+    annotate,
     format_btree,
     modified_preorder,
     orbit,
@@ -47,7 +47,7 @@ __all__ = [
     "TruncSeries",
     "WBTree",
     "WTree",
-    "bstats",
+    "annotate",
     "check_algebraic_eq",
     "count_trees",
     "enumerate_trees",

@@ -27,10 +27,11 @@ The *modified preorder* is a depth-first walk that, at a node with two
 children, picks which child to visit first from the node's active flag and
 right-degree, or from its parent's active flag and its own side (see
 `annotate`).  A node's position in this walk names it: `BAnnotation` holds
-one list per per-node quantity, indexed by position, and the dynamic pairs
-as sets of positions.  It is the only input of `bstats`, `swap_branches`
-and `modified_preorder`.  Paths from the root (0 = left step, 1 = right
-step) appear only in `modified_preorder`'s output.
+one list per per-node quantity, indexed by position, the dynamic pairs as
+sets of positions, and the tree's statistic vector, all from one walk.  It
+is the only input of `swap_branches` and `modified_preorder`.  Paths from
+the root (0 = left step, 1 = right step) appear only in
+`modified_preorder`'s output.
 
 The branch swap at the i-th node of the modified preorder exchanges the
 left and right branches at that node and at both of its children; doing
@@ -104,110 +105,6 @@ def parse_btree(text: str) -> WBTree:
     return tree
 
 
-class BAnnotation(NamedTuple):
-    """Per-node data for one tree, as lists indexed by modified-preorder
-    position: 0 is the root, and -1 stands for an absent node.  It hashes
-    as its tree: `perfbench/tracing.py` counts distinct trees by hashing the
-    first argument of `annotate` (a tree) and `swap_branches` (one of these)."""
-
-    nodes: list[WBTree]
-    parent: list[int]
-    left: list[int]  # position of the left child
-    right: list[int]  # position of the right child
-    left_level: list[int]
-    ancestor: list[int]
-    rdeg: list[int]
-    active: list[bool]
-    dyn_even: set[int]  # positions in dynamic even pairs
-    dyn_odd: set[int]  # positions in dynamic odd pairs
-
-    def __hash__(self) -> int:
-        return hash(self.nodes[0])
-
-
-def _right_degree(node: WBTree) -> int:
-    """Length of the chain: the left child, then right children only."""
-    d = 0
-    cur = node.left
-    while cur is not None:
-        d += 1
-        cur = cur.right
-    return d
-
-
-def annotate(b: WBTree) -> BAnnotation:
-    """One depth-first pass that visits the nodes in modified preorder.
-
-    A node's right-degree, active flag and child order are known when it is
-    reached: at a two-way branch an active node sends its walk right first
-    when its right-degree is even and left first when it is odd; an
-    inactive node whose parent is active goes first to the child on the
-    side it hangs on itself; any other node goes left first.  A post-pass
-    forms the dynamic pairs.
-    """
-    nodes: list[WBTree] = []
-    parent: list[int] = []
-    left: list[int] = []
-    right: list[int] = []
-    ll: list[int] = []
-    ancestor: list[int] = []
-    rdeg: list[int] = []
-    active: list[bool] = []
-    # (node, parent, hangs right, left-level, trailing rights, ancestor)
-    stack: list[tuple[WBTree, int, bool, int, int, int]] = [(b, -1, False, 0, 0, -1)]
-    while stack:
-        node, par, is_right, lev, rights, anc = stack.pop()
-        k = len(nodes)
-        if par >= 0:
-            if is_right:
-                right[par] = k
-            else:
-                left[par] = k
-        nodes.append(node)
-        parent.append(par)
-        left.append(-1)
-        right.append(-1)
-        ll.append(lev)
-        ancestor.append(anc)
-        x, y = node.left, node.right
-        d = _right_degree(node)
-        rdeg.append(d)
-        ok = False
-        if lev & 1 and not rights & 1:  # path to the ancestor has rights+1 edges
-            ok = not (d ^ _right_degree(y)) & 1 if y is not None else bool(d & 1)
-        active.append(ok)
-        # push the child visited first last
-        if y is not None:
-            stack.append((y, k, True, lev, rights + 1, anc))
-        if x is not None:
-            stack.append((x, k, False, lev + 1, 0, k))
-            if y is not None:
-                right_first = not d & 1 if ok else par >= 0 and active[par] and is_right
-                if right_first:
-                    stack[-1], stack[-2] = stack[-2], stack[-1]
-    dyn_even: set[int] = set()
-    dyn_odd: set[int] = set()
-    for k, act in enumerate(active):
-        if not act:
-            continue
-        if rdeg[k] & 1:
-            dyn_odd.add(k)
-            dyn_odd.add(right[k] if right[k] >= 0 else ancestor[k])
-        else:
-            dyn_even.add(k)
-            dyn_even.add(right[k])
-    return BAnnotation(nodes, parent, left, right, ll, ancestor, rdeg, active, dyn_even, dyn_odd)
-
-
-def modified_preorder(ann: BAnnotation) -> list[Path]:
-    """Paths of all nodes in modified preorder, starting at the root."""
-    paths: list[Path] = [()]
-    for k in range(1, len(ann.nodes)):
-        par = ann.parent[k]
-        paths.append(paths[par] + ((0,) if ann.left[par] == k else (1,)))
-    return paths
-
-
 @dataclass
 class BStatVector:
     """All binary-tree statistics of one tree.
@@ -234,42 +131,136 @@ class BStatVector:
     ndord: int = 0
 
 
-def bstats(ann: BAnnotation) -> BStatVector:
-    """Compute the full binary statistic vector in one pass."""
-    dyn_even, dyn_odd = ann.dyn_even, ann.dyn_odd
-    rdeg: dict[int, int] = {}
+class BAnnotation(NamedTuple):
+    """Per-node data for one tree, as lists indexed by modified-preorder
+    position: 0 is the root, and -1 stands for an absent node; `stats`
+    counts them up for the whole tree.  It hashes
+    as its tree: `perfbench/tracing.py` counts distinct trees by hashing the
+    first argument of `annotate` (a tree) and `swap_branches` (one of these)."""
+
+    nodes: list[WBTree]
+    parent: list[int]
+    left: list[int]  # position of the left child
+    right: list[int]  # position of the right child
+    ancestor: list[int]
+    rdeg: list[int]
+    active: list[bool]
+    dyn_even: set[int]  # positions in dynamic even pairs
+    dyn_odd: set[int]  # positions in dynamic odd pairs
+    stats: BStatVector
+
+    def __hash__(self) -> int:
+        return hash(self.nodes[0])
+
+
+def _right_degree(node: WBTree) -> int:
+    """Length of the chain: the left child, then right children only."""
+    d = 0
+    cur = node.left
+    while cur is not None:
+        d += 1
+        cur = cur.right
+    return d
+
+
+def annotate(b: WBTree) -> BAnnotation:
+    """One depth-first pass that visits the nodes in modified preorder.
+
+    A node's right-degree, active flag and child order are known when it is
+    reached: at a two-way branch an active node sends its walk right first
+    when its right-degree is even and left first when it is odd; an
+    inactive node whose parent is active goes first to the child on the
+    side it hangs on itself; any other node goes left first.  The walk
+    counts the statistics of each node as it is reached, and a post-pass
+    forms the dynamic pairs and counts the nodes outside them.
+    """
+    nodes: list[WBTree] = []
+    parent: list[int] = []
+    left: list[int] = []
+    right: list[int] = []
+    ll: list[int] = []
+    ancestor: list[int] = []
+    rdeg: list[int] = []
+    active: list[bool] = []
+    deg_count: dict[int, int] = {}
     rol: dict[int, int] = {}
-    ell = ord_ = oler = eler = act = eact = oact = ndoler = ndord = 0
-    for k, (d, lev, is_act) in enumerate(zip(ann.rdeg, ann.left_level, ann.active)):
-        rdeg[d] = rdeg.get(d, 0) + 1
+    ell = ord_ = oler = eler = 0
+    # (node, parent, hangs right, left-level, trailing rights, ancestor)
+    stack: list[tuple[WBTree, int, bool, int, int, int]] = [(b, -1, False, 0, 0, -1)]
+    while stack:
+        node, par, is_right, lev, rights, anc = stack.pop()
+        k = len(nodes)
+        if par >= 0:
+            if is_right:
+                right[par] = k
+            else:
+                left[par] = k
+        nodes.append(node)
+        parent.append(par)
+        left.append(-1)
+        right.append(-1)
+        ll.append(lev)
+        ancestor.append(anc)
+        x, y = node.left, node.right
+        d = _right_degree(node)
+        rdeg.append(d)
+        deg_count[d] = deg_count.get(d, 0) + 1
         if lev & 1:
             rol[d] = rol.get(d, 0) + 1
         else:
             ell += 1
         if d & 1:
             ord_ += 1
-            if k not in dyn_odd:
-                ndord += 1
         elif lev & 1:
             oler += 1
-            if k not in dyn_even:
-                ndoler += 1
         else:
             eler += 1
-        if is_act:
-            act += 1
-            if d & 1:
-                oact += 1
-            else:
-                eact += 1
+        ok = False
+        if lev & 1 and not rights & 1:  # path to the ancestor has rights+1 edges
+            ok = not (d ^ _right_degree(y)) & 1 if y is not None else bool(d & 1)
+        active.append(ok)
+        # push the child visited first last
+        if y is not None:
+            stack.append((y, k, True, lev, rights + 1, anc))
+        if x is not None:
+            stack.append((x, k, False, lev + 1, 0, k))
+            if y is not None:
+                right_first = not d & 1 if ok else par >= 0 and active[par] and is_right
+                if right_first:
+                    stack[-1], stack[-2] = stack[-2], stack[-1]
+    dyn_even: set[int] = set()
+    dyn_odd: set[int] = set()
+    eact = oact = 0
+    for k, act in enumerate(active):
+        if not act:
+            continue
+        if rdeg[k] & 1:
+            oact += 1
+            dyn_odd.update((k, right[k] if right[k] >= 0 else ancestor[k]))
+        else:
+            eact += 1
+            dyn_even.update((k, right[k]))
     if len(dyn_even) != 2 * eact:
         raise InternalError("dynamic even pairs must be disjoint")
     if len(dyn_odd) != 2 * oact:
         raise InternalError("dynamic odd pairs must be disjoint")
-    return BStatVector(
-        rdeg=rdeg, rol=rol, ell=ell, ord=ord_, oler=oler, eler=eler, act=act, eact=eact, oact=oact,
+    # the non-dynamic nodes: those of ord outside dyn_odd, of oler outside dyn_even
+    ndord = ord_ - sum(rdeg[k] & 1 for k in dyn_odd)
+    ndoler = oler - sum(1 for k in dyn_even if ll[k] & 1 and not rdeg[k] & 1)
+    stats = BStatVector(
+        rdeg=deg_count, rol=rol, ell=ell, ord=ord_, oler=oler, eler=eler, act=eact + oact, eact=eact, oact=oact,
         dme=len(dyn_even), dmo=len(dyn_odd), ndoler=ndoler, ndord=ndord,
     )
+    return BAnnotation(nodes, parent, left, right, ancestor, rdeg, active, dyn_even, dyn_odd, stats)
+
+
+def modified_preorder(ann: BAnnotation) -> list[Path]:
+    """Paths of all nodes in modified preorder, starting at the root."""
+    paths: list[Path] = [()]
+    for k in range(1, len(ann.nodes)):
+        par = ann.parent[k]
+        paths.append(paths[par] + ((0,) if ann.left[par] == k else (1,)))
+    return paths
 
 
 def _swap_three(u: WBTree) -> WBTree:
@@ -307,31 +298,28 @@ def swap_branches(ann: BAnnotation, i: int) -> WBTree:
 
 
 class OrbitMember(NamedTuple):
-    """One orbit member's annotation, its statistics and its swap results:
-    `swaps[i-1]` is swap_branches at position i, stored as that member's
-    own key object."""
+    """One orbit member's annotation, with its statistics, and its swap
+    results: `swaps[i-1]` is swap_branches at position i, stored as that
+    member's own key object."""
 
     ann: BAnnotation
-    stats: BStatVector
     swaps: list[WBTree]
 
 
 def orbit(b: WBTree) -> dict[WBTree, OrbitMember]:
-    """Closure of b under all branch swaps, in discovery order, annotating,
-    measuring and swapping each member once; its size is 2**act of the
-    orbit's unique representative without active even nodes."""
-    ann = annotate(b)
-    members = {b: OrbitMember(ann, bstats(ann), [])}
+    """Closure of b under all branch swaps, in discovery order, annotating
+    and swapping each member once; its size is 2**act of the orbit's unique
+    representative without active even nodes."""
+    members = {b: OrbitMember(annotate(b), [])}
     frontier = [(b, members[b])]
     while frontier:
-        cur, (ann, _, swaps) = frontier.pop()
+        cur, (ann, swaps) = frontier.pop()
         for i in range(1, len(ann.nodes)):
             nxt = swap_branches(ann, i)
             if nxt is not cur:
                 known = members.get(nxt)
                 if known is None:
-                    new_ann = annotate(nxt)
-                    members[nxt] = known = OrbitMember(new_ann, bstats(new_ann), [])
+                    members[nxt] = known = OrbitMember(annotate(nxt), [])
                     frontier.append((nxt, known))
                 else:
                     nxt = known.ann.nodes[0]  # the root node is the tree itself

@@ -253,7 +253,7 @@ def cmd_jacobi(args: argparse.Namespace) -> Output:
 
 def cmd_orbit(args: argparse.Namespace) -> Output:
     members = orbit(parse_btree(args.tree))
-    rows = sorted(((format_btree(b), member.stats) for b, member in members.items()), key=lambda row: row[0])
+    rows = sorted(((format_btree(b), member.ann.stats) for b, member in members.items()), key=lambda row: row[0])
     shown = ("eler", "oler", "ord", "act", "eact")
     return Output(
         lambda: {"size": len(rows),
@@ -277,6 +277,10 @@ def cmd_preorder(args: argparse.Namespace) -> Output:
 
 def cmd_conjecture(args: argparse.Namespace) -> Output:
     targets = [parse_multiset(args.multiset)] if args.multiset else conjecture_families(args.max_nodes)
+    for m in targets:
+        if m.size + 1 > args.max_nodes:
+            raise ValueError(f"trees on {m} have {m.size + 1} nodes, over bound {args.max_nodes}; "
+                             "raise it with --max-nodes")
     slices = [
         (m, i, coeffs, "vacuous" if rep.vacuous else ("real-rooted" if rep.all_real else "NOT REAL-ROOTED"))
         for m in targets
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="real-rootedness scan of reduced-polynomial slices")
     p.add_argument("--max-nodes", type=_bound, default=10)
-    p.add_argument("--multiset", help="scan a single multiset instead of the two families")
+    p.add_argument("--multiset", help="scan one multiset of at most --max-nodes nodes instead of the two families")
     common(p)
     p.set_defaults(fn=cmd_conjecture)
 

@@ -42,7 +42,7 @@ from functools import cache, cached_property
 from math import comb, factorial
 from typing import Callable, Iterable, NoReturn
 
-from .binary import BAnnotation, annotate, bstats, format_btree, orbit
+from .binary import BAnnotation, BStatVector, annotate, format_btree, orbit
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import iter_multisets, iter_trees
 from .errors import InternalError
@@ -485,23 +485,23 @@ def _binary(f: Facts) -> str | None:
         if rho_inv(b) != t:
             return f"round trip fails on {format_tree(t)}"
         sv = f.walk(t)
-        bv = bstats(annotate(b))
+        bv = annotate(b).stats
         if (sv.deg, sv.od, sv.el, sv.odd, sv.oe, sv.ee) != (
             bv.rdeg, bv.rol, bv.ell, bv.ord, bv.oler, bv.eler
         ):
             return f"statistic transport fails on {format_tree(t)}"
         if (sv.act, sv.eact, sv.oact) != (bv.act, bv.eact, bv.oact):
             return f"active-node counts disagree on {format_tree(t)}"
-        if not (
-            bv.dme == 2 * bv.eact
-            and bv.dmo == 2 * bv.oact
-            and bv.dme + bv.ndoler == bv.oler
-            and bv.dmo + bv.ndord == bv.ord
-            and bv.ndoler == bv.ndord
-            and f.m.size + 1 == bv.oler + bv.ord + bv.eler
-        ):
+        if not _dynamic_bookkeeping_ok(bv, f.m.size):
             return f"dynamic bookkeeping fails on {format_btree(b)}"
     return None
+
+
+def _dynamic_bookkeeping_ok(bv: BStatVector, p: int) -> bool:
+    """The dynamic nodes leave as many non-dynamic ones in oler as in ord,
+    and oler, ord and eler split the p + 1 nodes."""
+    return (bv.dme + bv.ndoler == bv.oler and bv.dmo + bv.ndord == bv.ord and bv.ndoler == bv.ndord
+            and p + 1 == bv.oler + bv.ord + bv.eler)
 
 
 def _dynamic_transport_ok(ann: BAnnotation, new_ann: BAnnotation, i: int) -> bool:
@@ -537,8 +537,9 @@ def _action(f: Facts) -> str | None:
 
         orbit_hist: Counter = Counter()
         reps = []
-        for cur, (ann, bv, swaps) in members.items():
-            if bv.ndoler != bv.ndord or bv.dme + bv.ndoler != bv.oler or bv.dmo + bv.ndord != bv.ord:
+        for cur, (ann, swaps) in members.items():
+            bv = ann.stats
+            if not _dynamic_bookkeeping_ok(bv, p):
                 return f"dynamic bookkeeping fails on {format_btree(cur)}"
             orbit_hist[(bv.eler, bv.oler, bv.ord)] += 1
             if bv.eact == 0:
@@ -550,14 +551,14 @@ def _action(f: Facts) -> str | None:
                     if nb != cur:
                         return f"swap at inactive node {i} moved {format_btree(cur)}"
                     continue
-                new_ann, new_bv, new_swaps = members[nb]
+                new_ann, new_swaps = members[nb]
                 if new_swaps[i - 1] != cur:
                     return f"swap {i} not an involution on {format_btree(cur)}"
                 if labels[nb] != labels[cur]:
                     return f"preorder changed by swap {i} on {format_btree(cur)}"
                 if new_ann.active != active:
                     return f"active set changed by swap {i} on {format_btree(cur)}"
-                if new_bv.eler != bv.eler:
+                if new_ann.stats.eler != bv.eler:
                     return f"eler changed by swap {i} on {format_btree(cur)}"
                 if ann.rdeg[i] & 1 == new_ann.rdeg[i] & 1:
                     return f"swap {i} kept right-degree parity on {format_btree(cur)}"

@@ -232,7 +232,6 @@ def oracle_annotation(b: WBTree) -> dict:
         (dyn_odd if rdeg[path] % 2 else dyn_even).update((path, partner))
     return {
         "order": order,
-        "left_level": {path: path.count(0) for path in nodes},
         "ancestor": {path: ancestor(path) for path in nodes},
         "rdeg": rdeg,
         "active": active,
@@ -245,7 +244,11 @@ def oracle_bstats(ann: BAnnotation) -> BStatVector:
     """The binary statistic vector in two passes over the annotation: the
     per-node counts first, then the non-dynamic nodes against the dynamic
     sets, which are paired here from the active flags, not read from
-    `ann.dyn_even`/`ann.dyn_odd`."""
+    `ann.dyn_even`/`ann.dyn_odd`.  Left-levels come from the child links."""
+    levels = [0] * len(ann.nodes)
+    for k in range(1, len(ann.nodes)):  # a parent precedes its children
+        par = ann.parent[k]
+        levels[k] = levels[par] + (ann.left[par] == k)
     dyn_even, dyn_odd = set(), set()
     for k, act in enumerate(ann.active):
         if not act:
@@ -255,7 +258,7 @@ def oracle_bstats(ann: BAnnotation) -> BStatVector:
         else:
             dyn_even.update((k, ann.right[k]))
     v = BStatVector(dme=len(dyn_even), dmo=len(dyn_odd))
-    for d, lev, is_act in zip(ann.rdeg, ann.left_level, ann.active):
+    for d, lev, is_act in zip(ann.rdeg, levels, ann.active):
         v.rdeg[d] = v.rdeg.get(d, 0) + 1
         if lev & 1:
             v.rol[d] = v.rol.get(d, 0) + 1
@@ -273,7 +276,7 @@ def oracle_bstats(ann: BAnnotation) -> BStatVector:
                 v.oact += 1
             else:
                 v.eact += 1
-    for k, (d, lev) in enumerate(zip(ann.rdeg, ann.left_level)):
+    for k, (d, lev) in enumerate(zip(ann.rdeg, levels)):
         if d & 1:
             if k not in dyn_odd:
                 v.ndord += 1

@@ -6,7 +6,6 @@ from _strategies import weakly_increasing_trees
 from witrees.binary import (
     WBTree,
     annotate,
-    bstats,
     format_btree,
     modified_preorder,
     orbit,
@@ -75,7 +74,7 @@ def test_parse_validates_like_the_binary_oracle():
 
 
 def test_single_edge_stats():
-    v = bstats(annotate(rho(parse_tree("0(1)"))))
+    v = annotate(rho(parse_tree("0(1)"))).stats
     assert v.ell == 1  # only the root sits on an even left-level
     # the root has right-degree 1 (= its plane degree), node 1 has 0 on an
     # odd left-level; matches (odd, oe, ee) = (1, 1, 0) of the plane tree
@@ -86,7 +85,7 @@ def test_single_edge_stats():
 def test_right_degree_matches_plane_degree():
     for m in iter_multisets(5):
         for t in iter_trees(m):
-            sv, bv = stats(t), bstats(annotate(rho(t)))
+            sv, bv = stats(t), annotate(rho(t)).stats
             assert sv.deg == bv.rdeg and sv.od == bv.rol
             assert (sv.el, sv.odd, sv.oe, sv.ee) == (bv.ell, bv.ord, bv.oler, bv.eler)
             assert (sv.act, sv.eact, sv.oact) == (bv.act, bv.eact, bv.oact)
@@ -95,7 +94,7 @@ def test_right_degree_matches_plane_degree():
 def test_dynamic_bookkeeping():
     for m in iter_multisets(5):
         for t in iter_trees(m):
-            v = bstats(annotate(rho(t)))
+            v = annotate(rho(t)).stats
             assert v.dme == 2 * v.eact and v.dmo == 2 * v.oact
             assert v.dme + v.ndoler == v.oler and v.dmo + v.ndord == v.ord
             assert v.ndoler == v.ndord
@@ -152,14 +151,14 @@ def test_orbit_sizes_are_powers_of_two():
             b = rho(t)
             orb = orbit(b)
             assert len(orb) & (len(orb) - 1) == 0
-            reps = [member.stats for member in orb.values() if member.stats.eact == 0]
+            reps = [member.ann.stats for member in orb.values() if member.ann.stats.eact == 0]
             assert len(reps) == 1
             assert len(orb) == 2 ** reps[0].act
 
 
 def test_inactive_tree_orbit_is_singleton():
     b = rho(parse_tree("0(1(2))"))
-    if bstats(annotate(b)).act == 0:
+    if annotate(b).stats.act == 0:
         assert set(orbit(b)) == {b}
 
 
@@ -177,7 +176,6 @@ def test_annotation_matches_path_keyed_oracle():
             paths = modified_preorder(ann)
             assert paths == want["order"], format_btree(b)
             assert [subtree_at(b, q) for q in paths] == ann.nodes
-            assert ann.left_level == [want["left_level"][q] for q in paths]
             assert ann.rdeg == [want["rdeg"][q] for q in paths]
             assert ann.active == [want["active"][q] for q in paths]
             assert [paths[a] if a >= 0 else None for a in ann.ancestor] == [want["ancestor"][q] for q in paths]
@@ -194,13 +192,13 @@ def test_stats_match_two_pass_oracle():
         for t in iter_trees(m):
             b = rho(t)
             ann = annotate(b)
-            assert bstats(ann) == oracle_bstats(ann), format_btree(b)
+            assert ann.stats == oracle_bstats(ann), format_btree(b)
             for member in orbit(b).values():
-                assert member.stats == oracle_bstats(member.ann), format_btree(member.ann.nodes[0])
+                assert member.ann.stats == oracle_bstats(member.ann), format_btree(member.ann.nodes[0])
 
 
 def _bookkeeping_holds(ann, p: int) -> bool:
-    v = bstats(ann)
+    v = ann.stats
     return (
         v.dme == 2 * v.eact
         and v.dmo == 2 * v.oact
@@ -233,7 +231,7 @@ def test_swap_laws_past_exhaustive_bound(t):
         assert _bookkeeping_holds(nann, p)
         swapped[i] = nann
     for member in orbit(b).values():
-        assert member.stats == oracle_bstats(member.ann)
+        assert member.ann.stats == oracle_bstats(member.ann)
     active = list(swapped)
     for a, i in enumerate(active):
         for j in active[a + 1:]:

@@ -102,6 +102,18 @@ def test_size_bound(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 58786
 
 
+def test_conjecture_multiset_node_bound(capsys):
+    """conjecture --multiset refuses trees of more than --max-nodes nodes
+    (p + 1 > 10 by default) unless the bound is raised."""
+    assert main(["conjecture", "--multiset", "1:10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: trees on {1^10} have 11 nodes, over bound 10; raise it with --max-nodes\n"
+    assert main(["conjecture", "--multiset", "1:3", "--max-nodes", "3"]) == 2
+    assert "raise it with --max-nodes" in capsys.readouterr().err
+    assert main(["conjecture", "--multiset", "1:3", "--max-nodes", "4"]) == 0
+    assert capsys.readouterr().out.endswith("PASS: 0 non-real-rooted slices\n")
+
+
 def test_verify_suite_exit_code():
     res = run_cli("verify", "--suite", "counting", "--max-size", "4")
     assert res.returncode == 0

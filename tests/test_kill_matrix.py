@@ -7,10 +7,13 @@ listed with that error; it is no kill, so each mutant also turns some
 suite FAIL.
 
 Each binary-tree mutant must turn both the `binary` and the `action` check
-FAIL at p <= 5, naming a tree.  It replaces one kernel in both
+FAIL at p <= 5, naming a tree.  It replaces `annotate` in both
 `witrees.binary` (where `orbit` reads it) and `witrees.verify` (where the
-`binary` check reads it).  Every mutant keeps the dynamic pairs disjoint,
-so the checks report a counterexample rather than an internal error.
+`binary` check reads it): the pairing mutants edit its source, so the
+statistics it returns are counted from the faulty pairs, and the third
+shifts the returned `stats.ndord`.  Every mutant keeps the dynamic pairs
+disjoint, so the checks report a counterexample rather than an internal
+error.
 
 Each series mutant edits one expression in the source of a `witrees.series`
 or `witrees.counts` function and must turn the `series` check FAIL at
@@ -18,10 +21,11 @@ p <= 5 with the detail that names the broken route; the six-term mutant
 must also turn the `closed-forms` check FAIL.
 
 Each kernel mutant edits the grammar derivative, the parity census, the
-Sturm chain, the branch swap or the plane-to-binary map the same way and
-must turn every suite that reads the kernel FAIL with the named detail; the
-census mutant swaps two classes that the Schett polynomial merges, so the
-suites that read only that polynomial still PASS.
+Sturm chain, the branch swap, the ancestors of the binary annotation or the
+plane-to-binary map the same way and must turn every suite that reads the
+kernel FAIL with the named detail; the census mutant swaps two classes that
+the Schett polynomial merges, so the suites that read only that polynomial
+still PASS.
 
 Each check mutant does the same to the code behind the checks that no
 other planted fault reaches: the enumeration, the multiset iterator behind
@@ -49,44 +53,42 @@ import witrees.verify
 from witrees.errors import InternalError
 from witrees.verify import run_suites, suite_checks
 
+def _mutant(module, name, old, new):
+    """`module.<name>` recompiled with `old` replaced by `new`."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
 REAL_ANNOTATE = witrees.binary.annotate
-REAL_BSTATS = witrees.binary.bstats
 
 
-def _odd_pairs_left(b):
-    """An active odd node pairs with its left child instead of its right
-    child or its ancestor."""
-    ann = REAL_ANNOTATE(b)
-    dyn_odd = set()
-    for k, act in enumerate(ann.active):
-        if act and ann.rdeg[k] & 1:
-            dyn_odd.update((k, ann.left[k]))
-    return ann._replace(dyn_odd=dyn_odd)
-
-
-def _even_pairs_left(b):
-    """An active even node pairs with its left child, where it has one,
-    instead of its right child."""
-    ann = REAL_ANNOTATE(b)
-    dyn_even = set()
-    for k, act in enumerate(ann.active):
-        if act and not ann.rdeg[k] & 1:
-            dyn_even.update((k, ann.left[k] if ann.left[k] >= 0 else ann.right[k]))
-    return ann._replace(dyn_even=dyn_even)
-
-
-def _ndord_skips_root(ann):
+def _ndord_skips_root(b):
     """The count of non-dynamic odd right-degree nodes leaves out the root."""
-    v = REAL_BSTATS(ann)
+    ann = REAL_ANNOTATE(b)
     if ann.rdeg[0] & 1 and 0 not in ann.dyn_odd:
-        v.ndord -= 1
-    return v
+        ann.stats.ndord -= 1
+    return ann
 
 
+# mutant: (a fake `annotate`, the tree both checks name)
 MUTANTS = {
-    "annotate-odd-pairing": ("annotate", _odd_pairs_left, "0[1[2[_|_]|_]|_]"),
-    "annotate-even-pairing": ("annotate", _even_pairs_left, "0[1[2[_|3[_|_]]|4[_|_]]|_]"),
-    "bstats-ndord-skips-root": ("bstats", _ndord_skips_root, "0[1[_|_]|_]"),
+    # an active odd node pairs with its left child instead of its right
+    # child or its ancestor
+    "annotate-odd-pairing": (
+        _mutant(witrees.binary, "annotate", "right[k] if right[k] >= 0 else ancestor[k]", "left[k]"),
+        "0[1[2[_|_]|_]|_]",
+    ),
+    # an active even node pairs with its left child, where it has one,
+    # instead of its right child
+    "annotate-even-pairing": (
+        _mutant(witrees.binary, "annotate", "dyn_even.update((k, right[k]))",
+                "dyn_even.update((k, left[k] if left[k] >= 0 else right[k]))"),
+        "0[1[2[_|3[_|_]]|4[_|_]]|_]",
+    ),
+    "annotate-ndord-skips-root": (_ndord_skips_root, "0[1[_|_]|_]"),
 }
 
 EXPECTED = {
@@ -113,21 +115,12 @@ def _failures():
 @pytest.mark.parametrize("suite", sorted(EXPECTED))
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_binary_mutant_is_caught(monkeypatch, mutant, suite):
-    kernel, fake, witness = MUTANTS[mutant]
+    fake, witness = MUTANTS[mutant]
     for module in (witrees.binary, witrees.verify):
-        monkeypatch.setattr(module, kernel, fake)
+        monkeypatch.setattr(module, "annotate", fake)
     failures = _failures()
     assert failures.keys() == EXPECTED.keys()
     assert failures[suite] == EXPECTED[suite] + witness
-
-
-def _mutant(module, name, old, new):
-    """`module.<name>` recompiled with `old` replaced by `new`."""
-    source = inspect.getsource(getattr(module, name))
-    assert source.count(old) == 1, (name, old)
-    namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[name]
 
 
 SERIES_FAIL = "FAIL  generating function: functional and algebraic equations: "
@@ -200,6 +193,14 @@ KERNEL_MUTANTS = {
     "swap-spine-side": (
         witrees.binary, "swap_branches", "if left[par] == k else", "if left[par] != k else", (witrees.binary,),
         {"action": "FAIL  group action: branch swaps and orbit structure: swap 1 not an involution on 0[1[2[_|_]|_]|_]"},
+    ),
+    # a node without a left child records no ancestor: no dynamic pair reads
+    # that entry, only the transport check does, in its last clause, where
+    # the swap gives the node a left child and so pairs it with its ancestor
+    "annotate-ancestor-needs-left-child": (
+        witrees.binary, "annotate", "ancestor.append(anc)", "ancestor.append(anc if node.left is not None else -1)",
+        (witrees.binary, witrees.verify),
+        {"action": "FAIL  group action: branch swaps and orbit structure: dynamic transport fails at 1 on 0[1[_|2[_|_]]|_]"},
     ),
     # the first child becomes the right child and the next sibling the left
     # one: still a bijection onto binary trees, but not the inverse of rho_inv

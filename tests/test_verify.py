@@ -16,6 +16,7 @@ from witrees.binary import WBTree, annotate
 from witrees.cli import main
 from witrees.enumeration import iter_multisets
 from witrees.errors import InternalError
+from witrees.mpoly import MPoly
 from witrees.multiset import Multiset, count_trees
 from witrees.transforms import hat
 from witrees.trees import stats
@@ -91,6 +92,18 @@ def test_closed_forms_compare_every_zero_ee_pair_the_edge_bound_admits(monkeypat
     monkeypatch.setattr(witrees.verify, "fish_count", lambda i, j: real(i, j) + ((i, j) in {(0, 4), (4, 0)}))
     assert check_closed_forms(max_edges=10).line() == (
         "FAIL  closed forms: parity-class counts: zero-ee count wrong at (0, 4)"
+    )
+
+
+def test_jacobi_reads_the_first_cn_boundary(monkeypatch):
+    """The cn and dn boundaries at n = 1 are the only ones that read the
+    (1, 0) entry of the reduced S_2; a stray x^2 in S_2 lands there and
+    must fail the first of them."""
+    real = witrees.verify.schett_poly
+    x2 = MPoly(("x", "y", "z"), {(2, 0, 0): 1})
+    monkeypatch.setattr(witrees.verify, "schett_poly", lambda n: real(n) + x2 if n == 2 else real(n))
+    assert check_jacobi().line() == (
+        "FAIL  elliptic coefficients: displays and boundary identities: cn boundary fails at n=1, i=1"
     )
 
 
