@@ -14,6 +14,14 @@ level, even-degree on odd level, odd-degree) node counts.
 The four-variable variant uses w -> wy, x -> yz, y -> xz, z -> xy and makes
 D^n(w)/w the same generating polynomial with the root excluded from all
 three counts.
+
+Each of the two fixed grammars keeps one resumable chain: the last
+(rules, n, D^n) that `schett_poly` (resp. `four_var_poly`) computed, and
+nothing else, so it holds one polynomial (S_36 has 189 terms), never the
+S_0..S_n list.  A request for an n at or above the chain's derives forward
+from its polynomial; a smaller n, or rules no longer equal in value to
+the chain's, restarts it from x (resp. w).  Ascending requests thus cost
+one `derive` per step in all.
 """
 
 from __future__ import annotations
@@ -98,14 +106,32 @@ def grammar_derive(rules: GrammarRules, start: MPoly, n: int) -> MPoly:
     return cur
 
 
+# chain name -> its last (rules, n, D^n(start)); one entry is replaced at
+# a time, so a reader never sees an n paired with another n's polynomial
+_CHAINS: dict[str, tuple[GrammarRules, int, MPoly]] = {}
+
+
+def _resume(chain: str, rules: GrammarRules, start: MPoly, n: int) -> MPoly:
+    """D^n(start), derived forward from the chain's last polynomial when
+    its rules equal `rules` and its n is at most n, else from start."""
+    if n < 0:
+        raise ValueError("derivative count must be >= 0")
+    last = _CHAINS.get(chain)
+    if last is None or n < last[1] or last[0] != rules:
+        last = (rules, 0, start)
+    poly = grammar_derive(rules, last[2], n - last[1])
+    _CHAINS[chain] = (rules, n, poly)
+    return poly
+
+
 def schett_poly(n: int) -> MPoly:
     """S_n(x, y, z) = D^n(x)."""
-    return grammar_derive(schett_rules(), MPoly.var(XYZ, "x"), n)
+    return _resume("schett", schett_rules(), MPoly.var(XYZ, "x"), n)
 
 
 def four_var_poly(n: int) -> MPoly:
     """D^n(w) for the four-variable grammar; always divisible by w."""
-    return grammar_derive(four_var_rules(), MPoly.var(WXYZ, "w"), n)
+    return _resume("four-var", four_var_rules(), MPoly.var(WXYZ, "w"), n)
 
 
 def four_var_coeffs(n: int) -> dict[tuple[int, int], int]:

@@ -9,7 +9,12 @@ or not, and its last member is gcd(p, p') up to a constant, so the
 squarefree part of p has degree deg p - deg of that member.  p has only
 real roots exactly when the two numbers agree.  It stays fraction-free
 (ch. 8): each remainder is of a positive multiple of the dividend, made
-primitive, so every sign is that of the sequence over the rationals.
+primitive, so every sign is that of the sequence over the rationals.  Each
+elimination step scales the running remainder by |lc(b)| and subtracts
+sign(lc b) times its leading coefficient times b, with no gcd per step;
+one content division at the end makes it primitive.  A primitive
+polynomial that is a positive multiple of the rational remainder is unique,
+so the chain does not depend on how the scaling was chosen.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ def _rem(a: Poly, b: Poly) -> Poly:
     unaffected."""
     r = list(a)
     lb = b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
     while _trim(r) and len(r) >= len(b):
-        g = gcd(r[-1], lb)
-        scale, factor = abs(lb) // g, r[-1] // g * (1 if lb > 0 else -1)
+        factor = r[-1] * sign
         shift = len(r) - len(b)
         r = [c * scale for c in r]
         for i, c in enumerate(b[:-1]):

@@ -10,6 +10,7 @@ statistics oracle pairs the dynamic nodes from the annotation's lists and
 counts the non-dynamic ones in a second pass.  The plane-tree
 series oracle iterates the functional equations to a fixpoint, the
 real-rootedness oracle runs its Sturm chain over the rationals, the
+remainder oracle divides out a gcd at every elimination step, the
 grammar derivative oracle multiplies out each Leibniz term as a polynomial
 product, and the gamma oracle peels each basis element off a reduced
 polynomial by polynomial products.  The Euler numbers come from the sec+tan
@@ -20,7 +21,7 @@ small inputs.
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 from witrees.binary import BAnnotation, BStatVector, WBTree
 from witrees.mpoly import MPoly, poly_sum
@@ -390,6 +391,31 @@ def _sturm_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         while r and r[-1] == 0:
             r.pop()
     return [c / abs(r[-1]) for c in r] if r else r
+
+
+def oracle_rem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the remainder of c*a by b (b nonzero), for a
+    positive integer c, each elimination step scaled by the smallest
+    positive factor that cancels the leading term, found by a gcd, where
+    `witrees.realroots` scales every step by |lc(b)|."""
+    r = list(a)
+    lb = b[-1]
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            break
+        g = gcd(r[-1], lb)
+        scale, factor = abs(lb) // g, r[-1] // g * (1 if lb > 0 else -1)
+        shift = len(r) - len(b)
+        r = [c * scale for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[i + shift] -= factor * c
+        r.pop()
+    if r:
+        content = gcd(*r)
+        r = [c // content for c in r]
+    return r
 
 
 def oracle_real_rooted(coeffs: list[int]) -> RootReport:

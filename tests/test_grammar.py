@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import witrees.grammar
 from _oracles import oracle_derive
 from witrees.enumeration import iter_trees
 from witrees.gamma import reduced_table, schett_of
@@ -140,3 +141,69 @@ def test_derive_matches_product_oracle_on_cancelling_rules():
     got = derive(rules, p)
     assert got == oracle_derive(rules, p)
     assert got == MPoly(XYZ, {(1, 1, 0): 3, (1, 0, 1): -1, (0, 2, 0): 1, (0, 0, 2): -1})
+
+
+@pytest.fixture
+def empty_chains(monkeypatch):
+    """Both grammar chains start empty and are dropped after the test."""
+    monkeypatch.setattr(witrees.grammar, "_CHAINS", {})
+
+
+def test_chains_answer_any_order_like_a_fresh_derivation(empty_chains):
+    """Interleaved requests over a seeded shuffle of n in 0..36, with
+    repeats, equal D^n from the start, by `derive` and for n <= 20 by the
+    product oracle."""
+    rng = random.Random(36)
+    ns = list(range(37)) * 2
+    rng.shuffle(ns)
+    routes = (
+        (schett_poly, schett_rules(), MPoly.var(XYZ, "x")),
+        (four_var_poly, four_var_rules(), MPoly.var(WXYZ, "w")),
+    )
+    oracle_chains = []
+    for _, rules, start in routes:
+        chain = [start]
+        for _ in range(20):
+            chain.append(oracle_derive(rules, chain[-1]))
+        oracle_chains.append(chain)
+    pairs = list(zip(routes, oracle_chains))
+    for k, n in enumerate(ns):
+        for (poly, rules, start), oracle_chain in pairs if k % 2 else pairs[::-1]:
+            got = poly(n)
+            assert got == grammar_derive(rules, start, n), (poly.__name__, n)
+            if n <= 20:
+                assert got == oracle_chain[n], (poly.__name__, n)
+
+
+def test_chains_refuse_a_negative_count(empty_chains):
+    for poly in (schett_poly, four_var_poly):
+        with pytest.raises(ValueError, match="derivative count must be >= 0"):
+            poly(-1)
+
+
+def test_chain_derives_each_step_once(empty_chains, monkeypatch):
+    """Ascending n costs one `derive` per step in all; a smaller n restarts
+    the chain from x."""
+    calls = []
+    real_derive = witrees.grammar.derive
+
+    def counting_derive(rules, poly):
+        calls.append(1)
+        return real_derive(rules, poly)
+
+    monkeypatch.setattr(witrees.grammar, "derive", counting_derive)
+    for n in range(1, 37):
+        schett_poly(n)
+    assert len(calls) == 36
+    calls.clear()
+    s5 = schett_poly(5)
+    assert len(calls) == 5
+    assert s5.canonical_str("grouped") == "y^5z+14y^3z^3+yz^5+44x^2y^3z+44x^2yz^3+16x^4yz"
+
+
+def test_chain_restarts_when_the_rules_change(empty_chains, monkeypatch):
+    four_var_poly(6)
+    swapped = four_var_rules()
+    swapped["w"] = MPoly(WXYZ, {(1, 0, 0, 1): 1})
+    monkeypatch.setattr(witrees.grammar, "four_var_rules", lambda: swapped)
+    assert four_var_poly(7) == grammar_derive(swapped, MPoly.var(WXYZ, "w"), 7)

@@ -33,7 +33,10 @@ the sized runner, the statistics walker and its activity counters, psi,
 theta, the elliptic tables behind the Euler numbers, the four-variable
 grammar, the fighting-fish count, the gamma peel and the gamma basis
 expansion.  A gamma-peel fault that leaves a residual trips an internal
-error rather than a check, so the peel's mutant misfiles exact values."""
+error rather than a check, so the peel's mutant misfiles exact values.
+
+Every source-edit mutant runs on empty grammar chains (see `witrees.grammar`),
+and a last test warms the chains before it plants the two grammar faults."""
 
 import inspect
 
@@ -51,6 +54,8 @@ import witrees.transforms
 import witrees.trees
 import witrees.verify
 from witrees.errors import InternalError
+from witrees.grammar import WXYZ, XYZ, four_var_poly, four_var_rules, grammar_derive, schett_poly, schett_rules
+from witrees.mpoly import MPoly
 from witrees.verify import run_suites, suite_checks
 
 def _mutant(module, name, old, new):
@@ -332,6 +337,9 @@ CHECK_MUTANTS = {
 
 
 def _assert_caught(monkeypatch, source, name, old, new, targets, expected):
+    # empty grammar chains first: one built by the real `derive` cannot
+    # hide the fault, and one built under it goes when the patch is undone
+    monkeypatch.setattr(witrees.grammar, "_CHAINS", {})
     fake = _mutant(source, name, old, new)
     for module in targets:
         monkeypatch.setattr(module, name, fake)
@@ -351,3 +359,15 @@ def test_kernel_mutant_is_caught(monkeypatch, mutant):
 @pytest.mark.parametrize("mutant", sorted(CHECK_MUTANTS))
 def test_check_mutant_is_caught(monkeypatch, mutant):
     _assert_caught(monkeypatch, *CHECK_MUTANTS[mutant])
+
+
+@pytest.mark.parametrize("mutant", ["derive-drops-power", "four-var-w-rule"])
+def test_warm_grammar_chains_hide_no_fault(mutant):
+    """Chains warmed to S_36 and D^30(w) by the real grammar neither mask a
+    grammar fault nor keep what the fault derived."""
+    schett_poly(36)
+    four_var_poly(30)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_caught(monkeypatch, *{**KERNEL_MUTANTS, **CHECK_MUTANTS}[mutant])
+    assert schett_poly(36) == grammar_derive(schett_rules(), MPoly.var(XYZ, "x"), 36)
+    assert four_var_poly(30) == grammar_derive(four_var_rules(), MPoly.var(WXYZ, "w"), 30)

@@ -1,9 +1,9 @@
 import random
 
-from _oracles import oracle_real_rooted
+from _oracles import oracle_real_rooted, oracle_rem
 from witrees.gamma import reduced_table, slice_poly_coeffs
 from witrees.grammar import schett_poly
-from witrees.realroots import real_rooted
+from witrees.realroots import real_rooted, sturm_chain
 
 
 def _mul_linear(poly, a):
@@ -114,13 +114,48 @@ def test_report_str_mentions_verdict():
     assert "vacuously" in str(real_rooted([]))
 
 
+def _schett_slices():
+    """Every x-slice of reduced S_n for n <= 36."""
+    slices = [c for n in range(1, 37) for c in slice_poly_coeffs(reduced_table(schett_poly(n), n))]
+    assert len(slices) == 342
+    return slices
+
+
 def test_matches_rational_sturm_oracle():
     """The integer Sturm chain gives the report of the chain over the
     rationals on every slice of reduced S_n for n <= 36 and on 500 seeded
     products with repeated roots and irreducible quadratic factors."""
-    slices = [c for n in range(1, 37) for c in slice_poly_coeffs(reduced_table(schett_poly(n), n))]
-    assert len(slices) == 342
+    slices = _schett_slices()
     rng = random.Random(2026)
     products = [_random_product(rng)[0] for _ in range(500)]
     for poly in slices + products:
         assert real_rooted(poly) == oracle_real_rooted(poly), poly
+
+
+def _oracle_sturm_chain(p):
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in oracle_rem(chain[-2], chain[-1])])
+    return chain[:-1]
+
+
+def test_sturm_chain_matches_per_step_gcd_oracle():
+    """The chain without a per-step gcd equals the one with it, member for
+    member: on every slice of reduced S_n for n <= 36, and on seeded
+    polynomials with negative and +-1 leading coefficients and with terms
+    that cancel, so that some remainder drops more than one degree."""
+    rng = random.Random(7023)
+    polys = []
+    for _ in range(300):
+        deg = rng.randint(1, 8)
+        p = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(deg)] + [rng.choice([-1, 1, -2, -5, 3, 7])]
+        polys.append(p)
+        a = rng.randint(1, 4)
+        polys.append(_mul(p, [-a * a, 0, 1]))  # (t - a)(t + a): the t term cancels
+        polys.append(_random_product(rng)[0])
+    gaps = 0
+    for p in _schett_slices() + polys:
+        chain = sturm_chain(p)
+        assert chain == _oracle_sturm_chain(p), p
+        gaps += any(len(a) - len(b) > 1 for a, b in zip(chain[1:], chain[2:]))
+    assert gaps > 0
