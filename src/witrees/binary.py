@@ -37,7 +37,8 @@ The branch swap at the i-th node of the modified preorder exchanges the
 left and right branches at that node and at both of its children; doing
 nothing when the node is inactive.  These swaps commute, are involutions,
 and generate the group action whose orbit structure underlies the gamma
-expansion of the reduced Schett polynomials.
+expansion of the reduced Schett polynomials.  `orbit` lists an orbit's
+members and names each swap result by its index in that list.
 """
 
 from __future__ import annotations
@@ -230,26 +231,27 @@ def annotate(b: WBTree) -> BAnnotation:
                     stack[-1], stack[-2] = stack[-2], stack[-1]
     dyn_even: set[int] = set()
     dyn_odd: set[int] = set()
-    eact = oact = 0
+    eact = oact = in_ord = in_oler = 0  # pair members in ord resp. oler
     for k, act in enumerate(active):
         if not act:
             continue
         if rdeg[k] & 1:
             oact += 1
-            dyn_odd.update((k, right[k] if right[k] >= 0 else ancestor[k]))
+            w = right[k] if right[k] >= 0 else ancestor[k]
+            dyn_odd.update((k, w))
+            in_ord += (rdeg[k] & 1) + (rdeg[w] & 1)
         else:
             eact += 1
-            dyn_even.update((k, right[k]))
+            y = right[k]
+            dyn_even.update((k, y))
+            in_oler += (ll[k] & 1 and not rdeg[k] & 1) + (ll[y] & 1 and not rdeg[y] & 1)
     if len(dyn_even) != 2 * eact:
         raise InternalError("dynamic even pairs must be disjoint")
     if len(dyn_odd) != 2 * oact:
         raise InternalError("dynamic odd pairs must be disjoint")
-    # the non-dynamic nodes: those of ord outside dyn_odd, of oler outside dyn_even
-    ndord = ord_ - sum(rdeg[k] & 1 for k in dyn_odd)
-    ndoler = oler - sum(1 for k in dyn_even if ll[k] & 1 and not rdeg[k] & 1)
     stats = BStatVector(
         rdeg=deg_count, rol=rol, ell=ell, ord=ord_, oler=oler, eler=eler, act=eact + oact, eact=eact, oact=oact,
-        dme=len(dyn_even), dmo=len(dyn_odd), ndoler=ndoler, ndord=ndord,
+        dme=len(dyn_even), dmo=len(dyn_odd), ndoler=oler - in_oler, ndord=ord_ - in_ord,
     )
     return BAnnotation(nodes, parent, left, right, ancestor, rdeg, active, dyn_even, dyn_odd, stats)
 
@@ -299,29 +301,29 @@ def swap_branches(ann: BAnnotation, i: int) -> WBTree:
 
 class OrbitMember(NamedTuple):
     """One orbit member's annotation, with its statistics, and its swap
-    results: `swaps[i-1]` is swap_branches at position i, stored as that
-    member's own key object."""
+    results: `swaps[i-1]` is the index of the member that swap_branches at
+    position i reaches."""
 
     ann: BAnnotation
-    swaps: list[WBTree]
+    swaps: list[int]
 
 
-def orbit(b: WBTree) -> dict[WBTree, OrbitMember]:
-    """Closure of b under all branch swaps, in discovery order, annotating
-    and swapping each member once; its size is 2**act of the orbit's unique
-    representative without active even nodes."""
-    members = {b: OrbitMember(annotate(b), [])}
-    frontier = [(b, members[b])]
+def orbit(b: WBTree) -> list[OrbitMember]:
+    """Closure of b under all branch swaps, listed in discovery order from
+    b, annotating and swapping each member once; its size is 2**act of the
+    orbit's unique representative without active even nodes."""
+    members = [OrbitMember(annotate(b), [])]
+    index = {b: 0}
+    frontier = [0]
     while frontier:
-        cur, (ann, swaps) = frontier.pop()
+        k = frontier.pop()
+        ann, swaps = members[k]
         for i in range(1, len(ann.nodes)):
             nxt = swap_branches(ann, i)
-            if nxt is not cur:
-                known = members.get(nxt)
-                if known is None:
-                    members[nxt] = known = OrbitMember(annotate(nxt), [])
-                    frontier.append((nxt, known))
-                else:
-                    nxt = known.ann.nodes[0]  # the root node is the tree itself
-            swaps.append(nxt)
+            j = k if nxt is ann.nodes[0] else index.get(nxt)  # an inactive node returns the tree itself
+            if j is None:
+                j = index[nxt] = len(members)
+                members.append(OrbitMember(annotate(nxt), []))
+                frontier.append(j)
+            swaps.append(j)
     return members

@@ -253,7 +253,7 @@ def cmd_jacobi(args: argparse.Namespace) -> Output:
 
 def cmd_orbit(args: argparse.Namespace) -> Output:
     members = orbit(parse_btree(args.tree))
-    rows = sorted(((format_btree(b), member.ann.stats) for b, member in members.items()), key=lambda row: row[0])
+    rows = sorted(((format_btree(member.ann.nodes[0]), member.ann.stats) for member in members), key=lambda row: row[0])
     shown = ("eler", "oler", "ord", "act", "eact")
     return Output(
         lambda: {"size": len(rows),

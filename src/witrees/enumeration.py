@@ -62,32 +62,33 @@ def iter_trees(m: Multiset) -> Iterator[WTree]:
     trees: list[WTree] = [WTree(0, ())]
     for label, mult in enumerate(m.multiplicities, start=1):
         cache: dict[tuple[WTree, int], tuple[WTree, ...]] = {}
-
-        def attach(tree: WTree, count: int) -> tuple[WTree, ...]:
-            key = (tree, count)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            lab, children = tree
-            k = len(children)
-            out: list[WTree] = []
-            for self_m in range(count + 1):
-                forests = plane_forests(self_m, label)
-                rest = count - self_m
-                if k == 0:
-                    if rest == 0:
-                        out.extend(WTree(lab, f) for f in forests)
-                    continue
-                for comp in _weak_compositions(rest, k):
-                    child_lists = [attach(children[i], comp[i]) for i in range(k)]
-                    for newch in product(*child_lists):
-                        out.extend(WTree(lab, newch + f) for f in forests)
-            result = tuple(out)
-            cache[key] = result
-            return result
-
-        trees = [t2 for t in trees for t2 in attach(t, mult)]
+        trees = [t2 for t in trees for t2 in _attach(t, mult, label, cache)]
     yield from trees
+
+
+def _attach(tree: WTree, count: int, label: int, cache: dict) -> tuple[WTree, ...]:
+    """Every way to hang `count` new nodes labelled `label` below tree; `cache` holds one letter."""
+    key = (tree, count)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    lab, children = tree
+    k = len(children)
+    out: list[WTree] = []
+    for self_m in range(count + 1):
+        forests = plane_forests(self_m, label)
+        rest = count - self_m
+        if k == 0:
+            if rest == 0:
+                out.extend(WTree(lab, f) for f in forests)
+            continue
+        for comp in _weak_compositions(rest, k):
+            child_lists = [_attach(children[i], comp[i], label, cache) for i in range(k)]
+            for newch in product(*child_lists):
+                out.extend(WTree(lab, newch + f) for f in forests)
+    result = tuple(out)
+    cache[key] = result
+    return result
 
 
 def enumerate_trees(m: Multiset) -> list[tuple[str, WTree]]:

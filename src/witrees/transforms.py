@@ -13,7 +13,7 @@ odd levels" and "odd-degree nodes" while fixing "even-degree nodes on even
 levels".  `psi` and `theta` wrap tilde resp. hat around every root subtree,
 which shifts the contracts to the root-excluded statistics.  `rho` is the
 classical leftmost-child / right-sibling correspondence onto weakly
-increasing binary trees.
+increasing binary trees; `rho_all` maps a list, one chain per sibling tuple.
 """
 
 from __future__ import annotations
@@ -86,16 +86,31 @@ def theta(t: WTree) -> WTree:
     return WTree(t.label, tuple(hat(c) for c in t.children))
 
 
+def rho_all(trees: list[WTree]) -> list[WBTree]:
+    """rho of each tree; trees that share subtree objects, as the enumeration
+    builds them, share binary chains.  The memo holds each sibling tuple
+    beside its chain, so no `id` is reused while it lives; it lives for
+    this call only."""
+    memo: dict[int, tuple[tuple[WTree, ...], WBTree | None]] = {}
+    return [WBTree(t.label, _chain(t.children, memo), None) for t in trees]
+
+
+def _chain(children: tuple[WTree, ...], memo: dict) -> WBTree | None:
+    """A sibling tuple's chain, built right to left: children left, next sibling right."""
+    key = id(children)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    node = None
+    for label, kids in reversed(children):
+        node = WBTree(label, _chain(kids, memo) if kids else None, node)
+    memo[key] = (children, node)
+    return node
+
+
 def rho(t: WTree) -> WBTree:
     """Plane to binary: leftmost child -> left child, next sibling -> right."""
-
-    def chain(children: tuple[WTree, ...]) -> WBTree | None:
-        if not children:
-            return None
-        first = children[0]
-        return WBTree(first.label, chain(first.children), chain(children[1:]))
-
-    return WBTree(t.label, chain(t.children), None)
+    return WBTree(t.label, _chain(t.children, {}), None)
 
 
 def rho_inv(b: WBTree) -> WTree:

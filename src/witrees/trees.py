@@ -46,21 +46,20 @@ def format_trees(trees: Iterable[WTree]) -> list[str]:
     is reused while it lives, and it lives for this call only.  Trees that
     share nothing are faster through `format_tree`."""
     memo: dict[int, tuple[WTree, str]] = {}
-    get = memo.get
+    return [_format_shared(t, memo) for t in trees]
 
-    def fmt(t: WTree) -> str:
-        label, children = t
-        if not children:
-            return str(label)
-        parts = []
-        for c in children:
-            hit = get(id(c))
-            if hit is None:
-                hit = memo[id(c)] = (c, fmt(c))
-            parts.append(hit[1])
-        return f"{label}({','.join(parts)})"
 
-    return [fmt(t) for t in trees]
+def _format_shared(t: WTree, memo: dict[int, tuple[WTree, str]]) -> str:
+    label, children = t
+    if not children:
+        return str(label)
+    parts = []
+    for c in children:
+        hit = memo.get(id(c))
+        if hit is None:
+            hit = memo[id(c)] = (c, _format_shared(c, memo))
+        parts.append(hit[1])
+    return f"{label}({','.join(parts)})"
 
 
 def read_label(s: str, pos: int, missing: str) -> tuple[int, int]:

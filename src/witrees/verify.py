@@ -12,7 +12,8 @@ alone or fused.  `Facts` builds each shared fact at most once: the memo of
 hat, tilde, psi and theta lie on the same multiset) and the reduced table
 of the Schett polynomial with its gamma table.  The group-action body
 takes each orbit from `binary.orbit`, which annotates, measures and swaps
-every member once.  The checks over sets, {1^n} or series orders
+every member once, and reads members, swap results and preorder labels by
+member index.  The checks over sets, {1^n} or series orders
 enumerate their own families.
 
 The multisets of the pass are split into one shard per CPU in the
@@ -27,8 +28,8 @@ a forked shard whose parent has died stops before its next multiset.  The
 other checks run once, here.
 
 The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
-checks in one pass, 106 s on the two cores of a 2-core Xeon and 239 s on
-one (Python 3.11, one run each).
+checks in one pass, 105-133 s on the two cores of a 2-core Xeon and
+214-246 s on one (Python 3.11, three runs each on a shared host).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .mpoly import MPoly
 from .multiset import Multiset, count_trees, set_multiset, uniform_multiset
 from .realroots import real_rooted
 from .series import TruncSeries, algebraic_report, format_series, lagrange_series, plane_gf
-from .transforms import hat, psi, rho, rho_inv, theta, tilde
+from .transforms import hat, psi, rho_all, rho_inv, theta, tilde
 from .trees import WTree, format_tree, parse_tree, stats
 
 
@@ -480,8 +481,7 @@ def check_euler(max_n: int = 8) -> CheckResult:
 def _binary(f: Facts) -> str | None:
     """rho round-trips, transports all six statistics, and the binary
     active/dynamic bookkeeping holds."""
-    for t in f.trees:
-        b = rho(t)
+    for t, b in zip(f.trees, rho_all(f.trees)):
         if rho_inv(b) != t:
             return f"round trip fails on {format_tree(t)}"
         sv = f.walk(t)
@@ -527,34 +527,35 @@ def _action(f: Facts) -> str | None:
     p = f.m.size
     seen: set = set()
     rep_table: dict[tuple[int, int], int] = {}
-    for t0 in f.trees:
-        b0 = rho(t0)
+    for b0 in rho_all(f.trees):
         if b0 in seen:
             continue
         members = orbit(b0)
-        seen.update(members)
-        labels = {b: [node.label for node in member.ann.nodes] for b, member in members.items()}
+        seen.update(member.ann.nodes[0] for member in members)
+        labels = [[node.label for node in member.ann.nodes] for member in members]
 
-        orbit_hist: Counter = Counter()
+        orbit_hist: dict[tuple[int, int, int], int] = {}
         reps = []
-        for cur, (ann, swaps) in members.items():
+        for k, (ann, swaps) in enumerate(members):
+            cur = ann.nodes[0]
             bv = ann.stats
             if not _dynamic_bookkeeping_ok(bv, p):
                 return f"dynamic bookkeeping fails on {format_btree(cur)}"
-            orbit_hist[(bv.eler, bv.oler, bv.ord)] += 1
+            row = (bv.eler, bv.oler, bv.ord)
+            orbit_hist[row] = orbit_hist.get(row, 0) + 1
             if bv.eact == 0:
                 reps.append((cur, bv))
             active = ann.active
             for i in range(1, p + 1):
                 nb = swaps[i - 1]
                 if not active[i]:
-                    if nb != cur:
+                    if nb != k:
                         return f"swap at inactive node {i} moved {format_btree(cur)}"
                     continue
                 new_ann, new_swaps = members[nb]
-                if new_swaps[i - 1] != cur:
+                if new_swaps[i - 1] != k:
                     return f"swap {i} not an involution on {format_btree(cur)}"
-                if labels[nb] != labels[cur]:
+                if labels[nb] != labels[k]:
                     return f"preorder changed by swap {i} on {format_btree(cur)}"
                 if new_ann.active != active:
                     return f"active set changed by swap {i} on {format_btree(cur)}"
@@ -579,9 +580,8 @@ def _action(f: Facts) -> str | None:
             return f"orbit of {format_btree(rep)} has size {len(members)}"
         if p + 1 != 2 * (rv.ndord + rv.act) + rv.eler:
             return f"size bookkeeping fails on {format_btree(rep)}"
-        want_hist: Counter = Counter()
-        for k in range(rv.act + 1):
-            want_hist[(rv.eler, rv.ndord + 2 * k, rv.ndord + 2 * (rv.act - k))] += comb(rv.act, k)
+        want_hist = {(rv.eler, rv.ndord + 2 * k, rv.ndord + 2 * (rv.act - k)): comb(rv.act, k)
+                     for k in range(rv.act + 1)}
         if orbit_hist != want_hist:
             return f"orbit sum identity fails on {format_btree(rep)}"
         key = (rv.eler // 2, rv.ndord // 2)
@@ -798,16 +798,17 @@ def check_jacobi(order: int = 9) -> CheckResult:
                 return _fail(name, f"dn u^{k} coefficient misses its alpha^2 factor")
             if tuple(abs(c) for c in got[cut:]) != want:
                 return _fail(name, f"{fname} u^{k} {'cofactor' if fname == 'dn' else 'coefficient'} is {got}")
+    red = [reduced_table(schett_poly(n), n) for n in range(min(order, 2 * JACOBI_BOUNDARY_MAX + 1) + 1)]
     for nb in range(JACOBI_BOUNDARY_MAX + 1):
         if 2 * nb + 1 <= order:
-            se, so = (reduced_table(schett_poly(n), n) for n in (2 * nb, 2 * nb + 1))
+            se, so = red[2 * nb], red[2 * nb + 1]
             poly = sn[2 * nb + 1]
             for j in range(nb + 1):
                 v = abs(poly[j]) if j < len(poly) else 0
                 if not v == se.get((0, j), 0) == so.get((0, j), 0):
                     return _fail(name, f"sn boundary fails at n={nb}, j={j}")
         if nb >= 1 and 2 * nb <= order:
-            s1, s2 = (reduced_table(schett_poly(n), n) for n in (2 * nb - 1, 2 * nb))
+            s1, s2 = red[2 * nb - 1], red[2 * nb]
             cpoly, dpoly = cn[2 * nb], dn[2 * nb]
             for i in range(nb + 1):
                 cv = abs(cpoly[i]) if i < len(cpoly) else 0

@@ -7,7 +7,9 @@ walker counts the node types of one tree with its own traversal.  The binary
 annotation oracle keys every node by its path from the root and follows the
 definitions in `witrees.binary`'s docstring one by one, and the binary
 statistics oracle pairs the dynamic nodes from the annotation's lists and
-counts the non-dynamic ones in a second pass.  The plane-tree
+counts the non-dynamic ones in a second pass.  The orbit oracle is the
+closure keyed by the member trees themselves, each swap result a key of
+the map.  The plane-tree
 series oracle iterates the functional equations to a fixpoint, the
 real-rootedness oracle runs its Sturm chain over the rationals, the
 remainder oracle divides out a gcd at every elimination step, the
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd
 
-from witrees.binary import BAnnotation, BStatVector, WBTree
+from witrees.binary import BAnnotation, BStatVector, WBTree, annotate, swap_branches
 from witrees.mpoly import MPoly, poly_sum
 from witrees.realroots import RootReport
 from witrees.series import SERIES_VARS, TruncSeries
@@ -284,6 +286,27 @@ def oracle_bstats(ann: BAnnotation) -> BStatVector:
         elif lev & 1 and k not in dyn_even:
             v.ndoler += 1
     return v
+
+
+def oracle_orbit(b: WBTree) -> dict[WBTree, tuple[BAnnotation, list[WBTree]]]:
+    """The branch-swap closure of b keyed by tree, in discovery order: each
+    member maps to its annotation and its swap results at positions 1..p,
+    each stored as that member's own key object."""
+    members = {b: (annotate(b), [])}
+    frontier = [(b, members[b])]
+    while frontier:
+        cur, (ann, swaps) = frontier.pop()
+        for i in range(1, len(ann.nodes)):
+            nxt = swap_branches(ann, i)
+            if nxt is not cur:
+                known = members.get(nxt)
+                if known is None:
+                    members[nxt] = known = (annotate(nxt), [])
+                    frontier.append((nxt, known))
+                else:
+                    nxt = known[0].nodes[0]
+            swaps.append(nxt)
+    return members
 
 
 def _geometric(u: TruncSeries) -> TruncSeries:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from _oracles import oracle_annotation, oracle_bstats, oracle_btree_valid, subtree_at
+from _oracles import oracle_annotation, oracle_bstats, oracle_btree_valid, oracle_orbit, subtree_at
 from _strategies import weakly_increasing_trees
 from witrees.binary import (
     WBTree,
@@ -151,7 +151,7 @@ def test_orbit_sizes_are_powers_of_two():
             b = rho(t)
             orb = orbit(b)
             assert len(orb) & (len(orb) - 1) == 0
-            reps = [member.ann.stats for member in orb.values() if member.ann.stats.eact == 0]
+            reps = [member.ann.stats for member in orb if member.ann.stats.eact == 0]
             assert len(reps) == 1
             assert len(orb) == 2 ** reps[0].act
 
@@ -159,7 +159,25 @@ def test_orbit_sizes_are_powers_of_two():
 def test_inactive_tree_orbit_is_singleton():
     b = rho(parse_tree("0(1(2))"))
     if annotate(b).stats.act == 0:
-        assert set(orbit(b)) == {b}
+        assert [member.ann.nodes[0] for member in orbit(b)] == [b]
+
+
+def test_orbit_swaps_index_the_member_they_reach():
+    """Member swaps[i-1] holds the swap at position i of every member,
+    and the members come in the discovery order of the tree-keyed
+    closure, with b first."""
+    for m in iter_multisets(6):
+        for t in iter_trees(m):
+            b = rho(t)
+            orb = orbit(b)
+            trees = [member.ann.nodes[0] for member in orb]
+            want = oracle_orbit(b)
+            assert trees[0] is b
+            assert trees == list(want), format_btree(b)
+            for tree, (ann, swaps) in zip(trees, orb):
+                assert len(swaps) == len(ann.nodes) - 1
+                for i, k in enumerate(swaps, start=1):
+                    assert trees[k] == swap_branches(ann, i) == want[tree][1][i - 1], (format_btree(tree), i)
 
 
 def test_wbtree_str():
@@ -193,7 +211,7 @@ def test_stats_match_two_pass_oracle():
             b = rho(t)
             ann = annotate(b)
             assert ann.stats == oracle_bstats(ann), format_btree(b)
-            for member in orbit(b).values():
+            for member in orbit(b):
                 assert member.ann.stats == oracle_bstats(member.ann), format_btree(member.ann.nodes[0])
 
 
@@ -230,7 +248,7 @@ def test_swap_laws_past_exhaustive_bound(t):
         assert (nann.rdeg[i] - ann.rdeg[i]) % 2 == 1
         assert _bookkeeping_holds(nann, p)
         swapped[i] = nann
-    for member in orbit(b).values():
+    for member in orbit(b):
         assert member.ann.stats == oracle_bstats(member.ann)
     active = list(swapped)
     for a, i in enumerate(active):

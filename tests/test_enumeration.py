@@ -1,7 +1,12 @@
+import gc
+
+import pytest
+
 from _oracles import oracle_tree_texts
 from witrees.enumeration import enumerate_trees, iter_multisets, iter_trees
 from witrees.multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
-from witrees.trees import format_tree
+from witrees.transforms import rho_all
+from witrees.trees import format_tree, format_trees
 
 
 def _texts(m):
@@ -46,3 +51,24 @@ def test_no_duplicates():
     for m in iter_multisets(6):
         trees = list(iter_trees(m))
         assert len(set(trees)) == len(trees)
+
+
+@pytest.mark.parametrize("call", ["iter_trees", "format_trees", "rho_all"])
+def test_per_call_memos_leave_no_reference_cycle(call):
+    """A per-call memo goes with the call, not at the next cyclic
+    collection: with the collector off, a collection right after the call
+    finds nothing."""
+    m = parse_multiset("1:2,2:2,3:2")
+    trees = list(iter_trees(m))
+    run = {
+        "iter_trees": lambda: list(iter_trees(m)),
+        "format_trees": lambda: format_trees(trees),
+        "rho_all": lambda: rho_all(trees),
+    }[call]
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -21,11 +21,11 @@ p <= 5 with the detail that names the broken route; the six-term mutant
 must also turn the `closed-forms` check FAIL.
 
 Each kernel mutant edits the grammar derivative, the parity census, the
-Sturm chain, the branch swap, the ancestors of the binary annotation or the
-plane-to-binary map the same way and must turn every suite that reads the
-kernel FAIL with the named detail; the census mutant swaps two classes that
-the Schett polynomial merges, so the suites that read only that polynomial
-still PASS.
+Sturm chain, the branch swap, the orbit's index table, the ancestors of the
+binary annotation or the plane-to-binary chain the same way and must turn
+every suite that reads the kernel FAIL with the named detail; the census
+mutant swaps two classes that the Schett polynomial merges, so the suites
+that read only that polynomial still PASS.
 
 Each check mutant does the same to the code behind the checks that no
 other planted fault reaches: the enumeration, the multiset iterator behind
@@ -89,8 +89,7 @@ MUTANTS = {
     # an active even node pairs with its left child, where it has one,
     # instead of its right child
     "annotate-even-pairing": (
-        _mutant(witrees.binary, "annotate", "dyn_even.update((k, right[k]))",
-                "dyn_even.update((k, left[k] if left[k] >= 0 else right[k]))"),
+        _mutant(witrees.binary, "annotate", "y = right[k]", "y = left[k] if left[k] >= 0 else right[k]"),
         "0[1[2[_|3[_|_]]|4[_|_]]|_]",
     ),
     "annotate-ndord-skips-root": (_ndord_skips_root, "0[1[_|_]|_]"),
@@ -199,6 +198,12 @@ KERNEL_MUTANTS = {
         witrees.binary, "swap_branches", "if left[par] == k else", "if left[par] != k else", (witrees.binary,),
         {"action": "FAIL  group action: branch swaps and orbit structure: swap 1 not an involution on 0[1[2[_|_]|_]|_]"},
     ),
+    # the orbit's index table starts empty, so a swap back to the start tree
+    # files a second copy of it under a new index
+    "orbit-index-misses-start": (
+        witrees.binary, "orbit", "index = {b: 0}", "index = {}", (witrees.binary, witrees.verify),
+        {"action": "FAIL  group action: branch swaps and orbit structure: swap 1 not an involution on 0[1[2[_|_]|_]|_]"},
+    ),
     # a node without a left child records no ancestor: no dynamic pair reads
     # that entry, only the transport check does, in its last clause, where
     # the swap gives the node a left child and so pairs it with its ancestor
@@ -210,8 +215,8 @@ KERNEL_MUTANTS = {
     # the first child becomes the right child and the next sibling the left
     # one: still a bijection onto binary trees, but not the inverse of rho_inv
     "rho-swaps-roles": (
-        witrees.transforms, "rho", "WBTree(first.label, chain(first.children), chain(children[1:]))",
-        "WBTree(first.label, chain(children[1:]), chain(first.children))", (witrees.transforms, witrees.verify),
+        witrees.transforms, "_chain", "WBTree(label, _chain(kids, memo) if kids else None, node)",
+        "WBTree(label, node, _chain(kids, memo) if kids else None)", (witrees.transforms,),
         {"binary": "FAIL  binary correspondence: statistic transport and bookkeeping: round trip fails on 0(1(2))"},
     ),
 }

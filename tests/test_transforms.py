@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from _strategies import weakly_increasing_trees
 from witrees.binary import format_btree
 from witrees.enumeration import iter_multisets, iter_trees
-from witrees.transforms import hat, psi, rho, rho_inv, theta, tilde
+from witrees.multiset import set_multiset
+from witrees.transforms import hat, psi, rho, rho_all, rho_inv, theta, tilde
 from witrees.trees import format_tree, parse_tree, stats
 
 
@@ -93,6 +94,24 @@ def test_rho_round_trip():
     for m in iter_multisets(6):
         for t in iter_trees(m):
             assert rho_inv(rho(t)) == t
+
+
+def test_rho_all_shares_chains_and_maps_each_tree():
+    """One multiset's trees share subtrees, and so do their images; trees
+    parsed one by one share nothing and map the same."""
+    for m in iter_multisets(5):
+        trees = list(iter_trees(m))
+        images = rho_all(trees)
+        assert images == [rho(t) for t in trees]
+        assert [rho_inv(b) for b in images] == trees
+        assert rho_all([parse_tree(format_tree(t)) for t in trees]) == images
+    trees = list(iter_trees(set_multiset(5)))
+    nodes, stack = [], rho_all(trees)
+    while stack:
+        b = stack.pop()
+        nodes.append(b)
+        stack.extend(c for c in (b.left, b.right) if c is not None)
+    assert len(nodes) == 6 * len(trees) > len({id(b) for b in nodes})
 
 
 def test_rho_inv_rejects_right_child_at_root():

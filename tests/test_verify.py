@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import witrees
+import witrees.grammar
 import witrees.verify
 from witrees.binary import WBTree, annotate
 from witrees.cli import main
@@ -21,6 +22,7 @@ from witrees.multiset import Multiset, count_trees
 from witrees.transforms import hat
 from witrees.trees import stats
 from witrees.verify import (
+    JACOBI_BOUNDARY_MAX,
     check_closed_forms,
     check_conjecture,
     check_jacobi,
@@ -105,6 +107,22 @@ def test_jacobi_reads_the_first_cn_boundary(monkeypatch):
     assert check_jacobi().line() == (
         "FAIL  elliptic coefficients: displays and boundary identities: cn boundary fails at n=1, i=1"
     )
+
+
+def test_jacobi_derives_each_schett_step_once(monkeypatch):
+    """On empty grammar chains the boundary identities read S_0 .. S_(2B+1),
+    B = JACOBI_BOUNDARY_MAX, in ascending order: one `derive` per step."""
+    monkeypatch.setattr(witrees.grammar, "_CHAINS", {})
+    calls = []
+    real_derive = witrees.grammar.derive
+
+    def counting_derive(rules, poly):
+        calls.append(1)
+        return real_derive(rules, poly)
+
+    monkeypatch.setattr(witrees.grammar, "derive", counting_derive)
+    assert check_jacobi(31).passed
+    assert len(calls) == 2 * JACOBI_BOUNDARY_MAX + 1
 
 
 def test_st_relations_read_every_t_entry_of_an_even_n(monkeypatch):
