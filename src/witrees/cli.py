@@ -33,7 +33,7 @@ from .jacobi import jacobi_taylor
 from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .series import check_algebraic_eq, format_series, plane_gf
-from .transforms import hat, psi, rho, rho_inv, theta, tilde
+from .transforms import hat, psi, rho, rho_all, rho_inv, theta, tilde
 from .trees import StatVector, WTree, format_tree, parse_tree, stats
 from .verify import conjecture_families, run_suites, scan_real_rootedness, suite_checks
 
@@ -109,10 +109,8 @@ def _stat_rows(trees: Iterable[WTree], render: Callable[[StatVector], object]) -
 def cmd_enumerate(args: argparse.Namespace) -> Output:
     m = _multiset_from(args)
     pairs = enumerate_trees(m)
-    if args.binary:
-        pairs = [(format_btree(rho(t)), t) for _, t in pairs]
     trees = [t for _, t in pairs]
-    texts = [text for text, _ in pairs]
+    texts = [format_btree(b) for b in rho_all(trees)] if args.binary else [text for text, _ in pairs]
 
     def payload() -> dict:
         rows: list = texts

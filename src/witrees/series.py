@@ -9,12 +9,13 @@ level parity.  It solves the system
     N* = (x + z t N)  / (1 - (t N)^2),
 
 obtained by splitting a root's children into consecutive pairs plus an
-optional last one, and eliminating N* gives one quintic polynomial relation
-for N; setting w = z in it shows N(x,y,z,z;t) is symmetric in x and z.
-One residual function checks both relations exactly; Lagrange inversion
-of a kernel (Flajolet-Sedgewick, Analytic Combinatorics, A.6) rebuilds N
-as a second `TruncSeries`, graded by edge count from the kernel's t = 1
-extraction `counts.six_term_count`.
+optional last one; the second is the first under x<->y, z<->w, so
+`plane_gf` solves N's alone.  Eliminating N* gives one quintic polynomial
+relation for N; setting w = z in it shows N(x,y,z,z;t) is symmetric in x
+and z.  One residual function checks both relations exactly; Lagrange
+inversion of a kernel (Flajolet-Sedgewick, Analytic Combinatorics, A.6)
+rebuilds N as a second `TruncSeries`, graded by edge count from the
+kernel's t = 1 extraction `counts.six_term_count`.
 """
 
 from __future__ import annotations
@@ -141,32 +142,28 @@ def _square_coeff(a: list[MPoly], m: int) -> MPoly:
 def plane_gf(order: int) -> TruncSeries:
     """The plane-tree generating function N mod t^(order+1).
 
-    Clearing denominators gives N = y + w t N* + t^2 N N*^2 and its partner
-    N* = x + z t N + t^2 N* N^2, so N_k = w N*_(k-1) + sum_(i <= k-2)
-    N_i (N*^2)_(k-2-i), the squares built one coefficient per step.  Exact
-    checks follow: both equations hold to t^order, each from one product
-    with a fresh N N*, and N* is the variable-swapped N.
+    Clearing denominators gives N = y + w t N* + t^2 N N*^2, so N_k =
+    w N*_(k-1) + sum_(i <= k-2) N_i (N*^2)_(k-2-i), where N*_k is N_k
+    variable-swapped (N* = N(y, x, w, z; t) by construction) and N*^2 is
+    built one coefficient per step.  One exact check follows: N's equation
+    holds to t^order, from one product with a fresh N N* N*.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    w, x, y, z = (MPoly.var(SERIES_VARS, v) for v in "wxyz")
-    n, s, n2, s2 = [y], [x], [], []  # coefficients of N, N*, N^2 and N*^2
+    w, x, y = (MPoly.var(SERIES_VARS, v) for v in "wxy")
+    n, s, s2 = [y], [x], []  # coefficients of N, N* and N*^2
     for k in range(1, order + 1):
         if k >= 2:
-            n2.append(_square_coeff(n, k - 2))
             s2.append(_square_coeff(s, k - 2))
         n.append(poly_sum(SERIES_VARS, [w * s[k - 1], *(n[i] * s2[k - 2 - i] for i in range(k - 1))]))
-        s.append(poly_sum(SERIES_VARS, [z * n[k - 1], *(s[i] * n2[k - 2 - i] for i in range(k - 1))]))
-    big_n, big_s = TruncSeries(n, order), TruncSeries(s, order)
-    low = max(order - 2, 0)  # the t^2 terms need products only to t^(order-2)
-    n_low, s_low = TruncSeries(n, low), TruncSeries(s, low)
-    both = n_low * s_low
-    for lhs, partner, root, edge, tail in ((big_n, big_s, y, w, both * s_low), (big_s, big_n, x, z, both * n_low)):
-        rhs = TruncSeries([root], order) + (partner * edge).shift(1) + TruncSeries(tail.coeffs, order).shift(2)
-        if lhs != rhs:
-            raise InternalError("the coefficient recursion does not solve its functional equation")
-    if big_s != big_n.rename_vars(_SWAP_STAR):
-        raise InternalError("partner series must be the variable-swapped series")
+        s.append(n[k].rename(_SWAP_STAR))
+    big_n = TruncSeries(n, order)
+    low = max(order - 2, 0)  # the t^2 term needs its product only to t^(order-2)
+    s_low = TruncSeries(s, low)
+    tail = TruncSeries(n, low) * s_low * s_low
+    rhs = TruncSeries([y], order) + (TruncSeries(s, order) * w).shift(1) + TruncSeries(tail.coeffs, order).shift(2)
+    if big_n != rhs:
+        raise InternalError("the coefficient recursion does not solve its functional equation")
     return big_n
 
 

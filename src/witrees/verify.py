@@ -860,6 +860,8 @@ def check_conjecture(max_nodes: int = 10) -> CheckResult:
             if not report.all_real:
                 return _fail(name, f"{m}, slice i={i}: {report}")
             slices += 1
+    if not slices:  # a scan that certified nothing shows nothing
+        return _fail(name, f"no slice certified (nodes <= {max_nodes})")
     return _ok(name, f"{slices} slices certified by exact root counts (nodes <= {max_nodes}; {vacuous} vacuous)")
 
 

@@ -114,6 +114,23 @@ def test_conjecture_multiset_node_bound(capsys):
     assert capsys.readouterr().out.endswith("PASS: 0 non-real-rooted slices\n")
 
 
+def test_conjecture_suite_fails_when_it_certifies_nothing(capsys):
+    """At --max-nodes 0 the scan covers no slice, so the conjecture suite
+    FAILs and exits 1; from one node on it certifies slices and PASSes,
+    while the `conjecture` listing of an empty scan still passes."""
+    assert main(["verify", "--suite", "conjecture", "--max-nodes", "0"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "FAIL  real-rootedness: plane and increasing tree slices: no slice certified (nodes <= 0)"
+    )
+    assert main(["verify", "--suite", "conjecture", "--max-nodes", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "PASS  real-rootedness: plane and increasing tree slices: "
+        "1 slices certified by exact root counts (nodes <= 1; 0 vacuous)"
+    )
+    assert main(["conjecture", "--max-nodes", "0"]) == 0
+    assert capsys.readouterr().out == "PASS: 0 non-real-rooted slices\n"
+
+
 def test_verify_suite_exit_code():
     res = run_cli("verify", "--suite", "counting", "--max-size", "4")
     assert res.returncode == 0

@@ -147,9 +147,17 @@ SERIES_MUTANTS = {
         (witrees.verify,),
         {"series": SERIES_FAIL + "kernel extraction does not rebuild the series"},
     ),
+    # the edge variable w of N_k = w N*_(k-1) + ... becomes z, which
+    # plane_gf does not otherwise bind
     "plane-gf-edge": (
-        witrees.series, "plane_gf", "w * s[k - 1]", "z * s[k - 1]", (witrees.verify,),
+        witrees.series, "plane_gf", "w * s[k - 1]", "MPoly.var(SERIES_VARS, 'z') * s[k - 1]", (witrees.verify,),
         {"series": SERIES_FAIL + "plane_gf: the coefficient recursion does not solve its functional equation"},
+    ),
+    # N* taken as N itself rather than its variable swap: the recursion
+    # still solves its (now wrong) equation, so only the display catches it
+    "plane-gf-drops-swap": (
+        witrees.series, "plane_gf", "n[k].rename(_SWAP_STAR)", "n[k]", (witrees.verify,),
+        {"series": SERIES_FAIL + "display through t^3 is 'y+wxt+(w^2x+x^2y)t^2+(w^3x+wx^3+3wx^2y)t^3'"},
     ),
     # the last of the six kernel terms at half weight: the one kernel that
     # both the series check and the closed-form check read
