@@ -65,8 +65,8 @@ def schett_of(trees: Iterable[WTree]) -> MPoly:
 def multiset_schett(m: Multiset) -> MPoly:
     """The Schett polynomial S_M, and the one place that picks its route:
     the grammar's S_n = D^n(x) when m is the set [n] (the dual path of
-    `verify.check_schett` certifies it against enumeration), otherwise
-    `schett_of` over the trees on m."""
+    `verify._schett` certifies it against enumeration for n <= 7),
+    otherwise `schett_of` over the trees on m."""
     if m.multiplicities == (1,) * m.n:
         return schett_poly(m.n)
     return schett_of(iter_trees(m))

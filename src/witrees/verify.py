@@ -2,19 +2,22 @@
 
 Every check exhaustively tests one identity, bijection contract, expansion
 or closed form and returns a named pass/fail result with a minimal
-counterexample on failure.  The checks over all multisets with p <= a bound
-are per-multiset bodies `(facts) -> failure detail | None`, reached only
-through `run_suites`: `_run_sized` enumerates each multiset once and feeds
-its `Facts` to every selected body whose bound covers it and which has not
-failed yet, so each check reports its own first failure in multiset order,
-alone or fused.  `Facts` builds each shared fact at most once: the memo of
-`stats` (the bodies' only source of plane-tree statistics; the images under
-hat, tilde, psi and theta lie on the same multiset) and the reduced table
-of the Schett polynomial with its gamma table.  The group-action body
-takes each orbit from `binary.orbit`, which annotates, measures and swaps
-every member once, and reads members, swap results and preorder labels by
-member index.  The checks over sets, {1^n} or series orders
-enumerate their own families.
+counterexample on failure.  The checks over a family, every multiset with
+p <= a bound or the sets [n] with n <= it, are per-multiset bodies
+`(facts) -> failure detail | None`, reached only through `run_suites`:
+`_run_sized` enumerates once each multiset that a selected body covers and
+feeds its `Facts` to every selected body whose family covers it and which
+has not failed yet, so each check reports its own first failure in
+multiset order, alone or fused.  `Facts` builds each shared fact at most
+once: the memo of `stats` (the bodies' only source of plane-tree
+statistics; the images under hat, tilde, psi and theta lie on the same
+multiset) and the Schett polynomial by enumeration with its reduced table
+and gamma table.  The group-action body takes each orbit from
+`binary.orbit`, which annotates, measures and swaps every member once, and
+reads members, swap results and preorder labels by member index.  Clauses
+that read the grammar alone run on the empty multiset, the first of the
+pass.  Only the series and closed-form checks, over {1^k}, enumerate their
+own family.
 
 The multisets of the pass are split into one shard per CPU in the
 process's affinity set, balanced by tree count.  This process runs the
@@ -22,10 +25,10 @@ first shard and a forked child each other one; per check, the failure
 earliest in multiset order wins and otherwise the coverage adds up, so the
 results are those of the serial run, which is the same code on one shard
 (one CPU, as under `taskset -c 0`, or no `os.fork`).  A check whose
-shards covered other than 2^n multisets, the compositions with p <= n,
-fails.  A shard that raises or dies is an InternalError, never a pass, and
-a forked shard whose parent has died stops before its next multiset.  The
-other checks run once, here.
+shards covered other than its whole family, the 2^n compositions with
+p <= n or the n + 1 sets [0]..[n], fails.  A shard that raises or dies is
+an InternalError, never a pass, and a forked shard whose parent has died
+stops before its next multiset.  The other checks run once, here.
 
 The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
 checks in one pass, 105-133 s on the two cores of a 2-core Xeon and
@@ -90,8 +93,8 @@ def _ok(name: str, detail: str) -> CheckResult:
 
 class Facts:
     """One multiset's trees and the facts its sized bodies share, each
-    built at most once: `walk`, the memo of `stats`, and the reduced table
-    of the Schett polynomial with its gamma table."""
+    built at most once: `walk`, the memo of `stats`, and the Schett
+    polynomial by enumeration with its reduced table and gamma table."""
 
     def __init__(self, m: Multiset, trees: list[WTree]):
         self.m = m
@@ -99,8 +102,12 @@ class Facts:
         self.walk = cache(stats)
 
     @cached_property
+    def schett(self) -> MPoly:
+        return schett_of(self.trees)
+
+    @cached_property
     def reduced(self) -> ReducedTable:
-        return reduced_table(schett_of(self.trees), self.m.size)
+        return reduced_table(self.schett, self.m.size)
 
     @cached_property
     def gamma(self) -> GammaTable:
@@ -109,17 +116,22 @@ class Facts:
 
 @dataclass(frozen=True)
 class SizedCheck:
-    """A check over every multiset with p <= a bound.  `summary` is the PASS
-    detail, formatted with the bound and the number of trees covered."""
+    """A check over every multiset with p <= a bound, or with `sets` only
+    over the sets [n] with n <= it.  `summary(bound=, trees=)` is the PASS
+    detail, given the bound and the number of trees covered."""
 
     name: str
     body: Callable[[Facts], "str | None"]
-    summary: str
+    summary: Callable[..., str]
+    sets: bool = False
+
+    def covers(self, m: Multiset, bound: int) -> bool:
+        return m.size <= bound and (not self.sets or m == set_multiset(m.size))
 
 
-def sized_check(name: str, summary: str):
+def sized_check(name: str, summary: Callable[..., str], sets: bool = False):
     """Decorator making a per-multiset body a SizedCheck."""
-    return lambda body: SizedCheck(name, body, summary)
+    return lambda body: SizedCheck(name, body, summary, sets)
 
 
 def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
@@ -130,7 +142,7 @@ def _run_sized(jobs: list[tuple[SizedCheck, int]]) -> list[CheckResult]:
     and the merge keeps the failure earliest in multiset order, else sums the
     coverage.  So the results equal those of the one-shard (serial) run."""
     top = max((bound for _, bound in jobs), default=-1)
-    multisets = list(iter_multisets(top))
+    multisets = [m for m in iter_multisets(top) if any(check.covers(m, bound) for check, bound in jobs)]
     shards = _shards([count_trees(m) for m in multisets], _cpus())
     per_job = zip(*_fork_map(lambda shard: _run_shard(jobs, multisets, shard), shards))
     return [_merge(check, bound, outcomes) for (check, bound), outcomes in zip(jobs, per_job)]
@@ -145,7 +157,7 @@ def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], sh
     out: list[Outcome] = [(None, 0, 0)] * len(jobs)
     for i in shard:
         m = multisets[i]
-        live = [k for k, (_, bound) in enumerate(jobs) if out[k][0] is None and m.size <= bound]
+        live = [k for k, (check, bound) in enumerate(jobs) if out[k][0] is None and check.covers(m, bound)]
         if not live:
             continue
         facts = Facts(m, list(iter_trees(m)))
@@ -159,14 +171,14 @@ def _run_shard(jobs: list[tuple[SizedCheck, int]], multisets: list[Multiset], sh
 def _merge(check: SizedCheck, bound: int, outcomes: tuple[Outcome, ...]) -> CheckResult:
     """One job's result from its per-shard outcomes: the failure earliest in
     multiset order, else a pass over the trees of all shards if they covered
-    as many multisets as there are compositions with p <= bound, 2^bound."""
+    the whole family, bound + 1 sets or 2^bound compositions with p <= bound."""
     failures = [o for o in outcomes if o[0] is not None]
     if failures:
         return _fail(check.name, min(failures)[1])
-    covered = sum(o[2] for o in outcomes)
-    if covered != 2 ** bound:
-        return _fail(check.name, f"covered {covered} of {2 ** bound} multisets")
-    return _ok(check.name, check.summary.format(bound=bound, trees=sum(o[1] for o in outcomes)))
+    covered, family = sum(o[2] for o in outcomes), bound + 1 if check.sets else 2 ** bound
+    if covered != family:
+        return _fail(check.name, f"covered {covered} of {family} multisets")
+    return _ok(check.name, check.summary(bound=bound, trees=sum(o[1] for o in outcomes)))
 
 
 def _cpus() -> int:
@@ -269,7 +281,7 @@ def _shard_reply(data: bytes, status: int) -> list:
 # counting and basic statistics
 # ---------------------------------------------------------------------------
 
-@sized_check("counting: product formula vs enumeration", "all M with p <= {bound} agree ({trees} trees)")
+@sized_check("counting: product formula vs enumeration", "all M with p <= {bound} agree ({trees} trees)".format)
 def _counting(f: Facts) -> str | None:
     """Product-formula count equals the enumeration, with no duplicates."""
     want = count_trees(f.m)
@@ -280,7 +292,7 @@ def _counting(f: Facts) -> str | None:
 
 
 @sized_check("statistics: internal identities",
-             "identities + leaf/el equidistribution, p <= {bound} ({trees} trees)")
+             "identities + leaf/el equidistribution, p <= {bound} ({trees} trees)".format)
 def _stat_invariants(f: Facts) -> str | None:
     """Per-tree bookkeeping identities between the statistics."""
     p = f.m.size
@@ -318,7 +330,7 @@ def _stat_invariants(f: Facts) -> str | None:
 # ---------------------------------------------------------------------------
 
 @sized_check("hat bijection: degree/odd-level transport",
-             "bijective with exact transport, p <= {bound} ({trees} trees)")
+             "bijective with exact transport, p <= {bound} ({trees} trees)".format)
 def _hat(f: Facts) -> str | None:
     """hat is a bijection with deg_q -> od_(q-1) and leaf -> even-level."""
     images = set()
@@ -327,15 +339,10 @@ def _hat(f: Facts) -> str | None:
         images.add(h)
         deg = f.walk(t).deg
         hv = f.walk(h)
-        od_h = hv.od
         if deg.get(0, 0) != hv.el:
             return f"leaf/el fails on {format_tree(t)}"
-        for q, c in deg.items():
-            if q >= 1 and c != od_h.get(q - 1, 0):
-                return f"deg_{q} fails on {format_tree(t)} -> {format_tree(h)}"
-        for q, c in od_h.items():
-            if deg.get(q + 1, 0) != c:
-                return f"od_{q} fails on {format_tree(t)} -> {format_tree(h)}"
+        if {q - 1: c for q, c in deg.items() if q} != hv.od:
+            return f"deg_q -> od_(q-1) fails on {format_tree(t)} -> {format_tree(h)}"
     if images != set(f.trees):
         return f"{f.m}: hat is not a bijection"
     return None
@@ -349,7 +356,7 @@ _TILDE_BASE = {
 
 
 @sized_check("tilde involution: (odd, oe, ee) -> (oe, odd, ee)",
-             "involution with exact transport, p <= {bound} ({trees} trees)")
+             "involution with exact transport, p <= {bound} ({trees} trees)".format)
 def _tilde(f: Facts) -> str | None:
     """tilde is an involution swapping odd <-> oe and fixing ee, and maps
     the base cases as given; the pass reaches those first, on the empty
@@ -369,7 +376,7 @@ def _tilde(f: Facts) -> str | None:
 
 
 @sized_check("symmetry: joint parity distributions",
-             "three refined symmetries + leaf/el equidistribution, p <= {bound}")
+             "three refined symmetries + leaf/el equidistribution, p <= {bound}".format)
 def _symmetry(f: Facts) -> str | None:
     """The three refined symmetries of the parity generating polynomials."""
     main: Counter = Counter()
@@ -396,7 +403,7 @@ def _symmetry(f: Facts) -> str | None:
 
 
 @sized_check("psi/theta: root-excluded transports",
-             "psi involution and theta bijection transports, p <= {bound}")
+             "psi involution and theta bijection transports, p <= {bound}".format)
 def _psi_theta(f: Facts) -> str | None:
     """Contracts of the root-subtree variants of tilde and hat."""
     theta_imgs = set()
@@ -424,7 +431,7 @@ def _psi_theta(f: Facts) -> str | None:
 
 
 @sized_check("full-degree doubling: totals per multiset",
-             "odd full-degree totals double odd degree totals, p <= {bound}")
+             "odd full-degree totals double odd degree totals, p <= {bound}".format)
 def _full_degree(f: Facts) -> str | None:
     """Total full-degree-(2d+1) nodes are twice the degree-(2d+1) nodes."""
     full_hist: Counter = Counter()
@@ -444,32 +451,25 @@ def _full_degree(f: Facts) -> str | None:
         total_odd += sv.odd
     if total_oddf != 2 * total_odd:
         return f"{f.m}: oddf total {total_oddf} != 2 * {total_odd}"
-    for d in range(0, f.m.size // 2 + 1):
-        if full_hist.get(2 * d + 1, 0) != 2 * deg_hist.get(2 * d + 1, 0):
-            return f"{f.m}: full-degree {2*d+1} count mismatch"
+    got = {q: c for q, c in full_hist.items() if q % 2 and c}
+    want = {q: 2 * c for q, c in deg_hist.items() if q % 2}
+    wrong = [q for q in got | want if got.get(q) != want.get(q)]
+    if wrong:
+        return f"{f.m}: full-degree {min(wrong)} count mismatch"
     return None
 
 
-def check_euler(max_n: int = 8) -> CheckResult:
-    """Increasing trees with no root-excluded ee (resp. odd) nodes are
-    counted by the Euler numbers, read off the elliptic tables at m = 1."""
-    name = "Euler numbers: zero-ee* and zero-odd* increasing trees"
-    es = euler_numbers(max_n)
-    for n in range(max_n + 1):
-        ee_star_zero = 0
-        odd_star_zero = 0
-        for t in iter_trees(set_multiset(n)):
-            sv = stats(t)
-            if sv.ee_star == 0:
-                ee_star_zero += 1
-            if sv.odd_star == 0:
-                odd_star_zero += 1
-        if not ee_star_zero == odd_star_zero == es[n]:
-            return _fail(
-                name,
-                f"n={n}: ee*=0 count {ee_star_zero}, odd*=0 count {odd_star_zero}, E_n {es[n]}",
-            )
-    return _ok(name, f"both counts equal E_n for n <= {max_n} (E_{max_n} = {es[max_n]})")
+@sized_check("Euler numbers: zero-ee* and zero-odd* increasing trees", lambda bound, trees: (
+    f"both counts equal E_n for n <= {bound} (E_{bound} = {euler_numbers(bound)[bound]})"), sets=True)
+def _euler(f: Facts) -> str | None:
+    """Increasing trees on [n] with no root-excluded ee (resp. odd) nodes
+    are counted by E_n, read off the elliptic tables at m = 1."""
+    n = f.m.size
+    ee_star_zero = sum(f.walk(t).ee_star == 0 for t in f.trees)
+    odd_star_zero = sum(f.walk(t).odd_star == 0 for t in f.trees)
+    if not ee_star_zero == odd_star_zero == euler_numbers(n)[n]:
+        return f"n={n}: ee*=0 count {ee_star_zero}, odd*=0 count {odd_star_zero}, E_n {euler_numbers(n)[n]}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,7 @@ def check_euler(max_n: int = 8) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 @sized_check("binary correspondence: statistic transport and bookkeeping",
-             "transport + dynamic identities, p <= {bound}")
+             "transport + dynamic identities, p <= {bound}".format)
 def _binary(f: Facts) -> str | None:
     """rho round-trips, transports all six statistics, and the binary
     active/dynamic bookkeeping holds."""
@@ -520,7 +520,7 @@ def _dynamic_transport_ok(ann: BAnnotation, new_ann: BAnnotation, i: int) -> boo
 
 
 @sized_check("group action: branch swaps and orbit structure",
-             "swap laws, orbits and gamma cross-check, p <= {bound}")
+             "swap laws, orbits and gamma cross-check, p <= {bound}".format)
 def _action(f: Facts) -> str | None:
     """Branch-swap involutions: commutation, preorder invariance, the
     orbit structure, the orbit sum identity, and the gamma cross-check."""
@@ -608,63 +608,63 @@ ST_RELATIONS_MAX_M = 4  # the s/t relations for n = 2m - 1 and 2m
 ST_TREES_MAX_N = 7  # the t-table against increasing trees on [n]
 
 
-def check_schett() -> CheckResult:
-    """Grammar-side properties of the Schett polynomials."""
-    name = "Schett polynomials: grammar identities"
-    for n, want in enumerate(SCHETT_DISPLAYS):
-        got = schett_poly(n).canonical_str("grouped")
-        if got != want:
-            return _fail(name, f"S_{n} prints {got!r}, want {want!r}")
-    for n in range(SCHETT_MAX_N + 1):
-        s = schett_poly(n)
-        if sum(s.terms.values()) != factorial(n):
-            return _fail(name, f"S_{n}(1,1,1) != {n}!")
-        if s != s.rename({"y": "z", "z": "y"}):
-            return _fail(name, f"S_{n} not symmetric in y, z")
-        for exps in s.terms:  # the exponents of x, y and z have the parities of n + 1, n and n
-            if tuple(e % 2 for e in exps) != (1 - n % 2, n % 2, n % 2):
-                return _fail(name, f"S_{n} parity shape broken at {exps}")
-    for n in range(SCHETT_DUAL_MAX + 1):
-        if schett_of(iter_trees(set_multiset(n))) != schett_poly(n):
-            return _fail(name, f"grammar and enumeration disagree at n={n}")
-    # Leibniz law on pseudorandom polynomials
-    rng = random.Random(2024)
-    rules = schett_rules()
-    for _ in range(25):
-        u, v = (MPoly(XYZ, {(rng.randrange(3), rng.randrange(3), rng.randrange(3)): rng.randint(-4, 4)
-                            for _ in range(4)}) for _ in range(2))
-        if derive(rules, u * v) != derive(rules, u) * v + u * derive(rules, v):
-            return _fail(name, f"Leibniz law fails on {u}, {v}")
-    return _ok(name, f"displays, n!, symmetry, parity shape (n <= {SCHETT_MAX_N}), dual path (n <= {SCHETT_DUAL_MAX}), Leibniz")
+@sized_check("Schett polynomials: grammar identities",
+             f"displays, n!, symmetry, parity shape (n <= {SCHETT_MAX_N}), dual path (n <= {{bound}}), Leibniz".format,
+             sets=True)
+def _schett(f: Facts) -> str | None:
+    """Grammar-side properties of the Schett polynomials, on the empty
+    multiset, and the dual path: S_n by enumeration of [n] is D^n(x)."""
+    if f.m.size == 0:
+        for n, want in enumerate(SCHETT_DISPLAYS):
+            got = schett_poly(n).canonical_str("grouped")
+            if got != want:
+                return f"S_{n} prints {got!r}, want {want!r}"
+        for n in range(SCHETT_MAX_N + 1):
+            s = schett_poly(n)
+            if sum(s.terms.values()) != factorial(n):
+                return f"S_{n}(1,1,1) != {n}!"
+            if s != s.rename({"y": "z", "z": "y"}):
+                return f"S_{n} not symmetric in y, z"
+            for exps in s.terms:  # the exponents of x, y and z have the parities of n + 1, n and n
+                if tuple(e % 2 for e in exps) != (1 - n % 2, n % 2, n % 2):
+                    return f"S_{n} parity shape broken at {exps}"
+        # Leibniz law on pseudorandom polynomials
+        rng = random.Random(2024)
+        rules = schett_rules()
+        for _ in range(25):
+            u, v = (MPoly(XYZ, {(rng.randrange(3), rng.randrange(3), rng.randrange(3)): rng.randint(-4, 4)
+                                for _ in range(4)}) for _ in range(2))
+            if derive(rules, u * v) != derive(rules, u) * v + u * derive(rules, v):
+                return f"Leibniz law fails on {u}, {v}"
+    if f.schett != schett_poly(f.m.size):
+        return f"grammar and enumeration disagree at n={f.m.size}"
+    return None
 
 
-def check_st_relations() -> CheckResult:
+@sized_check("s/t tables: grammar relations and tree interpretation",
+             f"relations for m <= {ST_RELATIONS_MAX_M}, interpretation for n <= {{bound}}".format, sets=True)
+def _st_relations(f: Facts) -> str | None:
     """The two-table relations between the three- and four-variable
-    grammars, and the tree interpretation of the four-variable table."""
-    name = "s/t tables: grammar relations and tree interpretation"
-    for mm in range(1, ST_RELATIONS_MAX_M + 1):
-        for n in (2 * mm - 1, 2 * mm):
-            s = reduced_table(schett_poly(n), n)
-            tt = four_var_coeffs(n)
-            support = set(s) | {((a + n % 2) // 2, b) for a, b in tt}  # the i whose t-sum reads (a, b)
-            for i, j in support:
-                sv = s.get((i, j), 0)
-                tv = tt.get((2 * i + (-1) ** n, j), 0) + tt.get((2 * i, j), 0)
-                if sv != tv:
-                    return _fail(name, f"n={n}, (i,j)=({i},{j}): s={sv}, t-sum={tv}")
-    for n in range(ST_TREES_MAX_N + 1):
-        want: dict[tuple[int, int], int] = {}
-        for t in iter_trees(set_multiset(n)):
-            sv = stats(t)
-            key = (sv.ee_star, sv.oe // 2)
-            want[key] = want.get(key, 0) + 1
-        if want != four_var_coeffs(n):
-            return _fail(name, f"t-table at n={n} differs from enumeration")
-    return _ok(name, f"relations for m <= {ST_RELATIONS_MAX_M}, interpretation for n <= {ST_TREES_MAX_N}")
+    grammars, on the empty multiset, and the tree interpretation of the
+    four-variable table on each [n]."""
+    if f.m.size == 0:
+        for mm in range(1, ST_RELATIONS_MAX_M + 1):
+            for n in (2 * mm - 1, 2 * mm):
+                s = reduced_table(schett_poly(n), n)
+                tt = four_var_coeffs(n)
+                support = set(s) | {((a + n % 2) // 2, b) for a, b in tt}  # the i whose t-sum reads (a, b)
+                for i, j in support:
+                    sv = s.get((i, j), 0)
+                    tv = tt.get((2 * i + (-1) ** n, j), 0) + tt.get((2 * i, j), 0)
+                    if sv != tv:
+                        return f"n={n}, (i,j)=({i},{j}): s={sv}, t-sum={tv}"
+    if Counter((sv.ee_star, sv.oe // 2) for sv in map(f.walk, f.trees)) != four_var_coeffs(f.m.size):
+        return f"t-table at n={f.m.size} differs from enumeration"
+    return None
 
 
 @sized_check("gamma expansion: nonnegativity and active-node counts",
-             "exact nonnegative tables matching active-node counts, p <= {bound}")
+             "exact nonnegative tables matching active-node counts, p <= {bound}".format)
 def _gamma(f: Facts) -> str | None:
     """Gamma expansion: exact, nonnegative, equal to the active-node counts,
     with palindromic unimodal slices; {1^2,2^2} has the worked table."""
@@ -884,10 +884,10 @@ def suite_checks(max_size: int = 8, max_nodes: int = 10) -> dict[str, list[Suite
         "symmetry": [(_symmetry, max_size)],
         "psi-theta": [(_psi_theta, small)],
         "full-degree": [(_full_degree, max_size)],
-        "euler": [lambda: check_euler(min(max_size, 8))],
+        "euler": [(_euler, min(max_size, 8))],
         "binary": [(_binary, small)],
         "action": [(_action, max_size)],
-        "schett": [check_schett, check_st_relations],
+        "schett": [(_schett, SCHETT_DUAL_MAX), (_st_relations, ST_TREES_MAX_N)],
         "gamma": [(_gamma, max_size)],
         "series": [lambda: check_series(min(max_size, 8))],
         "closed-forms": [lambda: check_closed_forms(max_edges=9)],

@@ -3,8 +3,8 @@ the package keeps its invariants out of `assert` statements, which
 `python -O` strips, every exported name is used inside the package,
 polynomials skip validation only through `MPoly`'s one trusted constructor,
 the three error types of `errors.py` are the only ones, the tree invariants
-are stated once, and only the CLI's `main` writes to stderr and reads
---format and --out."""
+are stated once, the verify checks share one enumeration pass, and only the
+CLI's `main` writes to stderr and reads --format and --out."""
 
 import ast
 import re
@@ -90,6 +90,19 @@ def test_only_the_plane_tree_validator_and_rho_inv_raise_invalid_tree_error():
     )
     assert set(sites) == {"trees.validate_tree", "transforms.rho_inv"}
 
+
+
+def test_verify_enumerates_and_walks_only_in_the_shared_pass():
+    """In `verify`, only the pass enumerates a multiset, besides the series
+    and closed-form checks over {1^k}, and only `Facts` walks a tree: no
+    check keeps a private enumeration loop."""
+
+    def sites(name):
+        return {site for site in _scopes_where(lambda node: isinstance(node, ast.Name) and node.id == name)
+                if site.startswith("verify.")}
+
+    assert sites("iter_trees") == {"verify._run_shard", "verify.check_series", "verify.check_closed_forms"}
+    assert sites("stats") == {"verify.Facts.__init__"}
 
 
 def test_errors_py_defines_the_only_exception_classes():

@@ -18,7 +18,7 @@ from witrees.cli import main
 from witrees.enumeration import iter_multisets
 from witrees.errors import InternalError
 from witrees.mpoly import MPoly
-from witrees.multiset import Multiset, count_trees
+from witrees.multiset import Multiset, count_trees, set_multiset
 from witrees.transforms import hat
 from witrees.trees import stats
 from witrees.verify import (
@@ -26,9 +26,7 @@ from witrees.verify import (
     check_closed_forms,
     check_conjecture,
     check_jacobi,
-    check_schett,
     check_series,
-    check_st_relations,
     run_suites,
     suite_checks,
 )
@@ -49,21 +47,71 @@ SMALL_SUITES = {
 }
 
 
+# the suites of the fused pass at p <= 5: those above and the two Schett
+# checks, which cover the sets [n] with n <= 7 whatever the size bound
+FUSED_SUITES = [*SMALL_SUITES.values(), "schett"]
+
+
 @pytest.fixture(scope="module")
 def alone():
-    """suite -> its result when run alone at p <= 5."""
-    return {suite: run_suites([suite], max_size=5)[0] for suite in SMALL_SUITES.values()}
+    """suite -> its results when run alone at p <= 5."""
+    return {suite: run_suites([suite], max_size=5) for suite in FUSED_SUITES}
 
 
 @pytest.mark.parametrize("suite", list(SMALL_SUITES.values()), ids=list(SMALL_SUITES))
 def test_sized_checks_pass_small(alone, suite):
-    assert alone[suite].passed, alone[suite].detail
+    (result,) = alone[suite]
+    assert result.passed, result.detail
 
 
 def test_unsized_checks_pass():
-    for fn in (check_schett, check_st_relations, check_jacobi):
-        result = fn()
+    """The Schett checks cover [n] for n <= 7 even at size bound 0."""
+    schett, st = run_suites(["schett"], max_size=0)
+    for result in (schett, st, check_jacobi()):
         assert result.passed, result.detail
+    assert "dual path (n <= 7)" in schett.detail and st.detail.endswith("interpretation for n <= 7")
+
+
+def test_set_checks_enumerate_each_set_once(monkeypatch):
+    """The Euler check on [n] for n <= 5 and the two Schett checks on [n]
+    for n <= 7 read one pass, which enumerates each set once and no other
+    multiset."""
+    _on_cpus(monkeypatch, {0})
+    enumerated = []
+    real = witrees.verify.iter_trees
+    monkeypatch.setattr(witrees.verify, "iter_trees", lambda m: enumerated.append(m) or real(m))
+    assert all(r.passed for r in run_suites(["euler", "schett"], max_size=5))
+    assert enumerated == [set_multiset(n) for n in range(8)]
+
+
+def _walker(fault):
+    """`stats` with `fault` applied to each vector it returns."""
+
+    def walk(t):
+        sv = stats(t)
+        fault(sv)
+        return sv
+
+    return walk
+
+
+def test_hat_compares_the_whole_degree_table(monkeypatch):
+    """A walker that loses the odd-level leaves from `od` breaks deg_1 ->
+    od_0 on the first tree with an odd-level leaf."""
+    monkeypatch.setattr(witrees.verify, "stats", _walker(lambda sv: sv.od.pop(0, None)))
+    assert run_suites(["hat"], max_size=3)[0].line() == (
+        "FAIL  hat bijection: degree/odd-level transport: deg_q -> od_(q-1) fails on 0(1) -> 0(1)"
+    )
+
+
+def test_full_degree_compares_every_odd_degree(monkeypatch):
+    """A walker that adds a phantom node of degree p + 3, past every real
+    degree, leaves the count of full degree p + 3 short: the check reads
+    every odd degree, not only those up to p + 1."""
+    monkeypatch.setattr(witrees.verify, "stats", _walker(lambda sv: sv.deg.update({sum(sv.deg.values()) + 2: 1})))
+    assert run_suites(["full-degree"], max_size=3)[0].line() == (
+        "FAIL  full-degree doubling: totals per multiset: {}: full-degree 3 count mismatch"
+    )
 
 
 def test_series_and_closed_forms():
@@ -131,7 +179,7 @@ def test_st_relations_read_every_t_entry_of_an_even_n(monkeypatch):
     12 or 11, is read only at i = 6."""
     real = witrees.verify.four_var_coeffs
     monkeypatch.setattr(witrees.verify, "four_var_coeffs", lambda n: {**real(n), (13, 0): 1} if n == 8 else real(n))
-    assert check_st_relations().line() == (
+    assert run_suites(["schett"], max_size=0)[1].line() == (
         "FAIL  s/t tables: grammar relations and tree interpretation: n=8, (i,j)=(6,0): s=0, t-sum=1"
     )
 
@@ -171,21 +219,19 @@ def test_run_suites_selection_and_order():
     assert "counting" in results[0].name and "Euler" in results[1].name
 
 
-SIZED_SUITES = [name for name in SMALL_SUITES.values() if name != "euler"]
-
-
 def _triples(results):
     return [(r.name, r.passed, r.detail) for r in results]
 
 
 @pytest.fixture(scope="module")
 def fused():
-    """The ten sized suites fused at p <= 5, on every CPU of the affinity set."""
-    return run_suites(SIZED_SUITES, max_size=5)
+    """The twelve suites of the pass fused at p <= 5, on every CPU of the
+    affinity set."""
+    return run_suites(FUSED_SUITES, max_size=5)
 
 
 def test_run_suites_fused_matches_single_checks(fused, alone):
-    assert _triples(fused) == _triples(alone[name] for name in SIZED_SUITES)
+    assert _triples(fused) == _triples(r for name in FUSED_SUITES for r in alone[name])
 
 
 def _on_cpus(monkeypatch, cpus):
@@ -195,7 +241,7 @@ def _on_cpus(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["serial", "three-shards"])
 def test_sharded_run_equals_serial(monkeypatch, fused, cpus):
     _on_cpus(monkeypatch, cpus)
-    assert _triples(run_suites(SIZED_SUITES, max_size=5)) == _triples(fused)
+    assert _triples(run_suites(FUSED_SUITES, max_size=5)) == _triples(fused)
 
 
 def _multiset_of(t) -> Multiset:
@@ -263,19 +309,23 @@ def call_log(tmp_path):
 def test_fused_pass_walks_each_tree_once(monkeypatch, call_log):
     """The images of hat, tilde, psi and theta lie on the same multiset, so
     the per-multiset memo walks each of the 1,444 trees with p <= 5 once,
-    and no shard walks another's multiset."""
+    and the 6! + 7! trees on the sets [6] and [7] that the Schett checks
+    add, and no shard walks another's multiset."""
     monkeypatch.setattr(witrees.verify, "stats", call_log.wrap(stats, b"s"))
-    assert all(r.passed for r in run_suites(SIZED_SUITES, max_size=5))
-    assert call_log.count(b"s") == sum(count_trees(m) for m in iter_multisets(5)) == 1444
+    assert all(r.passed for r in run_suites(FUSED_SUITES, max_size=5))
+    assert sum(count_trees(m) for m in iter_multisets(5)) == 1444
+    assert call_log.count(b"s") == 1444 + 720 + 5040
 
 
 def test_fused_action_and_gamma_share_the_gamma_table(monkeypatch, call_log):
-    """Each of the 32 multisets with p <= 5 gets one reduced polynomial and
-    one gamma table, which the action and gamma bodies both read."""
+    """Each of the 32 multisets with p <= 5 gets one Schett polynomial by
+    enumeration, which the dual path and the reduced table read, and one
+    gamma table, which the action and gamma bodies both read; the dual path
+    adds the sets [6] and [7]."""
     for name, tag in (("schett_of", b"s"), ("gamma_expand", b"g")):
         monkeypatch.setattr(witrees.verify, name, call_log.wrap(getattr(witrees.verify, name), tag))
-    assert all(r.passed for r in run_suites(["action", "gamma"], max_size=5))
-    assert (call_log.count(b"s"), call_log.count(b"g")) == (32, 32)
+    assert all(r.passed for r in run_suites(["action", "schett", "gamma"], max_size=5))
+    assert (call_log.count(b"s"), call_log.count(b"g")) == (32 + 2, 32)
     assert sum(1 for _ in iter_multisets(5)) == 32
 
 
