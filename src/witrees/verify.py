@@ -91,6 +91,11 @@ def _ok(name: str, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+def _first_wrong(got: dict, want: dict):
+    """The smallest key where two tables differ, a missing key read as 0, or None."""
+    return min((k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)), default=None)
+
+
 class Facts:
     """One multiset's trees and the facts its sized bodies share, each
     built at most once: `walk`, the memo of `stats`, and the Schett
@@ -417,14 +422,14 @@ def _psi_theta(f: Facts) -> str | None:
         th = theta(t)
         theta_imgs.add(th)
         c = f.walk(th)
-        root_deg_img = len(th.children)
-        for d in range(0, f.m.size // 2 + 1):
-            ed_star = c.deg.get(2 * d, 0) - c.od.get(2 * d, 0) - (
-                1 if root_deg_img == 2 * d else 0
-            )
-            want = ed_star + (1 if root_deg_img == 2 * d + 1 else 0)
-            if a.deg.get(2 * d + 1, 0) != want:
-                return f"theta transport fails on {format_tree(t)} at d={d}"
+        # deg_(2d+1) -> the non-root even-level deg_(2d), plus the root where its degree is odd
+        r = len(th.children)
+        got = {q: n for q, n in a.deg.items() if q % 2}
+        want = {q + 1: n for q in c.deg if not q % 2 and (n := c.deg[q] - c.od.get(q, 0) - (q == r))}
+        if r % 2:
+            want[r] = want.get(r, 0) + 1
+        if got != want:
+            return f"theta transport fails on {format_tree(t)} at d={_first_wrong(got, want) // 2}"
     if set(f.trees) != theta_imgs:
         return f"{f.m}: theta is not a bijection"
     return None
@@ -451,11 +456,10 @@ def _full_degree(f: Facts) -> str | None:
         total_odd += sv.odd
     if total_oddf != 2 * total_odd:
         return f"{f.m}: oddf total {total_oddf} != 2 * {total_odd}"
-    got = {q: c for q, c in full_hist.items() if q % 2 and c}
-    want = {q: 2 * c for q, c in deg_hist.items() if q % 2}
-    wrong = [q for q in got | want if got.get(q) != want.get(q)]
-    if wrong:
-        return f"{f.m}: full-degree {min(wrong)} count mismatch"
+    wrong = _first_wrong({q: c for q, c in full_hist.items() if q % 2},
+                         {q: 2 * c for q, c in deg_hist.items() if q % 2})
+    if wrong is not None:
+        return f"{f.m}: full-degree {wrong} count mismatch"
     return None
 
 
@@ -648,16 +652,14 @@ def _st_relations(f: Facts) -> str | None:
     grammars, on the empty multiset, and the tree interpretation of the
     four-variable table on each [n]."""
     if f.m.size == 0:
-        for mm in range(1, ST_RELATIONS_MAX_M + 1):
-            for n in (2 * mm - 1, 2 * mm):
-                s = reduced_table(schett_poly(n), n)
-                tt = four_var_coeffs(n)
-                support = set(s) | {((a + n % 2) // 2, b) for a, b in tt}  # the i whose t-sum reads (a, b)
-                for i, j in support:
-                    sv = s.get((i, j), 0)
-                    tv = tt.get((2 * i + (-1) ** n, j), 0) + tt.get((2 * i, j), 0)
-                    if sv != tv:
-                        return f"n={n}, (i,j)=({i},{j}): s={sv}, t-sum={tv}"
+        for n in range(1, 2 * ST_RELATIONS_MAX_M + 1):
+            s = reduced_table(schett_poly(n), n)
+            t_sum: Counter = Counter()  # s(i, j) = t(2i + (-1)^n, j) + t(2i, j)
+            for (a, b), c in four_var_coeffs(n).items():
+                t_sum[((a + n % 2) // 2, b)] += c
+            wrong = _first_wrong(s, t_sum)
+            if wrong is not None:
+                return "n={}, (i,j)=({},{}): s={}, t-sum={}".format(n, *wrong, s.get(wrong, 0), t_sum[wrong])
     if Counter((sv.ee_star, sv.oe // 2) for sv in map(f.walk, f.trees)) != four_var_coeffs(f.m.size):
         return f"t-table at n={f.m.size} differs from enumeration"
     return None
@@ -763,21 +765,23 @@ def check_closed_forms(max_edges: int = 9) -> CheckResult:
 
 
 JACOBI_DISPLAYS = {
-    # |u^k/k! coefficient| as polynomial in alpha^2, from the classical expansions
+    # |u^k/k! coefficient| in alpha^2, from the classical expansions; from u^2
+    # on each dn coefficient has the factor alpha^2, so its display starts with 0
     "sn": {1: (1,), 3: (1, 1), 5: (1, 14, 1), 7: (1, 135, 135, 1)},
     "cn": {0: (1,), 2: (1,), 4: (1, 4), 6: (1, 44, 16)},
-    # from u^4 on, the dn coefficients carry a factor alpha^2 and the
-    # classical displays list the cofactor after dividing it out
-    "dn": {0: (1,), 2: (0, 1), 4: (4, 1), 6: (16, 44, 1)},
+    "dn": {0: (1,), 2: (0, 1), 4: (0, 4, 1), 6: (0, 16, 44, 1)},
 }
 JACOBI_BOUNDARY_MAX = 4  # the sn/cn/dn boundary identities for n <= this
 
 
 def check_jacobi(order: int = 9) -> CheckResult:
-    """Taylor tables of sn/cn/dn: displayed values, sign pattern, and the
-    boundary identities with the Schett coefficient tables."""
+    """Taylor tables of sn/cn/dn to u^max(order, 9): the sign pattern to
+    u^order, the displays, and for n <= JACOBI_BOUNDARY_MAX the boundary
+    identities with the reduced Schett tables: |sn_(2n+1)| is the i = 0
+    column of s_2n and s_(2n+1), |cn_2n| and reversed |dn_2n| the j = 0 row
+    of s_(2n-1) and s_2n."""
     name = "elliptic coefficients: displays and boundary identities"
-    sn, cn, dn = jacobi_taylor(order)
+    sn, cn, dn = jacobi_taylor(max(order, 2 * JACOBI_BOUNDARY_MAX + 1))
     tables = ((sn, "sn", 1), (cn, "cn", 0), (dn, "dn", 0))
     for k in range(order + 1):
         sign = -1 if (k // 2) % 2 else 1
@@ -790,33 +794,21 @@ def check_jacobi(order: int = 9) -> CheckResult:
                 return _fail(name, f"{fname} breaks the alternating sign pattern at u^{k}")
     for series, fname, _ in tables:
         for k, want in JACOBI_DISPLAYS[fname].items():
-            if k > order:
-                continue
-            got = series[k]
-            cut = int(fname == "dn" and k >= 4)  # the alpha^2 factor the dn display divides out
-            if cut and got and got[0] != 0:
-                return _fail(name, f"dn u^{k} coefficient misses its alpha^2 factor")
-            if tuple(abs(c) for c in got[cut:]) != want:
-                return _fail(name, f"{fname} u^{k} {'cofactor' if fname == 'dn' else 'coefficient'} is {got}")
-    red = [reduced_table(schett_poly(n), n) for n in range(min(order, 2 * JACOBI_BOUNDARY_MAX + 1) + 1)]
+            if tuple(abs(c) for c in series[k]) != want:
+                return _fail(name, f"{fname} u^{k} coefficient is {series[k]}")
+    red = [reduced_table(schett_poly(n), n) for n in range(2 * JACOBI_BOUNDARY_MAX + 2)]
+    column = [{j: c for (i, j), c in s.items() if i == 0} for s in red]  # j -> s_(n,0,j)
+    row = [{i: c for (i, j), c in s.items() if j == 0} for s in red]  # i -> s_(n,i,0)
     for nb in range(JACOBI_BOUNDARY_MAX + 1):
-        if 2 * nb + 1 <= order:
-            se, so = red[2 * nb], red[2 * nb + 1]
-            poly = sn[2 * nb + 1]
-            for j in range(nb + 1):
-                v = abs(poly[j]) if j < len(poly) else 0
-                if not v == se.get((0, j), 0) == so.get((0, j), 0):
-                    return _fail(name, f"sn boundary fails at n={nb}, j={j}")
-        if nb >= 1 and 2 * nb <= order:
-            s1, s2 = red[2 * nb - 1], red[2 * nb]
-            cpoly, dpoly = cn[2 * nb], dn[2 * nb]
-            for i in range(nb + 1):
-                cv = abs(cpoly[i]) if i < len(cpoly) else 0
-                dv = abs(dpoly[nb - i]) if nb - i < len(dpoly) else 0
-                if not cv == s1.get((i, 0), 0) == s2.get((i, 0), 0):
-                    return _fail(name, f"cn boundary fails at n={nb}, i={i}")
-                if not dv == s1.get((i, 0), 0) == s2.get((i, 0), 0):
-                    return _fail(name, f"dn boundary fails at n={nb}, i={i}")
+        laws = [("sn", "j", dict(enumerate(map(abs, sn[2 * nb + 1]))), column[2 * nb:2 * nb + 2])]
+        if nb:  # s_(2n-1) starts at n = 1
+            laws += [("cn", "i", dict(enumerate(map(abs, cn[2 * nb]))), row[2 * nb - 1:2 * nb + 1]),
+                     ("dn", "i", {nb - k: abs(c) for k, c in enumerate(dn[2 * nb])}, row[2 * nb - 1:2 * nb + 1])]
+        for fname, index, want, pair in laws:
+            for got in pair:
+                wrong = _first_wrong(got, want)
+                if wrong is not None:
+                    return _fail(name, f"{fname} boundary fails at n={nb}, {index}={wrong}")
     return _ok(name, f"displays and sign pattern to u^{order}, boundary identities to n={JACOBI_BOUNDARY_MAX}")
 
 

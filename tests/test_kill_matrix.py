@@ -328,10 +328,11 @@ CHECK_MUTANTS = {
          "jacobi": "FAIL  elliptic coefficients: displays and boundary identities: sn u^1 coefficient is (2,)"},
     ),
     # D(w) = wy becomes wz: the Schett grammar is untouched, so only the
-    # four-variable s/t tables, the schett suite's second result, can see it
+    # four-variable s/t tables, the schett suite's second result, can see it,
+    # at the smallest wrong pair
     "four-var-w-rule": (
         witrees.grammar, "four_var_rules", "(1, 0, 1, 0): 1", "(1, 0, 0, 1): 1", (witrees.grammar,),
-        {"schett": "FAIL  s/t tables: grammar relations and tree interpretation: n=2, (i,j)=(0,1): s=1, t-sum=0"},
+        {"schett": "FAIL  s/t tables: grammar relations and tree interpretation: n=2, (i,j)=(0,0): s=1, t-sum=2"},
     ),
     # the peel files g_{i,j} under j' = floor(d/2) - j; it subtracts the
     # right rows, so the residual still vanishes

@@ -114,6 +114,131 @@ def test_full_degree_compares_every_odd_degree(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_theta_compares_the_whole_odd_degree_table(monkeypatch, d):
+    """A walker that adds a phantom degree 2(p+d)+1 to every vector, past
+    the degree 2(p // 2)+1 where a loop over d <= p // 2 would stop, breaks
+    the theta transport on the one-node tree at that d: the check reads
+    every odd degree."""
+    monkeypatch.setattr(witrees.verify, "stats",
+                        _walker(lambda sv: sv.deg.update({2 * (sum(sv.deg.values()) - 1 + d) + 1: 1})))
+    assert run_suites(["psi-theta"], max_size=3)[0].line() == (
+        f"FAIL  psi/theta: root-excluded transports: theta transport fails on 0 at d={d}"
+    )
+
+
+def _jacobi_fault(monkeypatch, fault):
+    """`jacobi_taylor` with `fault(sn, cn, dn)` applied to the lists it returns."""
+    real = witrees.verify.jacobi_taylor
+
+    def tables(order):
+        sn, cn, dn = real(order)
+        fault(sn, cn, dn)
+        return sn, cn, dn
+
+    monkeypatch.setattr(witrees.verify, "jacobi_taylor", tables)
+
+
+JACOBI_FAIL = "FAIL  elliptic coefficients: displays and boundary identities: "
+
+
+def test_jacobi_dn_displays_keep_their_alpha2_factor(monkeypatch):
+    """The dn displays keep the leading 0 of the factor alpha^2, so a dn u^4
+    without it is a wrong coefficient like any other."""
+    _jacobi_fault(monkeypatch, lambda sn, cn, dn: dn.__setitem__(4, dn[4][1:]))
+    assert check_jacobi().line() == JACOBI_FAIL + "dn u^4 coefficient is (4, 1)"
+
+
+def test_jacobi_reads_the_sign_pattern_at_the_last_order(monkeypatch):
+    """sn u^9 with its sign flipped, past the displays and read only by the
+    sign pattern, fails check_jacobi(9)."""
+    _jacobi_fault(monkeypatch, lambda sn, cn, dn: sn.__setitem__(9, tuple(-c for c in sn[9])))
+    assert check_jacobi(9).line() == JACOBI_FAIL + "sn breaks the alternating sign pattern at u^9"
+
+
+def test_jacobi_reads_the_last_boundary(monkeypatch):
+    """A stray y^9 in S_9 lands in the i = 0 column of s_9, which only the
+    sn boundary at n = JACOBI_BOUNDARY_MAX reads."""
+    real = witrees.verify.schett_poly
+    top = 2 * JACOBI_BOUNDARY_MAX + 1
+    y9 = MPoly(("x", "y", "z"), {(0, top, 0): 1})
+    monkeypatch.setattr(witrees.verify, "schett_poly", lambda n: real(n) + y9 if n == top else real(n))
+    assert check_jacobi().line() == JACOBI_FAIL + f"sn boundary fails at n={JACOBI_BOUNDARY_MAX}, j={top // 2}"
+
+
+def test_schett_checks_n_factorial_at_the_last_n(monkeypatch):
+    """S_8 doubled, past the displays and the dual path, fails the n! clause
+    at its last n."""
+    real = witrees.verify.schett_poly
+    monkeypatch.setattr(witrees.verify, "schett_poly",
+                        lambda n: real(n) + real(n) if n == witrees.verify.SCHETT_MAX_N else real(n))
+    assert run_suites(["schett"], max_size=0)[0].line() == (
+        "FAIL  Schett polynomials: grammar identities: S_8(1,1,1) != 8!"
+    )
+
+
+def test_st_relations_name_the_smallest_wrong_pair(monkeypatch):
+    """Stray t(0, 0) and t(2, 0) at n = 8 make the sums at (0, 0) and (1, 0)
+    wrong; the check names (0, 0)."""
+    real = witrees.verify.four_var_coeffs
+
+    def t_table(n):
+        t = dict(real(n))
+        if n == 8:
+            for key in ((0, 0), (2, 0)):
+                t[key] = t.get(key, 0) + 1
+        return t
+
+    monkeypatch.setattr(witrees.verify, "four_var_coeffs", t_table)
+    assert run_suites(["schett"], max_size=0)[1].line() == (
+        "FAIL  s/t tables: grammar relations and tree interpretation: n=8, (i,j)=(0,0): s=1, t-sum=2"
+    )
+
+
+def test_series_enumerates_to_the_last_order(monkeypatch):
+    """One plane tree with 8 edges left out of the enumeration fails the
+    comparison at t^8."""
+    real = witrees.verify.iter_trees
+    monkeypatch.setattr(witrees.verify, "iter_trees", lambda m: list(real(m))[1:] if m.size == 8 else real(m))
+    assert check_series(8).line() == (
+        "FAIL  generating function: functional and algebraic equations: coefficient of t^8 differs from enumeration"
+    )
+
+
+CLOSED_FAIL = "FAIL  closed forms: parity-class counts: "
+
+
+@pytest.mark.parametrize("key", [(10, 0, 0, 0), (0, 10, 0, 0)], ids=["oe", "ee"])
+def test_closed_forms_scan_every_class_with_max_edges_plus_one_nodes(monkeypatch, key):
+    """At 9 edges a closed form wrong only at a class with all 10 nodes in
+    one parity class is read by the last steps of the class loops."""
+    real = witrees.verify.plane_tree_count
+    monkeypatch.setattr(witrees.verify, "plane_tree_count", lambda *ijkl: real(*ijkl) + (ijkl == key))
+    assert check_closed_forms(max_edges=9).line() == CLOSED_FAIL + f"closed form wrong at {key}: want 0"
+
+
+def test_closed_forms_read_the_last_zero_odd_row(monkeypatch):
+    """At 10 edges a zero-odd count wrong only at (5, 0) is read by the last
+    row of the scan."""
+    real = witrees.verify.jaco2_count
+    monkeypatch.setattr(witrees.verify, "jaco2_count", lambda i, j: real(i, j) + ((i, j) == (5, 0)))
+    assert check_closed_forms(max_edges=10).line() == CLOSED_FAIL + "zero-odd count wrong at (5, 0)"
+
+
+def test_closed_forms_read_the_last_ternary_identity(monkeypatch):
+    """A ternary identity wrong only at n = 20 fails the last step of its
+    loop."""
+    real = witrees.verify.ternary_identity
+
+    def ternary(n):
+        lhs, rhs = real(n)
+        return lhs, rhs + (n == witrees.verify.TERNARY_MAX)
+
+    monkeypatch.setattr(witrees.verify, "ternary_identity", ternary)
+    lhs, rhs = real(20)
+    assert check_closed_forms(max_edges=6).line() == CLOSED_FAIL + f"ternary identity fails at n=20: {lhs} != {rhs + 1}"
+
+
 def test_series_and_closed_forms():
     assert check_series(6).passed
     assert check_closed_forms(max_edges=6).passed
