@@ -424,8 +424,9 @@ def _psi_theta(f: Facts) -> str | None:
         c = f.walk(th)
         # deg_(2d+1) -> the non-root even-level deg_(2d), plus the root where its degree is odd
         r = len(th.children)
-        got = {q: n for q, n in a.deg.items() if q % 2}
-        want = {q + 1: n for q in c.deg if not q % 2 and (n := c.deg[q] - c.od.get(q, 0) - (q == r))}
+        even = {q: n - c.od.get(q, 0) - (q == r) for q, n in c.deg.items()}  # even level, root excluded
+        want = {q + 1: n for q, n in even.items() if not q % 2 and n}
+        got = {q: n for q, n in a.deg.items() if q % 2 and n}
         if r % 2:
             want[r] = want.get(r, 0) + 1
         if got != want:
@@ -659,7 +660,7 @@ def _st_relations(f: Facts) -> str | None:
                 t_sum[((a + n % 2) // 2, b)] += c
             wrong = _first_wrong(s, t_sum)
             if wrong is not None:
-                return "n={}, (i,j)=({},{}): s={}, t-sum={}".format(n, *wrong, s.get(wrong, 0), t_sum[wrong])
+                return f"n={n}, (i,j)=({wrong[0]},{wrong[1]}): s={s.get(wrong, 0)}, t-sum={t_sum[wrong]}"
     if Counter((sv.ee_star, sv.oe // 2) for sv in map(f.walk, f.trees)) != four_var_coeffs(f.m.size):
         return f"t-table at n={f.m.size} differs from enumeration"
     return None
@@ -802,8 +803,9 @@ def check_jacobi(order: int = 9) -> CheckResult:
     for nb in range(JACOBI_BOUNDARY_MAX + 1):
         laws = [("sn", "j", dict(enumerate(map(abs, sn[2 * nb + 1]))), column[2 * nb:2 * nb + 2])]
         if nb:  # s_(2n-1) starts at n = 1
-            laws += [("cn", "i", dict(enumerate(map(abs, cn[2 * nb]))), row[2 * nb - 1:2 * nb + 1]),
-                     ("dn", "i", {nb - k: abs(c) for k, c in enumerate(dn[2 * nb])}, row[2 * nb - 1:2 * nb + 1])]
+            rows = row[2 * nb - 1:2 * nb + 1]
+            laws.append(("cn", "i", dict(enumerate(map(abs, cn[2 * nb]))), rows))
+            laws.append(("dn", "i", {nb - k: abs(c) for k, c in enumerate(dn[2 * nb])}, rows))  # reversed
         for fname, index, want, pair in laws:
             for got in pair:
                 wrong = _first_wrong(got, want)
@@ -892,13 +894,10 @@ def run_suites(names: Iterable[str] | None = None, max_size: int = 8, max_nodes:
     """Run the named suites (all by default) and return results in suite
     order; the sized checks of all of them share one enumeration pass."""
     table = suite_checks(max_size=max_size, max_nodes=max_nodes)
-    if names is None:
-        selected = list(table)
-    else:
-        selected = list(names)
-        for n in selected:
-            if n not in table:
-                raise KeyError(f"unknown suite {n!r}; choose from {', '.join(table)}")
+    selected = list(table if names is None else names)
+    for n in selected:
+        if n not in table:
+            raise KeyError(f"unknown suite {n!r}; choose from {', '.join(table)}")
     jobs = [job for n in selected for job in table[n]]
     sized = iter(_run_sized([job for job in jobs if isinstance(job, tuple)]))
     return [next(sized) if isinstance(job, tuple) else job() for job in jobs]

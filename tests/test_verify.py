@@ -127,6 +127,19 @@ def test_theta_compares_the_whole_odd_degree_table(monkeypatch, d):
     )
 
 
+def test_theta_reads_a_stored_zero_count_as_absent(monkeypatch):
+    """A walker that stores zero counts for the degrees 2p + 2 and 2p + 3,
+    which no node has, changes no table: the dict comparison and the search
+    for the wrong d both read a stored 0 as a missing degree."""
+
+    def fault(sv):
+        p = sum(sv.deg.values()) - 1
+        sv.deg.update({2 * p + 2: 0, 2 * p + 3: 0})
+
+    monkeypatch.setattr(witrees.verify, "stats", _walker(fault))
+    assert run_suites(["psi-theta"], max_size=3)[0].passed
+
+
 def _jacobi_fault(monkeypatch, fault):
     """`jacobi_taylor` with `fault(sn, cn, dn)` applied to the lists it returns."""
     real = witrees.verify.jacobi_taylor

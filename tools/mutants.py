@@ -1,6 +1,6 @@
 """Mutation scan of the check bodies in `witrees.verify`.
 
-    python tools/mutants.py [--only TEXT]
+    python tools/mutants.py
 
 Each mutant changes one site of one check body (a function decorated with
 `sized_check`, a `check_*` function, or a helper in HELPERS):
@@ -13,8 +13,7 @@ Each mutant changes one site of one check body (a function decorated with
 
 The scan never edits the tree it is run from: it copies the repository to
 a new temporary directory, writes each mutant's `verify.py` there, and
-removes the copy at the end.  `--only TEXT` scans only the mutants whose
-key contains TEXT.
+removes the copy at the end.
 
 Stage 1 runs `run_suites(None, max_size=5, max_nodes=8)` in one process
 (one shard).  A mutant is killed when a line does not PASS, the run raises,
@@ -36,7 +35,6 @@ of the test suite.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import re
@@ -187,13 +185,9 @@ def verdict(m: Mutant) -> str:
     return LEDGER[m.key][0] if m.key in LEDGER else "open"
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--only", default="", help="scan only the mutants whose key contains this text")
-    args = ap.parse_args(argv)
-
+def main() -> int:
     source = (REPO / TARGET).read_bytes()
-    todo = [m for m in mutants(source) if args.only in m.key]
+    todo = mutants(source)
     scratch = Path(tempfile.mkdtemp(prefix="witrees-mutants-"))
     copy = _copy(scratch / "repo")
     target = copy / TARGET
