@@ -14,24 +14,44 @@ levels".  `psi` and `theta` wrap tilde resp. hat around every root subtree,
 which shifts the contracts to the root-excluded statistics.  `rho` is the
 classical leftmost-child / right-sibling correspondence onto weakly
 increasing binary trees; `rho_all` maps a list, one chain per sibling tuple.
+
+The trees of one multiset share their subtree objects, as the enumeration
+builds them.  `hat` and `theta` take an optional memo of hat images and
+`psi` one of the tilde images of root subtrees, each keyed by the `id` of
+the subtree and holding the subtree beside its image, so no `id` is reused
+while the memo lives; the caller keeps one memo per multiset.  Without a
+memo each map runs the same body and stores nothing.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .binary import WBTree
 from .errors import InvalidTreeError
 from .trees import WTree
 
 
-def hat(t: WTree) -> WTree:
-    """Degree-to-(odd-level degree) bijection; the single node is fixed."""
+def hat(t: WTree, memo: dict | None = None) -> WTree:
+    """Degree-to-(odd-level degree) bijection; the single node is fixed.
+
+    With `memo`, each subtree below the root is mapped once per memo; the
+    root, the one node labelled 0, is never shared and never stored."""
     if not t.children:
         return t
+    shared = memo is not None and t.label
+    if shared:
+        key = id(t)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[1]
     first = t.children[0]
-    rest = t.children[1:]
-    h = hat(first)
-    new_node = WTree(first.label, tuple(hat(u) for u in rest))
-    return WTree(t.label, (new_node,) + h.children)
+    h = hat(first, memo)
+    new_node = WTree(first.label, tuple(map(hat, t.children[1:], repeat(memo))))
+    image = WTree(t.label, (new_node,) + h.children)
+    if shared:
+        memo[key] = (t, image)
+    return image
 
 
 def tilde(t: WTree) -> WTree:
@@ -73,17 +93,28 @@ def tilde(t: WTree) -> WTree:
     return WTree(t.label, (node1, node_x) + f.children)
 
 
-def psi(t: WTree) -> WTree:
+def psi(t: WTree, memo: dict | None = None) -> WTree:
     """Apply tilde to every root subtree: swaps the root-excluded counts of
-    odd-degree and even-level-even-degree nodes, fixing odd-level ones."""
-    return WTree(t.label, tuple(tilde(c) for c in t.children))
+    odd-degree and even-level-even-degree nodes, fixing odd-level ones.
+    With `memo`, each root subtree's tilde image is built once per memo."""
+    return WTree(t.label, tuple(map(_tilde_once, t.children, repeat(memo))))
 
 
-def theta(t: WTree) -> WTree:
+def _tilde_once(t: WTree, memo: dict | None) -> WTree:
+    """tilde(t), looked up in and stored to `memo` when one is given."""
+    if memo is None:
+        return tilde(t)
+    hit = memo.get(id(t))
+    if hit is None:
+        hit = memo[id(t)] = (t, tilde(t))
+    return hit[1]
+
+
+def theta(t: WTree, memo: dict | None = None) -> WTree:
     """Apply hat to every root subtree: sends the number of degree-(2d+1)
     nodes to the number of non-root degree-2d nodes on even levels plus the
-    indicator that the image root has degree 2d+1."""
-    return WTree(t.label, tuple(hat(c) for c in t.children))
+    indicator that the image root has degree 2d+1.  `memo` is hat's."""
+    return WTree(t.label, tuple(map(hat, t.children, repeat(memo))))
 
 
 def rho_all(trees: list[WTree]) -> list[WBTree]:

@@ -11,13 +11,14 @@ has not failed yet, so each check reports its own first failure in
 multiset order, alone or fused.  `Facts` builds each shared fact at most
 once: the memo of `stats` (the bodies' only source of plane-tree
 statistics; the images under hat, tilde, psi and theta lie on the same
-multiset) and the Schett polynomial by enumeration with its reduced table
-and gamma table.  The group-action body takes each orbit from
-`binary.orbit`, which annotates, measures and swaps every member once, and
-reads members, swap results and preorder labels by member index.  Clauses
-that read the grammar alone run on the empty multiset, the first of the
-pass.  Only the series and closed-form checks, over {1^k}, enumerate their
-own family.
+multiset), the memos of the hat image of each shared subtree (which theta
+shares) and of the tilde image of each root subtree (which psi reads), and
+the Schett polynomial by enumeration with its reduced table and gamma
+table.  The group-action body takes each orbit from `binary.orbit`, which
+annotates, measures and swaps every member once, and reads members, swap
+results and preorder labels by member index.  Clauses that read the
+grammar alone run on the empty multiset, the first of the pass.  Only the
+series and closed-form checks, over {1^k}, enumerate their own family.
 
 The multisets of the pass are split into one shard per CPU in the
 process's affinity set, balanced by tree count.  This process runs the
@@ -31,8 +32,8 @@ an InternalError, never a pass, and a forked shard whose parent has died
 stops before its next multiset.  The other checks run once, here.
 
 The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
-checks in one pass, 105-133 s on the two cores of a 2-core Xeon and
-214-246 s on one (Python 3.11, three runs each on a shared host).
+checks in one pass, 76-77 s on the two cores of a 2-core Xeon and 150 s
+on one (Python 3.11, a text and a JSON run and one run on a shared host).
 """
 
 from __future__ import annotations
@@ -98,13 +99,20 @@ def _first_wrong(got: dict, want: dict):
 
 class Facts:
     """One multiset's trees and the facts its sized bodies share, each
-    built at most once: `walk`, the memo of `stats`, and the Schett
-    polynomial by enumeration with its reduced table and gamma table."""
+    built at most once: `walk`, the memo of `stats`; `hat_memo`, the hat
+    image of each shared subtree, which `hat` and `theta` fill;
+    `tilde_memo`, the tilde image of each root subtree of the trees, which
+    `psi` fills (it maps its own images without it); and the Schett
+    polynomial by enumeration with its reduced table and gamma table.  The
+    memos are plain dicts that refer to no Facts, so a Facts is freed by
+    reference counting alone."""
 
     def __init__(self, m: Multiset, trees: list[WTree]):
         self.m = m
         self.trees = trees
         self.walk = cache(stats)
+        self.hat_memo: dict[int, tuple[WTree, WTree]] = {}
+        self.tilde_memo: dict[int, tuple[WTree, WTree]] = {}
 
     @cached_property
     def schett(self) -> MPoly:
@@ -340,7 +348,7 @@ def _hat(f: Facts) -> str | None:
     """hat is a bijection with deg_q -> od_(q-1) and leaf -> even-level."""
     images = set()
     for t in f.trees:
-        h = hat(t)
+        h = hat(t, f.hat_memo)
         images.add(h)
         deg = f.walk(t).deg
         hv = f.walk(h)
@@ -413,13 +421,13 @@ def _psi_theta(f: Facts) -> str | None:
     """Contracts of the root-subtree variants of tilde and hat."""
     theta_imgs = set()
     for t in f.trees:
-        pt = psi(t)
-        if psi(pt) != t:
+        pt = psi(t, f.tilde_memo)
+        if psi(pt) != t:  # the memo holds only the trees' own root subtrees
             return f"psi is not an involution on {format_tree(t)}"
         a, b = f.walk(t), f.walk(pt)
         if (a.odd_star, a.oe_star, a.ee_star) != (b.ee_star, b.oe_star, b.odd_star):
             return f"psi transport fails on {format_tree(t)}"
-        th = theta(t)
+        th = theta(t, f.hat_memo)
         theta_imgs.add(th)
         c = f.walk(th)
         # deg_(2d+1) -> the non-root even-level deg_(2d), plus the root where its degree is odd

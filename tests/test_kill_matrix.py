@@ -30,10 +30,11 @@ that read only that polynomial still PASS.
 Each check mutant does the same to the code behind the checks that no
 other planted fault reaches: the enumeration, the multiset iterator behind
 the sized runner, the statistics walker and its activity counters, psi,
-theta, the elliptic tables behind the Euler numbers, the four-variable
-grammar, the fighting-fish count, the gamma peel and the gamma basis
-expansion.  A gamma-peel fault that leaves a residual trips an internal
-error rather than a check, so the peel's mutant misfiles exact values.
+theta, the identity key of the hat memo, the elliptic tables behind the
+Euler numbers, the four-variable grammar, the fighting-fish count, the
+gamma peel and the gamma basis expansion.  A gamma-peel fault that leaves
+a residual trips an internal error rather than a check, so the peel's
+mutant misfiles exact values.
 
 Every source-edit mutant runs on empty grammar chains (see `witrees.grammar`),
 and a last test warms the chains before it plants the two grammar faults."""
@@ -303,15 +304,23 @@ CHECK_MUTANTS = {
     ),
     # psi leaves the first root subtree untouched
     "psi-skips-first-subtree": (
-        witrees.transforms, "psi", "tuple(tilde(c) for c in t.children)",
-        "t.children[:1] + tuple(tilde(c) for c in t.children[1:])", (witrees.transforms, witrees.verify),
+        witrees.transforms, "psi", "tuple(map(_tilde_once, t.children, repeat(memo)))",
+        "t.children[:1] + tuple(map(_tilde_once, t.children[1:], repeat(memo)))", (witrees.transforms, witrees.verify),
         {"psi-theta": "FAIL  psi/theta: root-excluded transports: psi transport fails on 0(1(2(3)))"},
     ),
     # theta leaves the first root subtree untouched
     "theta-skips-first-subtree": (
-        witrees.transforms, "theta", "tuple(hat(c) for c in t.children)",
-        "t.children[:1] + tuple(hat(c) for c in t.children[1:])", (witrees.transforms, witrees.verify),
+        witrees.transforms, "theta", "tuple(map(hat, t.children, repeat(memo)))",
+        "t.children[:1] + tuple(map(hat, t.children[1:], repeat(memo)))", (witrees.transforms, witrees.verify),
         {"psi-theta": "FAIL  psi/theta: root-excluded transports: theta transport fails on 0(1(2(3))) at d=0"},
+    ),
+    # the hat memo is keyed by a subtree's root degree, not by the subtree,
+    # so a subtree takes the image of an earlier one of the same degree
+    "hat-memo-keyed-by-degree": (
+        witrees.transforms, "hat", "key = id(t)", "key = len(t.children)", (witrees.transforms, witrees.verify),
+        {"hat": "FAIL  hat bijection: degree/odd-level transport: "
+         "deg_q -> od_(q-1) fails on 0(1(2),3) -> 0(1(3),2,3)",
+         "psi-theta": "FAIL  psi/theta: root-excluded transports: theta transport fails on 0(1(2),3) at d=0"},
     ),
     # the fighting-fish count loses the factor 2j+1 of its denominator; the
     # division stays exact, so no internal error masks the wrong value

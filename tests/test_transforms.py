@@ -84,6 +84,24 @@ def test_theta_contract():
                 assert a.deg.get(2 * d + 1, 0) == ed_star + (1 if root_deg_img == 2 * d + 1 else 0)
 
 
+def test_memos_give_the_memo_less_images():
+    """With one hat memo shared by hat and theta and a tilde memo for psi,
+    one per multiset as the battery keeps them, every tree on every
+    multiset with p <= 6 maps as without a memo.  Every entry holds its key
+    object, and the hat memo holds no whole tree."""
+    for m in iter_multisets(6):
+        trees = list(iter_trees(m))
+        hat_memo, tilde_memo = {}, {}
+        for t in trees:
+            assert hat(t, hat_memo) == hat(t)
+            assert theta(t, hat_memo) == theta(t)
+            assert psi(t, tilde_memo) == psi(t)
+        for memo in (hat_memo, tilde_memo):
+            assert all(key == id(source) for key, (source, _) in memo.items()), str(m)
+        whole = {id(t) for t in trees}
+        assert all(source.label and key not in whole for key, (source, _) in hat_memo.items()), str(m)
+
+
 def test_rho_examples():
     b = rho(parse_tree("0(1,2)"))
     assert format_btree(b) == "0[1[_|2[_|_]]|_]"

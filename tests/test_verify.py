@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import marshal
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ import witrees.grammar
 import witrees.verify
 from witrees.binary import WBTree, annotate
 from witrees.cli import main
-from witrees.enumeration import iter_multisets
+from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InternalError
 from witrees.mpoly import MPoly
 from witrees.multiset import Multiset, count_trees, set_multiset
@@ -417,7 +419,7 @@ def test_sharded_run_reports_the_earliest_failure(monkeypatch, earliest):
     b = next(i for i in shards[1 - earliest] if i > a)
 
     def hat_run(faulty, cpus):
-        monkeypatch.setattr(witrees.verify, "hat", lambda t: t if _multiset_of(t) in faulty else hat(t))
+        monkeypatch.setattr(witrees.verify, "hat", lambda t, memo: t if _multiset_of(t) in faulty else hat(t, memo))
         _on_cpus(monkeypatch, cpus)
         return run_suites(["hat"], max_size=5)[0]
 
@@ -586,9 +588,28 @@ def test_shards_stop_when_verify_is_killed():
             pass
 
 
+def test_facts_with_filled_memos_is_freed_without_the_cycle_collector():
+    """The hat and psi/theta bodies fill the Facts' memos, and nothing in
+    them refers back to the Facts: with the cycle collector off, it is gone
+    as soon as its last reference is."""
+    m = Multiset((2, 1, 2))
+    f = witrees.verify.Facts(m, list(iter_trees(m)))
+    assert witrees.verify._hat.body(f) is None and witrees.verify._psi_theta.body(f) is None
+    assert f.hat_memo and f.tilde_memo
+    ref = weakref.ref(f)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_fused_failure_is_isolated(monkeypatch):
-    def wrong_hat(t):
-        h = hat(t)
+    def wrong_hat(t, memo):
+        h = hat(t, memo)
         return t if len(t.children) == 2 else h
 
     monkeypatch.setattr(witrees.verify, "hat", wrong_hat)
