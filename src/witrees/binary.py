@@ -44,6 +44,7 @@ members and names each swap result by its index in that list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import InternalError, TreeSyntaxError
@@ -61,6 +62,13 @@ class WBTree(NamedTuple):
 
     def __str__(self) -> str:
         return format_btree(self)
+
+
+# The kernels' node constructor, as `trees.wtree` is for plane trees:
+# wbtree((label, left, right)) builds WBTree(label, left, right) in C,
+# without the NamedTuple's defaults or arity check, so it takes exactly one
+# tuple of all three fields; tests/test_project.py holds every call to that shape.
+wbtree = partial(tuple.__new__, WBTree)
 
 
 def format_btree(b: WBTree) -> str:
@@ -91,7 +99,7 @@ def parse_btree(text: str) -> WBTree:
         expect("|")
         right = parse_node()
         expect("]")
-        return WBTree(label, left, right)
+        return wbtree((label, left, right))
 
     tree = parse_node()
     if tree is None:
@@ -269,9 +277,9 @@ def _swap_three(u: WBTree) -> WBTree:
     """Exchange left and right branches at u and at both of its children."""
 
     def flip(n: WBTree | None) -> WBTree | None:
-        return None if n is None else WBTree(n.label, n.right, n.left)
+        return None if n is None else wbtree((n.label, n.right, n.left))
 
-    return WBTree(u.label, flip(u.right), flip(u.left))
+    return wbtree((u.label, flip(u.right), flip(u.left)))
 
 
 def swap_branches(ann: BAnnotation, i: int) -> WBTree:
@@ -294,7 +302,7 @@ def swap_branches(ann: BAnnotation, i: int) -> WBTree:
     while k:
         par = parent[k]
         node = nodes[par]
-        new = WBTree(node.label, new, node.right) if left[par] == k else WBTree(node.label, node.left, new)
+        new = wbtree((node.label, new, node.right)) if left[par] == k else wbtree((node.label, node.left, new))
         k = par
     return new
 

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .errors import InternalError
 from .multiset import Multiset, count_trees
-from .trees import WTree, format_trees
+from .trees import WTree, format_trees, wtree
 
 @lru_cache(maxsize=None)
 def plane_forests(size: int, label: int) -> tuple[tuple[WTree, ...], ...]:
@@ -37,7 +37,7 @@ def plane_forests(size: int, label: int) -> tuple[tuple[WTree, ...], ...]:
     out = []
     for first in range(1, size + 1):
         for f0 in plane_forests(first - 1, label):
-            tree = WTree(label, f0)
+            tree = wtree((label, f0))
             for rest in plane_forests(size - first, label):
                 out.append((tree,) + rest)
     return tuple(out)
@@ -80,12 +80,12 @@ def _attach(tree: WTree, count: int, label: int, cache: dict) -> tuple[WTree, ..
         rest = count - self_m
         if k == 0:
             if rest == 0:
-                out.extend(WTree(lab, f) for f in forests)
+                out.extend(wtree((lab, f)) for f in forests)
             continue
         for comp in _weak_compositions(rest, k):
             child_lists = [_attach(children[i], comp[i], label, cache) for i in range(k)]
             for newch in product(*child_lists):
-                out.extend(WTree(lab, newch + f) for f in forests)
+                out.extend(wtree((lab, newch + f)) for f in forests)
     result = tuple(out)
     cache[key] = result
     return result

@@ -15,6 +15,11 @@ which shifts the contracts to the root-excluded statistics.  `rho` is the
 classical leftmost-child / right-sibling correspondence onto weakly
 increasing binary trees; `rho_all` maps a list, one chain per sibling tuple.
 
+The children of tilde's image depend on the tree's children alone, so
+`tilde` recurses on child tuples: the pieces it maps are never first built
+into trees of their own.  Every map builds its nodes through `trees.wtree`
+and `binary.wbtree`, which skip the NamedTuple constructor's Python code.
+
 The trees of one multiset share their subtree objects, as the enumeration
 builds them.  `hat` and `theta` take an optional memo of hat images and
 `psi` one of the tilde images of root subtrees, each keyed by the `id` of
@@ -27,9 +32,9 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .binary import WBTree
+from .binary import WBTree, wbtree
 from .errors import InvalidTreeError
-from .trees import WTree
+from .trees import WTree, wtree
 
 
 def hat(t: WTree, memo: dict | None = None) -> WTree:
@@ -47,8 +52,8 @@ def hat(t: WTree, memo: dict | None = None) -> WTree:
             return hit[1]
     first = t.children[0]
     h = hat(first, memo)
-    new_node = WTree(first.label, tuple(map(hat, t.children[1:], repeat(memo))))
-    image = WTree(t.label, (new_node,) + h.children)
+    new_node = wtree((first.label, tuple(map(hat, t.children[1:], repeat(memo)))))
+    image = wtree((t.label, (new_node,) + h.children))
     if shared:
         memo[key] = (t, image)
     return image
@@ -68,36 +73,47 @@ def tilde(t: WTree) -> WTree:
     on all pieces is the only choice of this shape that actually is an
     involution with the stated statistic transport (checked exhaustively in
     the test suite up to eight non-root nodes).
+
+    The image's root keeps t's label, and its children depend on t's
+    children alone, so the recursion runs on child tuples
+    (`_tilde_children`): the part right of y and the subtree below x are
+    mapped without first being built into trees of their own.
     """
     if not t.children:
         return t
-    special = t.children[0]
-    x = special.children[0] if special.children else None
-    vs = special.children[1:]
-    after = t.children[1:]
-    y = after[0] if after else None
+    return wtree((t.label, _tilde_children(t.children)))
 
-    if y is not None:
-        us = y.children
-        h = tilde(WTree(t.label, after[1:]))
-        h_star = WTree(y.label, h.children)
-        node1 = WTree(special.label, (h_star,) + tuple(tilde(u) for u in us))
+
+def _tilde_children(children: tuple[WTree, ...]) -> tuple[WTree, ...]:
+    """The children of tilde(r(children)), whatever the root label r.
+
+    With c = children[0], x its first child and y = children[1]: node1
+    carries c's label over a node labelled y whose children are those of
+    the image of children[2:], then the images of y's children; node_x
+    carries x's label over the images of c's other children; the children
+    of x's image follow.  Without y, node1 is a leaf; without x, node1 is
+    the only child."""
+    if not children:
+        return ()
+    special = children[0]
+    if len(children) > 1:
+        y = children[1]
+        h_star = wtree((y.label, _tilde_children(children[2:])))
+        node1 = wtree((special.label, (h_star,) + tuple(map(tilde, y.children))))
     else:
-        node1 = WTree(special.label, ())
-
-    if x is None:
-        return WTree(t.label, (node1,))
-
-    node_x = WTree(x.label, tuple(tilde(v) for v in vs))
-    f = tilde(x)
-    return WTree(t.label, (node1, node_x) + f.children)
+        node1 = wtree((special.label, ()))
+    if not special.children:
+        return (node1,)
+    x = special.children[0]
+    node_x = wtree((x.label, tuple(map(tilde, special.children[1:]))))
+    return (node1, node_x) + _tilde_children(x.children)
 
 
 def psi(t: WTree, memo: dict | None = None) -> WTree:
     """Apply tilde to every root subtree: swaps the root-excluded counts of
     odd-degree and even-level-even-degree nodes, fixing odd-level ones.
     With `memo`, each root subtree's tilde image is built once per memo."""
-    return WTree(t.label, tuple(map(_tilde_once, t.children, repeat(memo))))
+    return wtree((t.label, tuple(map(_tilde_once, t.children, repeat(memo)))))
 
 
 def _tilde_once(t: WTree, memo: dict | None) -> WTree:
@@ -114,7 +130,7 @@ def theta(t: WTree, memo: dict | None = None) -> WTree:
     """Apply hat to every root subtree: sends the number of degree-(2d+1)
     nodes to the number of non-root degree-2d nodes on even levels plus the
     indicator that the image root has degree 2d+1.  `memo` is hat's."""
-    return WTree(t.label, tuple(map(hat, t.children, repeat(memo))))
+    return wtree((t.label, tuple(map(hat, t.children, repeat(memo)))))
 
 
 def rho_all(trees: list[WTree]) -> list[WBTree]:
@@ -123,7 +139,7 @@ def rho_all(trees: list[WTree]) -> list[WBTree]:
     beside its chain, so no `id` is reused while it lives; it lives for
     this call only."""
     memo: dict[int, tuple[tuple[WTree, ...], WBTree | None]] = {}
-    return [WBTree(t.label, _chain(t.children, memo), None) for t in trees]
+    return [wbtree((t.label, _chain(t.children, memo), None)) for t in trees]
 
 
 def _chain(children: tuple[WTree, ...], memo: dict) -> WBTree | None:
@@ -134,14 +150,14 @@ def _chain(children: tuple[WTree, ...], memo: dict) -> WBTree | None:
         return hit[1]
     node = None
     for label, kids in reversed(children):
-        node = WBTree(label, _chain(kids, memo) if kids else None, node)
+        node = wbtree((label, _chain(kids, memo) if kids else None, node))
     memo[key] = (children, node)
     return node
 
 
 def rho(t: WTree) -> WBTree:
     """Plane to binary: leftmost child -> left child, next sibling -> right."""
-    return WBTree(t.label, _chain(t.children, {}), None)
+    return wbtree((t.label, _chain(t.children, {}), None))
 
 
 def rho_inv(b: WBTree) -> WTree:
@@ -152,8 +168,8 @@ def rho_inv(b: WBTree) -> WTree:
     def unchain(node: WBTree | None) -> tuple[WTree, ...]:
         children = []
         while node is not None:
-            children.append(WTree(node.label, unchain(node.left)))
+            children.append(wtree((node.label, unchain(node.left))))
             node = node.right
         return tuple(children)
 
-    return WTree(b.label, unchain(b.left))
+    return wtree((b.label, unchain(b.left)))

@@ -18,6 +18,7 @@ degree is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidTreeError, TreeSyntaxError
@@ -31,6 +32,14 @@ class WTree(NamedTuple):
 
     def __str__(self) -> str:
         return format_tree(self)
+
+
+# The kernels' node constructor: wtree((label, children)) builds the same
+# WTree as WTree(label, children) in C, skipping the NamedTuple's Python-level
+# __new__ with its defaults and its arity check, which is half the cost of a
+# node.  It takes exactly one (label, children) tuple; tests/test_project.py
+# holds every call to that shape.
+wtree = partial(tuple.__new__, WTree)
 
 
 def format_tree(t: WTree) -> str:
@@ -94,7 +103,7 @@ def parse_tree(text: str) -> WTree:
             if pos >= len(s) or s[pos] != ")":
                 raise TreeSyntaxError("expected ')' or ','", pos)
             pos += 1
-        return WTree(label, tuple(children))
+        return wtree((label, tuple(children)))
 
     tree = parse_node()
     if pos != len(s):

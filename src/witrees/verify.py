@@ -32,7 +32,7 @@ an InternalError, never a pass, and a forked shard whose parent has died
 stops before its next multiset.  The other checks run once, here.
 
 The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
-checks in one pass, 76-77 s on the two cores of a 2-core Xeon and 150 s
+checks in one pass, 82-93 s on the two cores of a 2-core Xeon and 140 s
 on one (Python 3.11, a text and a JSON run and one run on a shared host).
 """
 

@@ -3,7 +3,11 @@
 These deliberately use a different strategy from the library: all plane
 tree shapes are generated first, then every distinct arrangement of the
 label multiset is tried and filtered by the validity rules.  The parity
-walker counts the node types of one tree with its own traversal.  The binary
+walker counts the node types of one tree with its own traversal.  The tilde
+oracle recurses on whole trees: it builds the part right of the special
+child's sibling and the subtree below its first child as trees of their
+own and maps them with itself, where the library recurses on child tuples.
+The binary
 annotation oracle keys every node by its path from the root and follows the
 definitions in `witrees.binary`'s docstring one by one, and the binary
 statistics oracle pairs the dynamic nodes from the annotation's lists and
@@ -150,6 +154,33 @@ def parity_counts(t: WTree) -> tuple[int, int, int, int, int, int]:
         for c in node[1]:
             stack.append((c, lvl + 1))
     return ee, oe, odd, oo, leaf, len(t.children)
+
+
+def oracle_tilde(t: WTree) -> WTree:
+    """The involution tilde, recursing on whole trees: the suffix tree right
+    of y, its image and the image of x are built and taken apart again."""
+    if not t.children:
+        return t
+    special = t.children[0]
+    x = special.children[0] if special.children else None
+    vs = special.children[1:]
+    after = t.children[1:]
+    y = after[0] if after else None
+
+    if y is not None:
+        us = y.children
+        h = oracle_tilde(WTree(t.label, after[1:]))
+        h_star = WTree(y.label, h.children)
+        node1 = WTree(special.label, (h_star,) + tuple(oracle_tilde(u) for u in us))
+    else:
+        node1 = WTree(special.label, ())
+
+    if x is None:
+        return WTree(t.label, (node1,))
+
+    node_x = WTree(x.label, tuple(oracle_tilde(v) for v in vs))
+    f = oracle_tilde(x)
+    return WTree(t.label, (node1, node_x) + f.children)
 
 
 def subtree_at(b: WBTree, path: tuple[int, ...]) -> WBTree:

@@ -22,7 +22,8 @@ must also turn the `closed-forms` check FAIL.
 
 Each kernel mutant edits the grammar derivative, the parity census, the
 Sturm chain, the branch swap, the orbit's index table, the ancestors of the
-binary annotation or the plane-to-binary chain the same way and must turn
+binary annotation, the plane-to-binary chain or tilde's recursion on child
+tuples the same way and must turn
 every suite that reads the kernel FAIL with the named detail; the census
 mutant swaps two classes that the Schett polynomial merges, so the suites
 that read only that polynomial still PASS.
@@ -224,9 +225,17 @@ KERNEL_MUTANTS = {
     # the first child becomes the right child and the next sibling the left
     # one: still a bijection onto binary trees, but not the inverse of rho_inv
     "rho-swaps-roles": (
-        witrees.transforms, "_chain", "WBTree(label, _chain(kids, memo) if kids else None, node)",
-        "WBTree(label, node, _chain(kids, memo) if kids else None)", (witrees.transforms,),
+        witrees.transforms, "_chain", "wbtree((label, _chain(kids, memo) if kids else None, node))",
+        "wbtree((label, node, _chain(kids, memo) if kids else None))", (witrees.transforms,),
         {"binary": "FAIL  binary correspondence: statistic transport and bookkeeping: round trip fails on 0(1(2))"},
+    ),
+    # tilde's child-tuple recursion puts x's node before the special
+    # child's: the base case breaks, and psi, which maps every root subtree
+    # through tilde, stops being an involution
+    "tilde-children-order": (
+        witrees.transforms, "_tilde_children", "(node1, node_x)", "(node_x, node1)", (witrees.transforms,),
+        {"tilde": "FAIL  tilde involution: (odd, oe, ee) -> (oe, odd, ee): base case 0(1(2)) -> 0(1,2) violated",
+         "psi-theta": "FAIL  psi/theta: root-excluded transports: psi is not an involution on 0(1(2(3)))"},
     ),
 }
 

@@ -2,6 +2,8 @@
 the package keeps its invariants out of `assert` statements, which
 `python -O` strips, every exported name is used inside the package,
 polynomials skip validation only through `MPoly`'s one trusted constructor,
+tree nodes skip the NamedTuple constructor only through `wtree` and
+`wbtree`, each called with a tuple of its type's arity,
 the three error types of `errors.py` are the only ones, the tree invariants
 are stated once, the verify checks share one enumeration pass, and only the
 CLI's `main` writes to stderr and reads --format and --out."""
@@ -77,6 +79,32 @@ def test_mpoly_new_is_called_only_by_the_trusted_constructor():
         and node.value.id == "MPoly"
     )
     assert sites == ["mpoly.MPoly._raw"]
+
+
+def test_tuple_new_builds_nodes_only_through_the_checked_constructors():
+    """`tuple.__new__` skips the arity check of `WTree` and `WBTree`, so it
+    is named only where `trees.wtree` and `binary.wbtree` are defined, and
+    every use of those is a call on one tuple display of the type's arity:
+    (label, children) and (label, left, right)."""
+    arity = {"wtree": 2, "wbtree": 3}
+    defined, named, checked, unchecked = [], 0, 0, []
+    for path in sorted((ROOT / "src" / "witrees").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        named += sum(ast.unparse(n) == "tuple.__new__" for n in nodes if isinstance(n, ast.Attribute))
+        defined += [f"{path.stem}.{ast.unparse(n.targets[0])}" for n in nodes
+                    if isinstance(n, ast.Assign) and "tuple.__new__" in ast.unparse(n.value)]
+        calls = {
+            id(n.func) for n in nodes
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in arity
+            and not n.keywords and len(n.args) == 1 and isinstance(n.args[0], ast.Tuple)
+            and len(n.args[0].elts) == arity[n.func.id]
+            and not any(isinstance(e, ast.Starred) for e in n.args[0].elts)
+        }
+        checked += len(calls)
+        unchecked += [f"{path.name}:{n.lineno}" for n in nodes if isinstance(n, ast.Name) and n.id in arity
+                      and isinstance(n.ctx, ast.Load) and id(n) not in calls]
+    assert sorted(defined) == ["binary.wbtree", "trees.wtree"] and named == 2
+    assert checked and unchecked == []
 
 
 def test_only_the_plane_tree_validator_and_rho_inv_raise_invalid_tree_error():

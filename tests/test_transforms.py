@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from _oracles import oracle_tilde
 from _strategies import weakly_increasing_trees
 from witrees.binary import format_btree
 from witrees.enumeration import iter_multisets, iter_trees
@@ -39,6 +40,14 @@ def test_tilde_base_table():
     assert format_tree(tilde(parse_tree("0(1,1)"))) == "0(1(1))"
     assert format_tree(tilde(parse_tree("0(1)"))) == "0(1)"
     assert format_tree(tilde(parse_tree("0"))) == "0"
+
+
+def test_tilde_matches_the_whole_tree_recursion():
+    """The child-tuple recursion gives the images of the recursion on whole
+    trees, on every tree with p <= 7."""
+    for m in iter_multisets(7):
+        for t in iter_trees(m):
+            assert tilde(t) == oracle_tilde(t), format_tree(t)
 
 
 def test_tilde_involution_and_transport():
@@ -149,6 +158,7 @@ LARGE = weakly_increasing_trees(9, 40)
 @given(LARGE)
 def test_tilde_and_psi_laws_past_exhaustive_bound(t):
     tt, pt = tilde(t), psi(t)
+    assert tt == oracle_tilde(t)
     assert tilde(tt) == t and psi(pt) == t
     a, b, c = stats(t), stats(tt), stats(pt)
     assert (a.odd, a.oe, a.ee) == (b.oe, b.odd, b.ee)
