@@ -13,9 +13,10 @@ from .binary import (
     parse_btree,
     swap_branches,
 )
+from .census import schett_of
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import enumerate_trees, iter_multisets, iter_trees
-from .gamma import GammaTable, ReducedTable, gamma_expand, reduced_table, schett_of
+from .gamma import GammaTable, ReducedTable, gamma_expand, reduced_table
 from .grammar import (
     GrammarRules,
     four_var_coeffs,

@@ -24,10 +24,11 @@ from itertools import islice
 from typing import NamedTuple
 
 from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree
+from .census import multiset_schett
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import enumerate_trees
 from .errors import InternalError
-from .gamma import gamma_expand, multiset_schett, reduced_table
+from .gamma import gamma_expand, reduced_table
 from .grammar import XYZ, four_var_poly, schett_poly
 from .jacobi import jacobi_taylor
 from .mpoly import MPoly
@@ -164,7 +165,7 @@ def cmd_schett(args: argparse.Namespace) -> Output:
 
 def cmd_gamma(args: argparse.Namespace) -> Output:
     """The reduced polynomial and gamma table of the multiset's Schett
-    polynomial, whose route (grammar or trees) `gamma.multiset_schett` picks."""
+    polynomial, whose route (grammar or trees) `census.multiset_schett` picks."""
     m = _multiset_from(args)
     reduced = reduced_table(multiset_schett(m), m.size)
     table = sorted(gamma_expand(reduced, m.size).items())

@@ -31,7 +31,7 @@ p <= n or the n + 1 sets [0]..[n], fails.  A shard that raises or dies is
 an InternalError, never a pass, and a forked shard whose parent has died
 stops before its next multiset.  The other checks run once, here.
 
-The acceptance gate is `witrees verify --suite all --max-size 8`: all 17
+The acceptance gate is `witrees verify --suite all --max-size 8`: all 18
 checks in one pass, 82-93 s on the two cores of a 2-core Xeon and 140 s
 on one (Python 3.11, a text and a JSON run and one run on a shared host).
 """
@@ -48,6 +48,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, NoReturn
 
 from .binary import BAnnotation, BStatVector, annotate, format_btree, orbit
+from .census import multiset_schett, parity_poly, schett_of
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import iter_multisets, iter_trees
 from .errors import InternalError
@@ -58,10 +59,7 @@ from .gamma import (
     gamma_from_table,
     is_palindromic,
     is_unimodal,
-    multiset_schett,
-    parity_poly,
     reduced_table,
-    schett_of,
     slice_poly_coeffs,
 )
 from .grammar import XYZ, derive, four_var_coeffs, schett_poly, schett_rules
@@ -785,10 +783,10 @@ JACOBI_BOUNDARY_MAX = 4  # the sn/cn/dn boundary identities for n <= this
 
 def check_jacobi(order: int = 9) -> CheckResult:
     """Taylor tables of sn/cn/dn to u^max(order, 9): the sign pattern to
-    u^order, the displays, and for n <= JACOBI_BOUNDARY_MAX the boundary
-    identities with the reduced Schett tables: |sn_(2n+1)| is the i = 0
-    column of s_2n and s_(2n+1), |cn_2n| and reversed |dn_2n| the j = 0 row
-    of s_(2n-1) and s_2n."""
+    u^order, the displays to their last power, and for n <=
+    JACOBI_BOUNDARY_MAX the boundary identities with the reduced Schett
+    tables: |sn_(2n+1)| is the i = 0 column of s_2n and s_(2n+1), |cn_2n|
+    and reversed |dn_2n| the j = 0 row of s_(2n-1) and s_2n."""
     name = "elliptic coefficients: displays and boundary identities"
     sn, cn, dn = jacobi_taylor(max(order, 2 * JACOBI_BOUNDARY_MAX + 1))
     tables = ((sn, "sn", 1), (cn, "cn", 0), (dn, "dn", 0))
@@ -819,7 +817,8 @@ def check_jacobi(order: int = 9) -> CheckResult:
                 wrong = _first_wrong(got, want)
                 if wrong is not None:
                     return _fail(name, f"{fname} boundary fails at n={nb}, {index}={wrong}")
-    return _ok(name, f"displays and sign pattern to u^{order}, boundary identities to n={JACOBI_BOUNDARY_MAX}")
+    shown = max(k for displays in JACOBI_DISPLAYS.values() for k in displays)
+    return _ok(name, f"sign pattern to u^{order}, displays to u^{shown}, boundary identities to n={JACOBI_BOUNDARY_MAX}")
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +827,7 @@ def check_jacobi(order: int = 9) -> CheckResult:
 
 def scan_real_rootedness(m: Multiset):
     """Yield (i, coefficient list, RootReport) for every x-slice of the
-    reduced Schett polynomial of m, which `gamma.multiset_schett` builds by
+    reduced Schett polynomial of m, which `census.multiset_schett` builds by
     the route it picks for m."""
     for i, coeffs in enumerate(slice_poly_coeffs(reduced_table(multiset_schett(m), m.size))):
         yield i, coeffs, real_rooted(coeffs)
@@ -867,6 +866,18 @@ def check_conjecture(max_nodes: int = 10) -> CheckResult:
     return _ok(name, f"{slices} slices certified by exact root counts (nodes <= {max_nodes}; {vacuous} vacuous)")
 
 
+@sized_check("real-rootedness: the slices of every multiset",
+             "every slice real-rooted by exact root counts, p <= {bound} ({trees} trees)".format)
+def _real_rooted(f: Facts) -> str | None:
+    """Every x-slice of the reduced Schett polynomial is real-rooted; a zero
+    slice is vacuously so, as in `check_conjecture`."""
+    for i, coeffs in enumerate(slice_poly_coeffs(f.reduced)):
+        report = real_rooted(coeffs)
+        if not report.all_real:
+            return f"{f.m}, slice i={i}: {report}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
@@ -894,7 +905,7 @@ def suite_checks(max_size: int = 8, max_nodes: int = 10) -> dict[str, list[Suite
         "series": [lambda: check_series(min(max_size, 8))],
         "closed-forms": [lambda: check_closed_forms(max_edges=9)],
         "jacobi": [check_jacobi],
-        "conjecture": [lambda: check_conjecture(max_nodes)],
+        "conjecture": [lambda: check_conjecture(max_nodes), (_real_rooted, max_size)],
     }
 
 

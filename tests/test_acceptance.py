@@ -13,8 +13,9 @@ import time
 
 import pytest
 
+from witrees.census import schett_of
 from witrees.enumeration import enumerate_trees, iter_trees
-from witrees.gamma import gamma_expand, reduced_table, schett_of
+from witrees.gamma import gamma_expand, reduced_table
 from witrees.jacobi import euler_numbers
 from witrees.multiset import count_trees, parse_multiset
 from witrees.verify import run_suites, suite_checks
@@ -93,6 +94,7 @@ def test_criterion_10_euler_numbers(battery):
 
 def test_criterion_11_real_rootedness(battery):
     _report(11, "real-rootedness scan, nodes <= 10", battery["conjecture"][0])
+    _report(11, "real-rootedness of every multiset's slices, p <= 8", battery["conjecture"][1])
 
 
 def test_criterion_12_st_relations(battery):

@@ -11,10 +11,10 @@ import pytest
 
 import witrees
 import witrees.cli
+from witrees.census import schett_of
 from witrees.cli import main
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InternalError
-from witrees.gamma import schett_of
 from witrees.multiset import parse_multiset
 from witrees.trees import StatVector, format_tree, parse_tree, stats
 

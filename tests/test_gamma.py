@@ -1,18 +1,16 @@
 import pytest
 
 from _oracles import oracle_gamma, parity_counts
+import witrees.census
+from witrees.census import multiset_schett, parity_poly, schett_of
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InternalError
-import witrees.gamma
 from witrees.gamma import (
     gamma_expand,
     gamma_from_table,
     is_palindromic,
     is_unimodal,
-    multiset_schett,
-    parity_poly,
     reduced_table,
-    schett_of,
     slice_poly_coeffs,
 )
 from witrees.grammar import XYZ, schett_poly
@@ -138,7 +136,7 @@ def test_multiset_schett_takes_a_set_from_the_grammar(monkeypatch):
     def no_trees(m):
         raise AssertionError(f"enumerated {m}")
 
-    monkeypatch.setattr(witrees.gamma, "iter_trees", no_trees)
+    monkeypatch.setattr(witrees.census, "iter_trees", no_trees)
     assert multiset_schett(set_multiset(9)) == schett_poly(9)
 
 

@@ -5,8 +5,9 @@ import pytest
 
 import witrees.grammar
 from _oracles import oracle_derive
+from witrees.census import schett_of
 from witrees.enumeration import iter_trees
-from witrees.gamma import reduced_table, schett_of
+from witrees.gamma import reduced_table
 from witrees.grammar import (
     WXYZ,
     XYZ,

@@ -45,6 +45,7 @@ import inspect
 import pytest
 
 import witrees.binary
+import witrees.census
 import witrees.counts
 import witrees.enumeration
 import witrees.gamma
@@ -189,18 +190,21 @@ KERNEL_MUTANTS = {
     # routes that read the four-class census can see it, and gamma and
     # action, which read only that polynomial, PASS
     "parity-poly-classes": (
-        witrees.gamma, "parity_poly", "key = (eo, oe, ee, oo)", "key = (oo, oe, ee, eo)",
-        (witrees.gamma, witrees.verify),
+        witrees.census, "parity_poly", "key = (eo, oe, ee, oo)", "key = (oo, oe, ee, eo)",
+        (witrees.census, witrees.verify),
         {"series": SERIES_FAIL + "coefficient of t^1 differs from enumeration",
          "closed-forms": CLOSED_FAIL + "closed form wrong at (0, 3, 0, 2): want 1"},
     ),
     # remainders kept with their own sign: the sign changes no longer count
-    # the real roots, and the negative control passes as real-rooted
+    # the real roots, the negative control passes as real-rooted, and the
+    # first quadratic slice of the sized pass loses its two roots
     "sturm-chain-sign": (
         witrees.realroots, "sturm_chain", "chain.append([-c for c in _rem(chain[-2], chain[-1])])",
         "chain.append(_rem(chain[-2], chain[-1]))", (witrees.realroots,),
-        {"conjecture": "FAIL  real-rootedness: plane and increasing tree slices: "
-         "negative control: t^2+1 reported real-rooted"},
+        {"conjecture": ("FAIL  real-rootedness: plane and increasing tree slices: "
+                        "negative control: t^2+1 reported real-rooted",
+                        "FAIL  real-rootedness: the slices of every multiset: {1,2,3,4}, slice i=0: "
+                        "degree 2 (t^0 stripped), squarefree degree 2, 0 distinct real roots: NOT real-rooted")},
     ),
     # the spine above the swapped node is rebuilt on the wrong side: the
     # swapped subtree hangs right where it hung left, and left where right
@@ -280,6 +284,7 @@ CHECK_MUTANTS = {
             ("binary", "binary correspondence: statistic transport and bookkeeping"),
             ("action", "group action: branch swaps and orbit structure"),
             ("gamma", "gamma expansion: nonnegativity and active-node counts"),
+            ("conjecture", "real-rootedness: the slices of every multiset"),
         )}},
     ),
     # the full-degree parity forgets the edge to the parent

@@ -5,8 +5,9 @@ polynomials skip validation only through `MPoly`'s one trusted constructor,
 tree nodes skip the NamedTuple constructor only through `wtree` and
 `wbtree`, each called with a tuple of its type's arity,
 the three error types of `errors.py` are the only ones, the tree invariants
-are stated once, the verify checks share one enumeration pass, and only the
-CLI's `main` writes to stderr and reads --format and --out."""
+are stated once, the verify checks share one enumeration pass, only the
+CLI's `main` writes to stderr and reads --format and --out, and only the
+bridge modules import both the tree side and the algebra side."""
 
 import ast
 import re
@@ -131,6 +132,54 @@ def test_verify_enumerates_and_walks_only_in_the_shared_pass():
 
     assert sites("iter_trees") == {"verify._run_shard", "verify.check_series", "verify.check_closed_forms"}
     assert sites("stats") == {"verify.Facts.__init__"}
+
+
+# every module of the package, by side: a new module must be placed here
+ROUTE_MAP = {
+    "tree": {"trees", "enumeration", "transforms", "binary"},
+    "algebra": {"mpoly", "grammar", "series", "counts", "jacobi", "realroots", "gamma"},
+    "neutral": {"errors", "multiset"},
+    "bridge": {"census", "verify", "cli"},
+    "exports": {"__init__"},
+}
+
+
+def _package_imports():
+    """(module, imported module, inside a function) for every `from .x
+    import` of the package."""
+    found = []
+
+    def visit(node, module, nested):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.append((module, node.module, nested))
+        nested = nested or isinstance(node, ast.FunctionDef)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, nested)
+
+    for path in sorted((ROOT / "src" / "witrees").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, False)
+    return found
+
+
+def test_route_map_keeps_trees_and_algebra_apart():
+    """The two routes to a polynomial meet only in the bridge: algebra
+    modules import no tree module and tree modules no algebra module, so
+    the census by trees and the grammar stay independent, and only
+    `census`, `verify` and `cli` (and the export list) import both sides.
+    The one import inside a function, `binary.parse_btree`'s lazy import
+    of `transforms`, stays on the tree side."""
+    side = {module: name for name, modules in ROUTE_MAP.items() for module in modules}
+    imports = _package_imports()
+    modules = {path.stem for path in (ROOT / "src" / "witrees").glob("*.py")}
+    assert sorted(modules ^ side.keys()) == []
+    reads = {module: set() for module in modules}
+    for module, target, _ in imports:
+        reads[module].add(side[target])
+    assert sorted(m for m in ROUTE_MAP["algebra"] if "tree" in reads[m]) == []
+    assert sorted(m for m in ROUTE_MAP["tree"] if "algebra" in reads[m]) == []
+    both = {m for m, sides in reads.items() if {"tree", "algebra"} <= sides}
+    assert both == ROUTE_MAP["bridge"] | ROUTE_MAP["exports"]
+    assert [(m, t) for m, t, nested in imports if nested] == [("binary", "transforms")]
 
 
 def test_errors_py_defines_the_only_exception_classes():

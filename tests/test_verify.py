@@ -353,6 +353,51 @@ def test_conjecture_fails_when_the_verdict_cannot_fail(monkeypatch):
     )
 
 
+SLICES_OF_EVERY_MULTISET = "real-rootedness: the slices of every multiset: "
+
+
+def test_conjecture_suite_adds_the_slices_of_every_multiset():
+    """The conjecture suite runs the family scan first, then every x-slice
+    of every multiset with p <= the size bound, whose PASS detail is read
+    off the bound and the trees covered."""
+    scan, every = run_suites(["conjecture"], max_size=4, max_nodes=5)
+    assert scan.line() == check_conjecture(max_nodes=5).line()
+    assert every.line() == (
+        "PASS  " + SLICES_OF_EVERY_MULTISET + "every slice real-rooted by exact root counts, p <= 4 (180 trees)"
+    )
+
+
+def test_slices_of_every_multiset_fail_where_the_scan_would(monkeypatch):
+    """A `real_rooted` that calls each slice of degree 2 or more that rises
+    at t^1 not real-rooted fails both checks of the suite, each at its
+    first such slice, with the same wording: the sized check meets
+    {1,2,3,4} before {1^4}, the scan's family order the other way round."""
+    real = witrees.verify.real_rooted
+
+    def rising_not_real(coeffs):
+        report = real(coeffs)
+        return dataclasses.replace(report, all_real=False) if len(coeffs) > 2 and coeffs[1] > coeffs[0] else report
+
+    monkeypatch.setattr(witrees.verify, "real_rooted", rising_not_real)
+    verdict = "slice i=0: degree 2 (t^0 stripped), squarefree degree 2, 2 distinct real roots: NOT real-rooted"
+    assert [r.line() for r in run_suites(["conjecture"], max_size=4, max_nodes=5)] == [
+        f"FAIL  real-rootedness: plane and increasing tree slices: {{1^4}}, {verdict}",
+        f"FAIL  {SLICES_OF_EVERY_MULTISET}{{1,2,3,4}}, {verdict}",
+    ]
+
+
+def test_jacobi_pass_detail_names_each_bound():
+    """The PASS detail names what was checked: the sign pattern to the
+    order asked for, the displays to their last power and the boundary
+    identities to JACOBI_BOUNDARY_MAX, at order 0 and at order 31, the
+    order of perfbench's algebra workload."""
+    for order in (0, 31):
+        assert check_jacobi(order).line() == (
+            "PASS  elliptic coefficients: displays and boundary identities: "
+            f"sign pattern to u^{order}, displays to u^7, boundary identities to n={JACOBI_BOUNDARY_MAX}"
+        )
+
+
 def test_run_suites_selection_and_order():
     results = run_suites(["counting", "euler"], max_size=4)
     assert [r.passed for r in results] == [True, True]
