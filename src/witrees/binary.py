@@ -48,7 +48,7 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import InternalError, TreeSyntaxError
-from .trees import read_label, validate_tree
+from .trees import WTree, read_label, validate_tree
 
 Path = tuple[int, ...]  # 0 = left step, 1 = right step
 
@@ -72,13 +72,20 @@ wbtree = partial(tuple.__new__, WBTree)
 
 
 def format_btree(b: WBTree) -> str:
-    left = format_btree(b.left) if b.left is not None else "_"
-    right = format_btree(b.right) if b.right is not None else "_"
-    return f"{b.label}[{left}|{right}]"
+    label, left, right = b
+    left = "_" if left is None else format_btree(left)
+    right = "_" if right is None else format_btree(right)
+    return f"{label}[{left}|{right}]"
 
 
 def parse_btree(text: str) -> WBTree:
     """Parse binary tree text and validate it through its plane tree."""
+    return _parse_btree(text)[0]
+
+
+def _parse_btree(text: str) -> tuple[WBTree, WTree]:
+    """The binary tree of the text and the plane tree under `rho_inv` that
+    validated it, so a caller that wants the image converts once."""
     s = text.strip()
     pos = 0
 
@@ -110,8 +117,9 @@ def parse_btree(text: str) -> WBTree:
     # module level
     from .transforms import rho_inv
 
-    validate_tree(rho_inv(tree))
-    return tree
+    plane = rho_inv(tree)
+    validate_tree(plane)
+    return tree, plane
 
 
 @dataclass

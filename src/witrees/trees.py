@@ -43,9 +43,10 @@ wtree = partial(tuple.__new__, WTree)
 
 
 def format_tree(t: WTree) -> str:
-    if not t.children:
-        return str(t.label)
-    return f"{t.label}({','.join(format_tree(c) for c in t.children)})"
+    label, children = t
+    if not children:
+        return str(label)
+    return f"{label}({','.join(map(format_tree, children))})"
 
 
 def format_trees(trees: Iterable[WTree]) -> list[str]:
@@ -86,30 +87,46 @@ def read_label(s: str, pos: int, missing: str) -> tuple[int, int]:
 
 
 def parse_tree(text: str) -> WTree:
-    """Parse canonical tree text and validate every invariant."""
-    pos = 0
+    """Parse canonical tree text and validate every invariant, in one pass
+    over the text.  Each step reads a label, then either "(" or the "),"
+    that close nodes.  A label below its lower bound (max(parent, 1) for a
+    first child, its left sibling's label after that) only clears `ok`;
+    such a tree, or one whose root is not 0, goes through `validate_tree`,
+    which names the violation.  Syntax errors come first."""
     s = text.strip()
-
-    def parse_node() -> WTree:
-        nonlocal pos
+    n = len(s)
+    pos, ok, bound = 0, True, 0
+    kids: list[WTree] = []  # the children read so far of the innermost open node
+    above: list[tuple[int, list[WTree]]] = []  # (label, kids) of each node still open above it
+    while True:
         label, pos = read_label(s, pos, "expected a label")
-        children: list[WTree] = []
-        if pos < len(s) and s[pos] == "(":
+        if label < bound:
+            ok = False
+        if pos < n and s[pos] == "(":
+            above.append((label, kids))
+            kids, bound = [], label or 1  # max(label, 1): labels are digits
             pos += 1
-            children.append(parse_node())
-            while pos < len(s) and s[pos] == ",":
+            continue
+        node = wtree((label, ()))
+        bound = label
+        while above:
+            kids.append(node)
+            if pos < n and s[pos] == ",":
                 pos += 1
-                children.append(parse_node())
-            if pos >= len(s) or s[pos] != ")":
+                break
+            if pos >= n or s[pos] != ")":
                 raise TreeSyntaxError("expected ')' or ','", pos)
             pos += 1
-        return wtree((label, tuple(children)))
-
-    tree = parse_node()
-    if pos != len(s):
+            label, siblings = above.pop()
+            node = wtree((label, tuple(kids)))
+            kids, bound = siblings, label
+        else:
+            break
+    if pos != n:
         raise TreeSyntaxError("trailing input after tree", pos)
-    validate_tree(tree)
-    return tree
+    if node[0] or not ok:
+        validate_tree(node)
+    return node
 
 
 def validate_tree(t: WTree) -> None:
@@ -118,21 +135,25 @@ def validate_tree(t: WTree) -> None:
         raise InvalidTreeError(f"root must be labeled 0, got {t.label}")
     stack = [t]
     while stack:
-        node = stack.pop()
-        prev = None
-        for child in node.children:
-            if child.label < max(node.label, 1):
-                raise InvalidTreeError(
-                    "labels must weakly increase along root-to-leaf paths: "
-                    f"node {node.label} has child {child.label}"
-                )
-            if prev is not None and child.label < prev:
+        label, children = stack.pop()
+        # a child's lower bound: max(label, 1), then its left sibling's
+        # label; `label or 1` is max(label, 1) here, because a popped node
+        # is the root (0) or a child that passed its check (at least 1)
+        bound = floor = label or 1
+        for child in children:
+            c = child[0]
+            if c < bound:
+                if c < floor:
+                    raise InvalidTreeError(
+                        "labels must weakly increase along root-to-leaf paths: "
+                        f"node {label} has child {c}"
+                    )
                 raise InvalidTreeError(
                     "children labels must weakly increase left to right: "
-                    f"{prev} precedes {child.label} under node {node.label}"
+                    f"{bound} precedes {c} under node {label}"
                 )
-            prev = child.label
-            stack.append(child)
+            bound = c
+        stack.extend(children)
 
 
 @dataclass

@@ -21,7 +21,9 @@ grammar derivative oracle multiplies out each Leibniz term as a polynomial
 product, and the gamma oracle peels each basis element off a reduced
 polynomial by polynomial products.  The Euler numbers come from the sec+tan
 convolution recurrence, and binary trees are validated on the binary tree
-itself, without the plane tree.  Slow but obviously correct; sized for
+itself, without the plane tree.  The two tree-text parsers are the
+library's earlier recursive-descent ones, each validating its finished
+tree with a second walk.  Slow but obviously correct; sized for
 small inputs.
 """
 
@@ -29,11 +31,13 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd
 
-from witrees.binary import BAnnotation, BStatVector, WBTree, annotate, swap_branches
+from witrees.binary import BAnnotation, BStatVector, WBTree, annotate, swap_branches, wbtree
+from witrees.errors import InvalidTreeError, TreeSyntaxError
 from witrees.mpoly import MPoly, poly_sum
 from witrees.realroots import RootReport
 from witrees.series import SERIES_VARS, TruncSeries
-from witrees.trees import WTree, format_tree
+from witrees.transforms import rho_inv
+from witrees.trees import WTree, format_tree, read_label, wtree
 
 
 def plane_shapes(n_nodes: int):
@@ -99,6 +103,89 @@ def oracle_btree_valid(b: WBTree) -> bool:
                     return False
                 stack.append(child)
     return True
+
+
+def oracle_parse_tree(text: str) -> WTree:
+    """Parse canonical tree text and validate every invariant."""
+    pos = 0
+    s = text.strip()
+
+    def parse_node() -> WTree:
+        nonlocal pos
+        label, pos = read_label(s, pos, "expected a label")
+        children: list[WTree] = []
+        if pos < len(s) and s[pos] == "(":
+            pos += 1
+            children.append(parse_node())
+            while pos < len(s) and s[pos] == ",":
+                pos += 1
+                children.append(parse_node())
+            if pos >= len(s) or s[pos] != ")":
+                raise TreeSyntaxError("expected ')' or ','", pos)
+            pos += 1
+        return wtree((label, tuple(children)))
+
+    tree = parse_node()
+    if pos != len(s):
+        raise TreeSyntaxError("trailing input after tree", pos)
+    oracle_validate_tree(tree)
+    return tree
+
+
+def oracle_validate_tree(t: WTree) -> None:
+    """Check root label 0, path monotonicity and sibling order."""
+    if t.label != 0:
+        raise InvalidTreeError(f"root must be labeled 0, got {t.label}")
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        prev = None
+        for child in node.children:
+            if child.label < max(node.label, 1):
+                raise InvalidTreeError(
+                    "labels must weakly increase along root-to-leaf paths: "
+                    f"node {node.label} has child {child.label}"
+                )
+            if prev is not None and child.label < prev:
+                raise InvalidTreeError(
+                    "children labels must weakly increase left to right: "
+                    f"{prev} precedes {child.label} under node {node.label}"
+                )
+            prev = child.label
+            stack.append(child)
+
+
+def oracle_parse_btree(text: str) -> WBTree:
+    """Parse binary tree text and validate it through its plane tree."""
+    s = text.strip()
+    pos = 0
+
+    def expect(ch: str) -> None:
+        nonlocal pos
+        if pos >= len(s) or s[pos] != ch:
+            raise TreeSyntaxError(f"expected {ch!r}", pos)
+        pos += 1
+
+    def parse_node() -> WBTree | None:
+        nonlocal pos
+        if pos < len(s) and s[pos] == "_":
+            pos += 1
+            return None
+        label, pos = read_label(s, pos, "expected a label or '_'")
+        expect("[")
+        left = parse_node()
+        expect("|")
+        right = parse_node()
+        expect("]")
+        return wbtree((label, left, right))
+
+    tree = parse_node()
+    if tree is None:
+        raise TreeSyntaxError("tree must have a root node", 0)
+    if pos != len(s):
+        raise TreeSyntaxError("trailing input after tree", pos)
+    oracle_validate_tree(rho_inv(tree))
+    return tree
 
 
 def oracle_euler_numbers(n: int) -> list[int]:

@@ -1,5 +1,8 @@
 """Hypothesis strategies shared by the tests that check the laws beyond
-the exhaustive bound."""
+the exhaustive bound, and the seeded corpus of corrupted tree texts that
+the parser comparisons read, with the outcome they compare."""
+
+import random
 
 from hypothesis import strategies as st
 
@@ -26,3 +29,39 @@ def weakly_increasing_trees(draw, min_p=9, max_p=30):
     t = build(0)
     validate_tree(t)
     return t
+
+
+def corrupted_texts(texts: list[str], alphabet: str, count: int, seed: int) -> list[str]:
+    """`count` texts, each one of `texts` after one to three random edits
+    (a deletion, or an insertion or substitution of a character of
+    `alphabet`), then ten of `texts` with one digit made a 5,000-digit
+    label, past int()'s limit on decimal digits."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        s = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(s) + 1)
+            edit = rng.randrange(3)
+            if edit == 0 and i < len(s):
+                del s[i]
+            elif edit == 1 or i == len(s):
+                s.insert(i, rng.choice(alphabet))
+            else:
+                s[i] = rng.choice(alphabet)
+        out.append("".join(s))
+    long_label = "1" * 5000
+    for text in rng.sample(texts, 10):
+        digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+        i = rng.choice(digits)
+        out.append(text[:i] + long_label + text[i + 1:])
+    return out
+
+
+def parse_outcome(parse, text: str):
+    """The tree a parser returns, or the class, message and position of
+    what it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)

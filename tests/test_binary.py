@@ -1,8 +1,15 @@
 import pytest
 from hypothesis import given, settings
 
-from _oracles import oracle_annotation, oracle_bstats, oracle_btree_valid, oracle_orbit, subtree_at
-from _strategies import weakly_increasing_trees
+from _oracles import (
+    oracle_annotation,
+    oracle_bstats,
+    oracle_btree_valid,
+    oracle_orbit,
+    oracle_parse_btree,
+    subtree_at,
+)
+from _strategies import corrupted_texts, parse_outcome, weakly_increasing_trees
 from witrees.binary import (
     WBTree,
     annotate,
@@ -80,6 +87,19 @@ def test_single_edge_stats():
     # odd left-level; matches (odd, oe, ee) = (1, 1, 0) of the plane tree
     assert v.oler == 1 and v.eler == 0 and v.ord == 1
     assert v.rdeg == {0: 1, 1: 1}
+
+
+def test_parse_agrees_with_the_earlier_parser():
+    """`parse_btree` returns the same tree, or raises the same class with
+    the same message and position, as the earlier parser over every binary
+    tree text with p <= 6, every labelled binary tree with at most 4 nodes
+    and labels 0..3, and a seeded corpus of corrupted texts."""
+    valid = [format_btree(rho(t)) for m in iter_multisets(6) for t in iter_trees(m)]
+    labelled = [format_btree(b) for n in range(1, 5) for b in _labelled_btrees(n, range(4))]
+    corrupted = corrupted_texts(valid, "0123456789[]|_ ²٣", 20000, seed=33)
+    assert len(valid) == 13748 and len(labelled) == 3940
+    for text in valid + labelled + corrupted:
+        assert parse_outcome(parse_btree, text) == parse_outcome(oracle_parse_btree, text), text
 
 
 def test_right_degree_matches_plane_degree():

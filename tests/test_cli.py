@@ -11,11 +11,13 @@ import pytest
 
 import witrees
 import witrees.cli
+from witrees.binary import parse_btree
 from witrees.census import schett_of
 from witrees.cli import main
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InternalError
 from witrees.multiset import parse_multiset
+from witrees.transforms import rho_inv
 from witrees.trees import StatVector, format_tree, parse_tree, stats
 
 RUN = [sys.executable, "-m", "witrees.cli"]
@@ -118,11 +120,11 @@ def test_conjecture_suite_fails_when_it_certifies_nothing(capsys):
     """At --max-nodes 0 the scan covers no slice, so the conjecture suite
     FAILs and exits 1; from one node on it certifies slices and PASSes,
     while the `conjecture` listing of an empty scan still passes."""
-    assert main(["verify", "--suite", "conjecture", "--max-nodes", "0"]) == 1
+    assert main(["verify", "--suite", "conjecture", "--max-nodes", "0", "--max-size", "2"]) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
         "FAIL  real-rootedness: plane and increasing tree slices: no slice certified (nodes <= 0)"
     )
-    assert main(["verify", "--suite", "conjecture", "--max-nodes", "1"]) == 0
+    assert main(["verify", "--suite", "conjecture", "--max-nodes", "1", "--max-size", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
         "PASS  real-rootedness: plane and increasing tree slices: "
         "1 slices certified by exact root counts (nodes <= 1; 0 vacuous)"
@@ -363,6 +365,29 @@ def test_orbit_annotates_each_member_once(monkeypatch, capsys):
     assert main(["orbit", "--tree", GOLDEN_TREES[0]]) == 0
     assert capsys.readouterr().out.startswith("orbit size 8\n")
     assert len(calls) == 8
+
+
+def test_rho_inv_batch_converts_each_line_once(tmp_path, capsys):
+    """A rho-inv line is converted once: the plane tree that validates the
+    binary text is the map's output.  The calls are counted by code object,
+    because the CLI binds its maps when it is imported, out of reach of a
+    patched module attribute."""
+    expected = [format_tree(rho_inv(parse_btree(text))) for text in GOLDEN_TREES]
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(GOLDEN_TREES) + "\n")
+    code, calls = rho_inv.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        assert main(["transform", "--map", "rho-inv", "--batch", str(batch)]) == 0
+    finally:
+        sys.setprofile(None)
+    assert capsys.readouterr().out.splitlines() == expected
+    assert calls == len(GOLDEN_TREES)
 
 
 def test_closed_stdout_exits_quietly():

@@ -166,7 +166,7 @@ def test_route_map_keeps_trees_and_algebra_apart():
     modules import no tree module and tree modules no algebra module, so
     the census by trees and the grammar stay independent, and only
     `census`, `verify` and `cli` (and the export list) import both sides.
-    The one import inside a function, `binary.parse_btree`'s lazy import
+    The one import inside a function, `binary._parse_btree`'s lazy import
     of `transforms`, stays on the tree side."""
     side = {module: name for name, modules in ROUTE_MAP.items() for module in modules}
     imports = _package_imports()

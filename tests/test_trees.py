@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
-from _oracles import parity_counts
+from _oracles import oracle_parse_tree, parity_counts, plane_shapes
+from _strategies import corrupted_texts, parse_outcome
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.trees import (
     InvalidTreeError,
@@ -28,6 +31,11 @@ def test_parse_examples():
 def test_parse_rejects_sibling_disorder():
     with pytest.raises(InvalidTreeError, match="weakly increase left to right"):
         parse_tree("0(2,1)")
+    # of two violations, the one `validate_tree` meets first: the sibling
+    # order under the root, not the path below 1
+    with pytest.raises(InvalidTreeError) as err:
+        parse_tree("0(2,1(0))")
+    assert str(err.value) == "children labels must weakly increase left to right: 2 precedes 1 under node 0"
 
 
 def test_parse_rejects_decreasing_path():
@@ -54,6 +62,30 @@ def test_syntax_errors_carry_position():
     with pytest.raises(TreeSyntaxError, match="label of 5000 digits is too long") as err:
         parse_tree("0(" + "1" * 5000 + ")")  # past int()'s digit limit
     assert err.value.position == 2
+
+
+def _labelled_trees(n, labels):
+    """Every plane tree with n nodes, each node carrying any of `labels`."""
+    def build(shape, word):  # labels in preorder
+        return WTree(next(word), tuple(build(c, word) for c in shape))
+
+    for shape in plane_shapes(n):
+        for word in product(labels, repeat=n):
+            yield build(shape, iter(word))
+
+
+def test_parse_agrees_with_the_recursive_descent_oracle():
+    """The one-pass parser returns the same tree, or raises the same class
+    with the same message and position, as the earlier parser that
+    validated in a second walk: over every tree text with p <= 6, every
+    labelled tree with at most 5 nodes and labels 0..3 (valid or not), and
+    a seeded corpus of corrupted texts."""
+    valid = [format_tree(t) for m in iter_multisets(6) for t in iter_trees(m)]
+    labelled = [format_tree(t) for n in range(1, 6) for t in _labelled_trees(n, range(4))]
+    corrupted = corrupted_texts(valid, "0123456789(), ²٣", 20000, seed=33)
+    assert len(valid) == 13748 and len(labelled) == 15764
+    for text in valid + labelled + corrupted + ["0(2,1(0))"]:
+        assert parse_outcome(parse_tree, text) == parse_outcome(oracle_parse_tree, text), text
 
 
 def test_single_node_stats():
