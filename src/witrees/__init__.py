@@ -11,6 +11,8 @@ from .binary import (
     modified_preorder,
     orbit,
     parse_btree,
+    rho,
+    rho_inv,
     swap_branches,
 )
 from .census import schett_of
@@ -29,7 +31,7 @@ from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .realroots import RootReport, real_rooted
 from .series import TruncSeries, check_algebraic_eq, plane_gf
-from .transforms import hat, psi, rho, rho_inv, theta, tilde
+from .transforms import hat, psi, theta, tilde
 from .trees import StatVector, WTree, format_tree, parse_tree, stats
 from .verify import CheckResult, run_suites
 

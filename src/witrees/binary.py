@@ -1,11 +1,13 @@
-"""Weakly increasing binary trees: statistics, active/dynamic nodes, the
+"""Weakly increasing binary trees: rho, the leftmost-child / right-sibling
+correspondence with plane trees, statistics, active/dynamic nodes, the
 modified preorder, and the branch-swapping group action.
 
-Text form: `label[left|right]` with `_` for an absent child, so the plane
-tree 0(1,2) reads `0[1[_|2[_|_]]|_]`.  A binary tree is valid exactly when
-its plane tree under `transforms.rho_inv` is: the root has no right child,
-and `trees.validate_tree` holds for the image, so both tree forms share one
-set of invariants and one set of messages.
+`rho_inv` inverts `rho`, and `rho_all` maps a list, one chain per sibling
+tuple.  Text form: `label[left|right]` with `_` for an absent child, so the
+plane tree 0(1,2) reads `0[1[_|2[_|_]]|_]`.  A binary tree is valid exactly
+when its plane tree under `rho_inv` is: the root has no right child, and
+`trees.validate_tree` holds for the image, so both tree forms share one set
+of invariants and one set of messages.
 
 Terminology (all label-independent):
 
@@ -47,8 +49,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .errors import InternalError, TreeSyntaxError
-from .trees import WTree, read_label, validate_tree
+from .errors import InternalError, InvalidTreeError, TreeSyntaxError
+from .trees import WTree, read_label, validate_tree, wtree
 
 Path = tuple[int, ...]  # 0 = left step, 1 = right step
 
@@ -78,48 +80,92 @@ def format_btree(b: WBTree) -> str:
     return f"{label}[{left}|{right}]"
 
 
+def rho_all(trees: list[WTree]) -> list[WBTree]:
+    """rho of each tree; trees that share subtree objects, as the enumeration
+    builds them, share binary chains.  The memo holds each sibling tuple
+    beside its chain, so no `id` is reused while it lives; it lives for
+    this call only."""
+    memo: dict[int, tuple[tuple[WTree, ...], WBTree | None]] = {}
+    return [wbtree((t.label, _chain(t.children, memo), None)) for t in trees]
+
+
+def _chain(children: tuple[WTree, ...], memo: dict) -> WBTree | None:
+    """A sibling tuple's chain, built right to left: children left, next sibling right."""
+    key = id(children)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    node = None
+    for label, kids in reversed(children):
+        node = wbtree((label, _chain(kids, memo) if kids else None, node))
+    memo[key] = (children, node)
+    return node
+
+
+def rho(t: WTree) -> WBTree:
+    """Plane to binary: leftmost child -> left child, next sibling -> right."""
+    return wbtree((t.label, _chain(t.children, {}), None))
+
+
+def rho_inv(b: WBTree) -> WTree:
+    """Binary to plane; rejects trees whose node 0 has a right child."""
+    if b.right is not None:
+        raise InvalidTreeError("node 0 of a weakly increasing binary tree has no right child")
+
+    def unchain(node: WBTree | None) -> tuple[WTree, ...]:
+        children = []
+        while node is not None:
+            children.append(wtree((node.label, unchain(node.left))))
+            node = node.right
+        return tuple(children)
+
+    return wtree((b.label, unchain(b.left)))
+
+
 def parse_btree(text: str) -> WBTree:
-    """Parse binary tree text and validate it through its plane tree."""
-    return _parse_btree(text)[0]
-
-
-def _parse_btree(text: str) -> tuple[WBTree, WTree]:
-    """The binary tree of the text and the plane tree under `rho_inv` that
-    validated it, so a caller that wants the image converts once."""
+    """Parse binary tree text in one pass, as `trees.parse_tree` does: a
+    label below its bound (max(parent, 1) for a left child, the parent's
+    label for a right one) clears `ok`, and such a tree, or one whose root
+    is not 0 or has a right child, goes through `validate_tree(rho_inv(b))`,
+    which names the violation.  Syntax errors come first."""
     s = text.strip()
-    pos = 0
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        if pos >= len(s) or s[pos] != ch:
-            raise TreeSyntaxError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def parse_node() -> WBTree | None:
-        nonlocal pos
-        if pos < len(s) and s[pos] == "_":
+    n = len(s)
+    pos, ok, bound = 0, True, 0
+    above: list[tuple[int, bool, WBTree | None]] = []  # (label, on right, left child) of each open node
+    while True:
+        if pos < n and s[pos] == "_":
             pos += 1
-            return None
-        label, pos = read_label(s, pos, "expected a label or '_'")
-        expect("[")
-        left = parse_node()
-        expect("|")
-        right = parse_node()
-        expect("]")
-        return wbtree((label, left, right))
-
-    tree = parse_node()
-    if tree is None:
+            node = None
+        else:
+            label, pos = read_label(s, pos, "expected a label or '_'")
+            if label < bound:
+                ok = False
+            if pos >= n or s[pos] != "[":
+                raise TreeSyntaxError("expected '['", pos)
+            pos += 1
+            above.append((label, False, None))
+            bound = label or 1  # max(label, 1): labels are digits
+            continue
+        while above:
+            label, on_right, left = above.pop()
+            close = "]" if on_right else "|"
+            if pos >= n or s[pos] != close:
+                raise TreeSyntaxError(f"expected {close!r}", pos)
+            pos += 1
+            if not on_right:
+                above.append((label, True, node))
+                bound = label
+                break
+            node = wbtree((label, left, node))
+        else:
+            break
+    if node is None:
         raise TreeSyntaxError("tree must have a root node", 0)
-    if pos != len(s):
+    if pos != n:
         raise TreeSyntaxError("trailing input after tree", pos)
-    # transforms imports WBTree from here, so rho_inv cannot be imported at
-    # module level
-    from .transforms import rho_inv
-
-    plane = rho_inv(tree)
-    validate_tree(plane)
-    return tree, plane
+    if node[0] or node[2] is not None or not ok:
+        validate_tree(rho_inv(node))
+    return node
 
 
 @dataclass

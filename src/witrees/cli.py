@@ -5,7 +5,7 @@ Every subcommand prints deterministically (fixed orderings everywhere), so
 identical invocations are byte-identical.  Exit codes: 0 on success / all
 checks passing, 1 when a verification check fails, 2 on usage errors (bad
 input, a --batch or --out file that cannot be opened, tree text nested so
-deep that a map or parser passes the recursion limit), 3 on an internal
+deep that a map or formatter passes the recursion limit), 3 on an internal
 error (a broken invariant: a bug, not bad input), and 141 when the reader
 of stdout goes away, as in `witrees enumerate --set 7 | head -1`.
 """
@@ -21,10 +21,9 @@ from contextlib import nullcontext
 from dataclasses import asdict
 from functools import cache
 from itertools import islice
-from operator import itemgetter
 from typing import NamedTuple
 
-from .binary import _parse_btree, annotate, format_btree, modified_preorder, orbit, parse_btree
+from .binary import annotate, format_btree, modified_preorder, orbit, parse_btree, rho, rho_all, rho_inv
 from .census import multiset_schett
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import enumerate_trees
@@ -35,7 +34,7 @@ from .jacobi import jacobi_taylor
 from .mpoly import MPoly
 from .multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
 from .series import check_algebraic_eq, format_series, plane_gf
-from .transforms import hat, psi, rho, rho_all, theta, tilde
+from .transforms import hat, psi, theta, tilde
 from .trees import StatVector, WTree, format_tree, parse_tree, stats
 from .verify import conjecture_families, run_suites, scan_real_rootedness, suite_checks
 
@@ -135,8 +134,7 @@ _MAPS = {
     "psi": (psi, format_tree, parse_tree),
     "theta": (theta, format_tree, parse_tree),
     "rho": (rho, format_btree, parse_tree),
-    # the plane tree that validates the binary text is the map's image
-    "rho-inv": (itemgetter(1), format_tree, _parse_btree),
+    "rho-inv": (rho_inv, format_tree, parse_btree),
 }
 
 

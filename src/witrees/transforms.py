@@ -1,5 +1,5 @@
 """Tree maps: the degree/odd-level bijection, the statistic-swapping
-involution, their root-subtree variants, and the plane/binary conversion.
+involution and their root-subtree variants (`binary` holds rho).
 
 All maps are pure, total on valid trees, and label-preserving in the sense
 that the image lives on the same multiset.  They are defined structurally,
@@ -11,14 +11,12 @@ nodes on odd levels (q >= 1) and the leaf count to the even-level count.
 `tilde` is an involution exchanging the statistics "even-degree nodes on
 odd levels" and "odd-degree nodes" while fixing "even-degree nodes on even
 levels".  `psi` and `theta` wrap tilde resp. hat around every root subtree,
-which shifts the contracts to the root-excluded statistics.  `rho` is the
-classical leftmost-child / right-sibling correspondence onto weakly
-increasing binary trees; `rho_all` maps a list, one chain per sibling tuple.
+which shifts the contracts to the root-excluded statistics.
 
 The children of tilde's image depend on the tree's children alone, so
 `tilde` recurses on child tuples: the pieces it maps are never first built
-into trees of their own.  Every map builds its nodes through `trees.wtree`
-and `binary.wbtree`, which skip the NamedTuple constructor's Python code.
+into trees of their own.  Every map builds its nodes through `trees.wtree`,
+which skips the NamedTuple constructor's Python code.
 
 The trees of one multiset share their subtree objects, as the enumeration
 builds them.  `hat` and `theta` take an optional memo of hat images and
@@ -32,8 +30,6 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .binary import WBTree, wbtree
-from .errors import InvalidTreeError
 from .trees import WTree, wtree
 
 
@@ -131,45 +127,3 @@ def theta(t: WTree, memo: dict | None = None) -> WTree:
     nodes to the number of non-root degree-2d nodes on even levels plus the
     indicator that the image root has degree 2d+1.  `memo` is hat's."""
     return wtree((t.label, tuple(map(hat, t.children, repeat(memo)))))
-
-
-def rho_all(trees: list[WTree]) -> list[WBTree]:
-    """rho of each tree; trees that share subtree objects, as the enumeration
-    builds them, share binary chains.  The memo holds each sibling tuple
-    beside its chain, so no `id` is reused while it lives; it lives for
-    this call only."""
-    memo: dict[int, tuple[tuple[WTree, ...], WBTree | None]] = {}
-    return [wbtree((t.label, _chain(t.children, memo), None)) for t in trees]
-
-
-def _chain(children: tuple[WTree, ...], memo: dict) -> WBTree | None:
-    """A sibling tuple's chain, built right to left: children left, next sibling right."""
-    key = id(children)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    node = None
-    for label, kids in reversed(children):
-        node = wbtree((label, _chain(kids, memo) if kids else None, node))
-    memo[key] = (children, node)
-    return node
-
-
-def rho(t: WTree) -> WBTree:
-    """Plane to binary: leftmost child -> left child, next sibling -> right."""
-    return wbtree((t.label, _chain(t.children, {}), None))
-
-
-def rho_inv(b: WBTree) -> WTree:
-    """Binary to plane; rejects trees whose node 0 has a right child."""
-    if b.right is not None:
-        raise InvalidTreeError("node 0 of a weakly increasing binary tree has no right child")
-
-    def unchain(node: WBTree | None) -> tuple[WTree, ...]:
-        children = []
-        while node is not None:
-            children.append(wtree((node.label, unchain(node.left))))
-            node = node.right
-        return tuple(children)
-
-    return wtree((b.label, unchain(b.left)))

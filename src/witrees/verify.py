@@ -47,7 +47,7 @@ from functools import cache, cached_property
 from math import comb, factorial
 from typing import Callable, Iterable, NoReturn
 
-from .binary import BAnnotation, BStatVector, annotate, format_btree, orbit
+from .binary import BAnnotation, BStatVector, annotate, format_btree, orbit, rho_all, rho_inv
 from .census import multiset_schett, parity_poly, schett_of
 from .counts import fish_count, jaco2_count, plane_tree_count, six_term_count, ternary_identity
 from .enumeration import iter_multisets, iter_trees
@@ -68,7 +68,7 @@ from .mpoly import MPoly
 from .multiset import Multiset, count_trees, set_multiset, uniform_multiset
 from .realroots import real_rooted
 from .series import TruncSeries, algebraic_report, format_series, lagrange_series, plane_gf
-from .transforms import hat, psi, rho_all, rho_inv, theta, tilde
+from .transforms import hat, psi, theta, tilde
 from .trees import WTree, format_tree, parse_tree, stats
 
 

@@ -31,12 +31,11 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd
 
-from witrees.binary import BAnnotation, BStatVector, WBTree, annotate, swap_branches, wbtree
+from witrees.binary import BAnnotation, BStatVector, WBTree, annotate, rho_inv, swap_branches, wbtree
 from witrees.errors import InvalidTreeError, TreeSyntaxError
 from witrees.mpoly import MPoly, poly_sum
 from witrees.realroots import RootReport
 from witrees.series import SERIES_VARS, TruncSeries
-from witrees.transforms import rho_inv
 from witrees.trees import WTree, format_tree, read_label, wtree
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import witrees.binary
 from _oracles import (
     oracle_annotation,
     oracle_bstats,
@@ -17,11 +18,12 @@ from witrees.binary import (
     modified_preorder,
     orbit,
     parse_btree,
+    rho,
+    rho_inv,
     swap_branches,
 )
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InvalidTreeError, TreeSyntaxError
-from witrees.transforms import rho
 from witrees.trees import parse_tree, stats
 
 
@@ -100,6 +102,16 @@ def test_parse_agrees_with_the_earlier_parser():
     assert len(valid) == 13748 and len(labelled) == 3940
     for text in valid + labelled + corrupted:
         assert parse_outcome(parse_btree, text) == parse_outcome(oracle_parse_btree, text), text
+
+
+def test_parse_of_a_valid_text_makes_no_plane_tree(monkeypatch):
+    """A text that breaks no rule as it is read never reaches `rho_inv`: no
+    valid binary tree with p <= 6 is converted to validate it."""
+    texts = [format_btree(rho(t)) for m in iter_multisets(6) for t in iter_trees(m)]
+    calls = []
+    monkeypatch.setattr(witrees.binary, "rho_inv", lambda b: calls.append(b) or rho_inv(b))
+    assert [format_btree(parse_btree(text)) for text in texts] == texts
+    assert len(texts) == 13748 and calls == []
 
 
 def test_right_degree_matches_plane_degree():

@@ -11,13 +11,12 @@ import pytest
 
 import witrees
 import witrees.cli
-from witrees.binary import parse_btree
+from witrees.binary import parse_btree, rho_inv
 from witrees.census import schett_of
 from witrees.cli import main
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.errors import InternalError
 from witrees.multiset import parse_multiset
-from witrees.transforms import rho_inv
 from witrees.trees import StatVector, format_tree, parse_tree, stats
 
 RUN = [sys.executable, "-m", "witrees.cli"]
@@ -339,16 +338,30 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path):
     _assert_usage_error(run_cli("schett", "--n", "2", "--out", str(tmp_path / "no-such-dir" / "out.txt")))
 
 
+# the 1,500-deep left chain 0[1[1[...[1[_|_]|_]...]|_]|_], a plane path of 1,501 nodes
+DEEP_CHAIN = "0[" + "1[" * 1500 + "_|_]" + "|_]" * 1500
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["transform", "--map", "hat", "--tree", "0" + "(1" * 1500 + ")" * 1500],
-        ["preorder", "--tree", "0[" + "1[" * 1500 + "_|_]" * 1500 + "|_]"],
+        ["transform", "--map", "rho-inv", "--tree", DEEP_CHAIN],
     ],
-    ids=["transform", "preorder"],
+    ids=["transform", "rho-inv"],
 )
 def test_too_deep_tree_is_a_usage_error(argv):
     _assert_usage_error(run_cli(*argv))
+
+
+def test_deep_binary_text_parses_without_recursion(capsys):
+    """The binary parser reads a chain nested past the recursion limit, so
+    `preorder` lists its nodes; a syntax error in such text is still named
+    with its position."""
+    code, out, err = _in_process(capsys, ["preorder", "--tree", DEEP_CHAIN])
+    assert (code, err, len(out.splitlines())) == (0, "", 1501)
+    malformed = "0[" + "1[" * 1500 + "_|_]" * 1500 + "|_]"
+    assert _in_process(capsys, ["preorder", "--tree", malformed]) == (2, "", "error: expected '|' (at position 3006)\n")
 
 
 def test_orbit_annotates_each_member_once(monkeypatch, capsys):
@@ -368,10 +381,10 @@ def test_orbit_annotates_each_member_once(monkeypatch, capsys):
 
 
 def test_rho_inv_batch_converts_each_line_once(tmp_path, capsys):
-    """A rho-inv line is converted once: the plane tree that validates the
-    binary text is the map's output.  The calls are counted by code object,
-    because the CLI binds its maps when it is imported, out of reach of a
-    patched module attribute."""
+    """A rho-inv line is converted once: the parser reads a valid binary
+    text without its plane tree, and the map converts it.  The calls are
+    counted by code object, because the CLI binds its maps when it is
+    imported, out of reach of a patched module attribute."""
     expected = [format_tree(rho_inv(parse_btree(text))) for text in GOLDEN_TREES]
     batch = tmp_path / "batch.txt"
     batch.write_text("\n".join(GOLDEN_TREES) + "\n")

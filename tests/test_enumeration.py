@@ -3,9 +3,9 @@ import gc
 import pytest
 
 from _oracles import oracle_tree_texts
+from witrees.binary import rho_all
 from witrees.enumeration import enumerate_trees, iter_multisets, iter_trees
 from witrees.multiset import Multiset, count_trees, parse_multiset, set_multiset, uniform_multiset
-from witrees.transforms import rho_all
 from witrees.trees import format_tree, format_trees
 
 

@@ -229,8 +229,8 @@ KERNEL_MUTANTS = {
     # the first child becomes the right child and the next sibling the left
     # one: still a bijection onto binary trees, but not the inverse of rho_inv
     "rho-swaps-roles": (
-        witrees.transforms, "_chain", "wbtree((label, _chain(kids, memo) if kids else None, node))",
-        "wbtree((label, node, _chain(kids, memo) if kids else None))", (witrees.transforms,),
+        witrees.binary, "_chain", "wbtree((label, _chain(kids, memo) if kids else None, node))",
+        "wbtree((label, node, _chain(kids, memo) if kids else None))", (witrees.binary,),
         {"binary": "FAIL  binary correspondence: statistic transport and bookkeeping: round trip fails on 0(1(2))"},
     ),
     # tilde's child-tuple recursion puts x's node before the special

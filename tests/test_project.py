@@ -117,7 +117,7 @@ def test_only_the_plane_tree_validator_and_rho_inv_raise_invalid_tree_error():
         and node.exc is not None
         and any(isinstance(n, ast.Name) and n.id == "InvalidTreeError" for n in ast.walk(node.exc))
     )
-    assert set(sites) == {"trees.validate_tree", "transforms.rho_inv"}
+    assert set(sites) == {"trees.validate_tree", "binary.rho_inv"}
 
 
 
@@ -166,8 +166,7 @@ def test_route_map_keeps_trees_and_algebra_apart():
     modules import no tree module and tree modules no algebra module, so
     the census by trees and the grammar stay independent, and only
     `census`, `verify` and `cli` (and the export list) import both sides.
-    The one import inside a function, `binary._parse_btree`'s lazy import
-    of `transforms`, stays on the tree side."""
+    No package import sits inside a function."""
     side = {module: name for name, modules in ROUTE_MAP.items() for module in modules}
     imports = _package_imports()
     modules = {path.stem for path in (ROOT / "src" / "witrees").glob("*.py")}
@@ -179,7 +178,7 @@ def test_route_map_keeps_trees_and_algebra_apart():
     assert sorted(m for m in ROUTE_MAP["tree"] if "algebra" in reads[m]) == []
     both = {m for m, sides in reads.items() if {"tree", "algebra"} <= sides}
     assert both == ROUTE_MAP["bridge"] | ROUTE_MAP["exports"]
-    assert [(m, t) for m, t, nested in imports if nested] == [("binary", "transforms")]
+    assert [(m, t) for m, t, nested in imports if nested] == []
 
 
 def test_errors_py_defines_the_only_exception_classes():

@@ -3,10 +3,10 @@ from hypothesis import given, settings
 
 from _oracles import oracle_tilde
 from _strategies import weakly_increasing_trees
-from witrees.binary import format_btree
+from witrees.binary import format_btree, rho, rho_all, rho_inv
 from witrees.enumeration import iter_multisets, iter_trees
 from witrees.multiset import set_multiset
-from witrees.transforms import hat, psi, rho, rho_all, rho_inv, theta, tilde
+from witrees.transforms import hat, psi, theta, tilde
 from witrees.trees import format_tree, parse_tree, stats
 
 
